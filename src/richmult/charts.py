@@ -233,11 +233,15 @@ def opposite_ideal(chart: Chart, v: CosetRep) -> PolyIdeal:
 
 def richardson_ideal(chart: Chart, w: CosetRep, v: CosetRep) -> PolyIdeal:
     """Ideal of the intersection of the two stratum varieties."""
-    iw = schubert_ideal(chart, w)
-    iv = opposite_ideal(chart, v)
+    return intersection_ideal(schubert_ideal(chart, w), opposite_ideal(chart, v))
+
+
+def intersection_ideal(iw: PolyIdeal, iv: PolyIdeal) -> PolyIdeal:
+    """Ideal of the intersection of the varieties of a Schubert ideal and
+    an opposite ideal built on the same chart."""
     if iw.is_unit() or iv.is_unit():
-        return PolyIdeal.unit_marker(chart.ring)
-    return PolyIdeal(chart.ring, _dedupe_normalized(list(iw.gens) + list(iv.gens)))
+        return PolyIdeal.unit_marker(iw.ring)
+    return PolyIdeal(iw.ring, _dedupe_normalized(list(iw.gens) + list(iv.gens)))
 
 
 def translate_to_origin(ideal: PolyIdeal, m: AffinePoint) -> PolyIdeal:

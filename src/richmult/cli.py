@@ -2,8 +2,11 @@
 
 Exit status: 0 on success with all checks in agreement, 1 when a fast
 path and the oracle disagree (or a sweep reports failures), 2 on invalid
-input or violated preconditions.  All inputs come from flags and files so
-identical invocations produce byte-identical output.
+input or violated preconditions, 3 when a computation cannot be trusted
+(KernelInconsistencyError, OracleBudgetError or another RuntimeError of
+the kernel); 2 and 3 print one ``error:`` line on stderr.  All inputs
+come from flags and files so identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .charts import (
@@ -29,6 +33,7 @@ from .charts import (
 from .engine import (
     EngineBudget,
     MembershipError,
+    MultiplicityReport,
     PreconditionError,
     SweepConfig,
     build_report,
@@ -80,14 +85,7 @@ def _load_point(path: str, shape: GrassShape, tau_text):
 
 def _reports_to_csv(reports) -> str:
     buf = io.StringIO()
-    fieldnames = [
-        "family", "d", "n", "tau", "w", "v", "point",
-        "mu_w", "mu_v", "mu_wv_fast", "mu_wv_oracle",
-        "deg_zw", "deg_zv", "deg_zwv", "degree_product_ok",
-        "cone_schubert_over_point", "cone_opposite_over_point",
-        "cone_richardson_over_origin",
-        "smooth_w", "smooth_v", "smooth_wv", "agreement",
-    ]
+    fieldnames = [f.name for f in fields(MultiplicityReport)]
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for r in reports:
@@ -293,6 +291,9 @@ def main(argv=None) -> int:
     except (UsageError, PreconditionError, MembershipError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

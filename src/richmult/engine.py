@@ -10,8 +10,9 @@ smoothness verdicts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .charts import (
@@ -20,8 +21,8 @@ from .charts import (
     build_chart,
     evaluate_ideal,
     in_cell,
+    intersection_ideal,
     is_cone_over_origin,
-    richardson_ideal,
     opposite_ideal,
     schubert_ideal,
     translate_to_origin,
@@ -29,7 +30,15 @@ from .charts import (
 from .groebner import PolyIdeal
 from .hilbert import ideal_dimension, projective_degree
 from .localmult import multiplicity_at_origin
-from .weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq, format_coset
+from .weyl import (
+    CosetRep,
+    GrassShape,
+    all_coset_reps,
+    bruhat_leq,
+    format_coset,
+    maximal_rep,
+    minimal_rep,
+)
 
 DEFAULT_GRID = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
 
@@ -57,17 +66,14 @@ class EngineBudget:
     max_instances: Optional[int] = None
 
 
-# Memo tables keyed by the canonical reduced basis of an ideal.  Pure
-# caches: safe to clear at any time, per-process under multiprocessing.
+# Multiplicities keyed by the canonical reduced basis of the translated
+# ideal; the same ideal recurs across points and instances.  A pure cache:
+# safe to clear at any time, per-process under multiprocessing.
 _MULT_CACHE: dict = {}
-_DIM_CACHE: dict = {}
-_DEGREE_CACHE: dict = {}
 
 
 def clear_caches():
     _MULT_CACHE.clear()
-    _DIM_CACHE.clear()
-    _DEGREE_CACHE.clear()
 
 
 def _mult_of(ideal: PolyIdeal) -> int:
@@ -79,30 +85,12 @@ def _mult_of(ideal: PolyIdeal) -> int:
     return value
 
 
-def _dim_of(ideal: PolyIdeal) -> int:
-    key = ideal.canonical_key()
-    value = _DIM_CACHE.get(key)
-    if value is None:
-        value = ideal_dimension(ideal)
-        _DIM_CACHE[key] = value
-    return value
-
-
-def _degree_of(ideal: PolyIdeal) -> int:
-    key = ideal.canonical_key()
-    value = _DEGREE_CACHE.get(key)
-    if value is None:
-        value = projective_degree(ideal)
-        _DEGREE_CACHE[key] = value
-    return value
-
-
-def _resolve_point(chart: Chart, m: Optional[AffinePoint]) -> AffinePoint:
-    if m is None:
-        return chart.origin()
-    if m.chart != chart:
-        raise MembershipError("point lies on a different chart")
-    return m
+def _translate(ideal: PolyIdeal, m: AffinePoint, variety: str) -> PolyIdeal:
+    """The ideal moved so that m becomes the origin; m must lie on its
+    variety."""
+    if ideal.is_unit() or not evaluate_ideal(ideal, m):
+        raise MembershipError(f"point is not on the {variety} variety")
+    return translate_to_origin(ideal, m)
 
 
 def mult_schubert_at(
@@ -113,24 +101,9 @@ def mult_schubert_at(
     Requires m in the cell of tau and tau <= w.  The result is also
     computed at the fixed point and the two must agree (the variety is
     translation-invariant along the cell); disagreement raises."""
-    if not bruhat_leq(tau, w):
-        raise PreconditionError(f"require tau <= w: {format_coset(tau)} vs {format_coset(w)}")
-    chart = m.chart if m is not None else build_chart(shape, tau)
-    if chart.tau != tau:
-        raise MembershipError("point chart does not match tau")
-    m = _resolve_point(chart, m)
-    if not in_cell(chart, m):
-        raise MembershipError(f"point {m} is not in the cell of {format_coset(tau)}")
-    ideal = schubert_ideal(chart, w)
-    if not evaluate_ideal(ideal, m):
-        raise MembershipError("point is not on the Schubert variety")
-    mu = _mult_of(translate_to_origin(ideal, m))
-    mu_fixed = _mult_of(translate_to_origin(ideal, chart.origin()))
-    if mu != mu_fixed:
-        raise KernelInconsistencyError(
-            f"translation invariance violated: {mu} != {mu_fixed}"
-        )
-    return mu
+    # The opposite variety of the minimal coset is the whole space.
+    inst = StratumInstance(shape, w, minimal_rep(shape), tau)
+    return inst.mult_schubert(inst.schubert_at(inst.resolve_point(m)))
 
 
 def mult_opposite_at(
@@ -138,14 +111,9 @@ def mult_opposite_at(
 ) -> int:
     """Multiplicity of m on the opposite stratum variety of v; membership
     is checked by evaluating the generators at m."""
-    chart = m.chart if m is not None else build_chart(shape, tau)
-    if chart.tau != tau:
-        raise MembershipError("point chart does not match tau")
-    m = _resolve_point(chart, m)
-    ideal = opposite_ideal(chart, v)
-    if ideal.is_unit() or not evaluate_ideal(ideal, m):
-        raise MembershipError("point is not on the opposite variety")
-    return _mult_of(translate_to_origin(ideal, m))
+    # The Schubert variety of the maximal coset is the whole space.
+    inst = StratumInstance(shape, maximal_rep(shape), v, tau)
+    return _mult_of(inst.opposite_at(inst.resolve_point(m)))
 
 
 def mult_richardson_fast(
@@ -155,17 +123,13 @@ def mult_richardson_fast(
     tau: CosetRep,
     m: Optional[AffinePoint] = None,
 ) -> int:
-    """Product of the two one-sided multiplicities."""
+    """Product of the two one-sided multiplicities (a point on both sides
+    lies on the intersection)."""
     if not bruhat_leq(v, w):
         raise PreconditionError(f"require v <= w: {format_coset(v)} vs {format_coset(w)}")
-    chart = m.chart if m is not None else build_chart(shape, tau)
-    if chart.tau != tau:
-        raise MembershipError("point chart does not match tau")
-    m = _resolve_point(chart, m)
-    ideal = richardson_ideal(chart, w, v)
-    if ideal.is_unit() or not evaluate_ideal(ideal, m):
-        raise MembershipError("point is not on the intersection variety")
-    return mult_schubert_at(shape, w, tau, m) * mult_opposite_at(shape, v, tau, m)
+    inst = StratumInstance(shape, w, v, tau)
+    m = inst.resolve_point(m)
+    return inst.mult_schubert(inst.schubert_at(m)) * _mult_of(inst.opposite_at(m))
 
 
 def mult_richardson_oracle(
@@ -177,14 +141,8 @@ def mult_richardson_oracle(
 ) -> int:
     """Tangent-cone multiplicity of the intersection ideal at m, computed
     without the product shortcut."""
-    chart = m.chart if m is not None else build_chart(shape, tau)
-    if chart.tau != tau:
-        raise MembershipError("point chart does not match tau")
-    m = _resolve_point(chart, m)
-    ideal = richardson_ideal(chart, w, v)
-    if ideal.is_unit() or not evaluate_ideal(ideal, m):
-        raise MembershipError("point is not on the intersection variety")
-    return _mult_of(translate_to_origin(ideal, m))
+    inst = StratumInstance(shape, w, v, tau)
+    return _mult_of(inst.richardson_at(inst.resolve_point(m)))
 
 
 def degree_product_check(
@@ -192,31 +150,31 @@ def degree_product_check(
 ) -> tuple[int, int, int, bool]:
     """Projective degrees of the three cone ideals on the chart and whether
     deg(intersection) = deg * deg."""
-    if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
-        raise PreconditionError(
-            f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
-        )
-    chart = build_chart(shape, tau)
-    deg_w = _degree_of(schubert_ideal(chart, w))
-    deg_v = _degree_of(opposite_ideal(chart, v))
-    deg_wv = _degree_of(richardson_ideal(chart, w, v))
-    return deg_w, deg_v, deg_wv, deg_wv == deg_w * deg_v
+    return StratumInstance(shape, w, v, tau).degrees
 
 
-def jacobian_corank(ideal: PolyIdeal, m: AffinePoint) -> int:
+def jacobian_corank(ideal: PolyIdeal, m: AffinePoint, dim: Optional[int] = None) -> int:
     """Tangent-space dimension at m minus the variety's dimension (0 at a
-    smooth point of the varieties considered here)."""
+    smooth point of the varieties considered here).  ``dim`` is the
+    variety's dimension, computed from the ideal when not given.  The
+    tangent space can never be smaller than the variety, so a negative
+    value raises."""
     if not evaluate_ideal(ideal, m):
         raise MembershipError("point is not on the variety")
+    if dim is None:
+        dim = ideal_dimension(ideal)
     values = m.coords
     rows = [
         [g.derivative(i).evaluate(values) for i in range(ideal.ring.nvars)]
         for g in ideal.gens
     ]
-    rank = _matrix_rank(rows)
-    dim = _dim_of(ideal)
-    corank = (ideal.ring.nvars - rank) - dim
-    return max(corank, 0)
+    tangent_dim = ideal.ring.nvars - _matrix_rank(rows)
+    if tangent_dim < dim:
+        raise KernelInconsistencyError(
+            f"tangent space of dimension {tangent_dim} at {m} is smaller than "
+            f"the variety's dimension {dim}"
+        )
+    return tangent_dim - dim
 
 
 def _matrix_rank(rows: list[list[Fraction]]) -> int:
@@ -305,30 +263,9 @@ class MultiplicityReport:
     agreement: bool
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "d": self.d,
-            "n": self.n,
-            "tau": self.tau,
-            "w": self.w,
-            "v": self.v,
-            "point": dict(self.point),
-            "mu_w": self.mu_w,
-            "mu_v": self.mu_v,
-            "mu_wv_fast": self.mu_wv_fast,
-            "mu_wv_oracle": self.mu_wv_oracle,
-            "deg_zw": self.deg_zw,
-            "deg_zv": self.deg_zv,
-            "deg_zwv": self.deg_zwv,
-            "degree_product_ok": self.degree_product_ok,
-            "cone_schubert_over_point": self.cone_schubert_over_point,
-            "cone_opposite_over_point": self.cone_opposite_over_point,
-            "cone_richardson_over_origin": self.cone_richardson_over_origin,
-            "smooth_w": self.smooth_w,
-            "smooth_v": self.smooth_v,
-            "smooth_wv": self.smooth_wv,
-            "agreement": self.agreement,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["point"] = dict(self.point)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MultiplicityReport":
@@ -346,9 +283,132 @@ class MultiplicityReport:
         )
 
 
-def _expected_dimensions(shape, w, v):
-    N = shape.dim
-    return (w.length(), N - v.length(), w.length() - v.length())
+class StratumInstance:
+    """The point-independent part of verifying one stratum triple
+    (w, v, tau): the chart of tau, the three chart ideals with their bases,
+    and, each computed on first use and kept, the dimension check, the
+    degree identity, the cone flag of the intersection and the fixed-point
+    multiplicity on the Schubert side.  The per-point methods only
+    translate, take multiplicities and run the checks that depend on the
+    point."""
+
+    def __init__(self, shape: GrassShape, w: CosetRep, v: CosetRep, tau: CosetRep):
+        self.shape = shape
+        self.w = w
+        self.v = v
+        self.tau = tau
+        self.chart = build_chart(shape, tau)
+        self.iw = schubert_ideal(self.chart, w)
+        self.iv = opposite_ideal(self.chart, v)
+        self.iwv = intersection_ideal(self.iw, self.iv)
+
+    @cached_property
+    def dimensions(self) -> tuple[int, int, int]:
+        """Dimensions of the three varieties.  The Groebner dimensions must
+        match the combinatorial ones; a mismatch would mean the minor
+        generators do not cut the expected varieties."""
+        if self.iwv.is_unit():
+            raise PreconditionError("empty intersection on this chart")
+        lw, lv = self.w.length(), self.v.length()
+        expected = (lw, self.shape.dim - lv, lw - lv)
+        for ideal, exp, label in zip((self.iw, self.iv, self.iwv), expected, ("w", "v", "wv")):
+            actual = ideal_dimension(ideal)
+            if actual != exp:
+                raise KernelInconsistencyError(
+                    f"dimension of {label}-ideal is {actual}, expected {exp}"
+                )
+        return expected
+
+    @cached_property
+    def degrees(self) -> tuple[int, int, int, bool]:
+        """Projective degrees of the three cone ideals and whether
+        deg(intersection) = deg * deg."""
+        v, tau, w = self.v, self.tau, self.w
+        if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
+            raise PreconditionError(
+                f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
+            )
+        deg_w, deg_v, deg_wv = (projective_degree(i) for i in (self.iw, self.iv, self.iwv))
+        return deg_w, deg_v, deg_wv, deg_wv == deg_w * deg_v
+
+    @cached_property
+    def cone_richardson_over_origin(self) -> bool:
+        return self.iwv.is_zero_ideal() or is_cone_over_origin(self.iwv)
+
+    @cached_property
+    def mu_w_fixed(self) -> int:
+        return _mult_of(translate_to_origin(self.iw, self.chart.origin()))
+
+    def resolve_point(self, m: Optional[AffinePoint]) -> AffinePoint:
+        """m itself, or the fixed point when m is None."""
+        if m is None:
+            return self.chart.origin()
+        if m.chart != self.chart:
+            raise MembershipError("point lies on a different chart")
+        return m
+
+    def schubert_at(self, m: AffinePoint) -> PolyIdeal:
+        """The Schubert ideal translated to m, a cell point on X_w."""
+        if not bruhat_leq(self.tau, self.w):
+            raise PreconditionError(
+                f"require tau <= w: {format_coset(self.tau)} vs {format_coset(self.w)}"
+            )
+        if not in_cell(self.chart, m):
+            raise MembershipError(f"point {m} is not in the cell of {format_coset(self.tau)}")
+        return _translate(self.iw, m, "Schubert")
+
+    def opposite_at(self, m: AffinePoint) -> PolyIdeal:
+        return _translate(self.iv, m, "opposite")
+
+    def richardson_at(self, m: AffinePoint) -> PolyIdeal:
+        return _translate(self.iwv, m, "intersection")
+
+    def mult_schubert(self, moved: PolyIdeal) -> int:
+        """Multiplicity of a translated Schubert ideal, which must equal the
+        one at the fixed point (the variety is translation-invariant along
+        the cell)."""
+        mu = _mult_of(moved)
+        if mu != self.mu_w_fixed:
+            raise KernelInconsistencyError(
+                f"translation invariance violated: {mu} != {self.mu_w_fixed}"
+            )
+        return mu
+
+    def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
+        """Full verification record for one point."""
+        m = self.resolve_point(m)
+        dim_w, dim_v, dim_wv = self.dimensions
+        moved_w = self.schubert_at(m)
+        mu_w = self.mult_schubert(moved_w)
+        moved_v = self.opposite_at(m)
+        mu_v = _mult_of(moved_v)
+        mu_fast = mu_w * mu_v
+        mu_oracle = _mult_of(self.richardson_at(m))
+        deg_w, deg_v, deg_wv, deg_ok = self.degrees
+        return MultiplicityReport(
+            family="grassmannian",
+            d=self.shape.d,
+            n=self.shape.n,
+            tau=format_coset(self.tau),
+            w=format_coset(self.w),
+            v=format_coset(self.v),
+            point=m.to_json_dict(),
+            mu_w=mu_w,
+            mu_v=mu_v,
+            mu_wv_fast=mu_fast,
+            mu_wv_oracle=mu_oracle,
+            deg_zw=deg_w,
+            deg_zv=deg_v,
+            deg_zwv=deg_wv,
+            degree_product_ok=deg_ok,
+            cone_schubert_over_point=is_cone_over_origin(moved_w),
+            cone_opposite_over_point=is_cone_over_origin(moved_v),
+            cone_richardson_over_origin=self.cone_richardson_over_origin,
+            smooth_w=jacobian_corank(self.iw, m, dim_w) == 0,
+            smooth_v=jacobian_corank(self.iv, m, dim_v) == 0,
+            smooth_wv=jacobian_corank(self.iwv, m, dim_wv) == 0,
+            agreement=mu_fast == mu_oracle,
+        )
 
 
 def build_report(
@@ -359,63 +419,7 @@ def build_report(
     m: Optional[AffinePoint] = None,
 ) -> MultiplicityReport:
     """Full verification record for one point of one stratum triple."""
-    chart = m.chart if m is not None else build_chart(shape, tau)
-    m = _resolve_point(chart, m)
-    iw = schubert_ideal(chart, w)
-    iv = opposite_ideal(chart, v)
-    iwv = richardson_ideal(chart, w, v)
-    if iwv.is_unit():
-        raise PreconditionError("empty intersection on this chart")
-
-    # The Groebner dimensions must match the combinatorial ones; a mismatch
-    # would mean the minor generators do not cut the expected varieties.
-    exp_w, exp_v, exp_wv = _expected_dimensions(shape, w, v)
-    for ideal, expected, label in ((iw, exp_w, "w"), (iv, exp_v, "v"), (iwv, exp_wv, "wv")):
-        actual = _dim_of(ideal)
-        if actual != expected:
-            raise KernelInconsistencyError(
-                f"dimension of {label}-ideal is {actual}, expected {expected}"
-            )
-
-    mu_w = mult_schubert_at(shape, w, tau, m)
-    mu_v = mult_opposite_at(shape, v, tau, m)
-    mu_fast = mu_w * mu_v
-    mu_oracle = mult_richardson_oracle(shape, w, v, tau, m)
-
-    deg_w, deg_v, deg_wv, deg_ok = degree_product_check(shape, w, v, tau)
-
-    cone_w = is_cone_over_origin(translate_to_origin(iw, m))
-    cone_v = is_cone_over_origin(translate_to_origin(iv, m))
-    cone_wv = is_cone_over_origin(iwv) if not iwv.is_zero_ideal() else True
-
-    smooth_w = jacobian_corank(iw, m) == 0
-    smooth_v = jacobian_corank(iv, m) == 0
-    smooth_wv = jacobian_corank(iwv, m) == 0
-
-    return MultiplicityReport(
-        family="grassmannian",
-        d=shape.d,
-        n=shape.n,
-        tau=format_coset(tau),
-        w=format_coset(w),
-        v=format_coset(v),
-        point=m.to_json_dict(),
-        mu_w=mu_w,
-        mu_v=mu_v,
-        mu_wv_fast=mu_fast,
-        mu_wv_oracle=mu_oracle,
-        deg_zw=deg_w,
-        deg_zv=deg_v,
-        deg_zwv=deg_wv,
-        degree_product_ok=deg_ok,
-        cone_schubert_over_point=cone_w,
-        cone_opposite_over_point=cone_v,
-        cone_richardson_over_origin=cone_wv,
-        smooth_w=smooth_w,
-        smooth_v=smooth_v,
-        smooth_wv=smooth_wv,
-        agreement=mu_fast == mu_oracle,
-    )
+    return StratumInstance(shape, w, v, tau).report(m)
 
 
 @dataclass(frozen=True)
@@ -483,13 +487,12 @@ def _instance_reports(
     tau: CosetRep,
     config: SweepConfig,
 ) -> list[MultiplicityReport]:
-    chart = build_chart(shape, tau)
-    ideal = richardson_ideal(chart, w, v)
-    points = [chart.origin()]
-    for p in sample_points(ideal, chart, config.grid, cell_only=True, limit=config.point_cap):
+    inst = StratumInstance(shape, w, v, tau)
+    points = [inst.chart.origin()]
+    for p in sample_points(inst.iwv, inst.chart, config.grid, cell_only=True, limit=config.point_cap):
         if not p.is_origin():
             points.append(p)
-    return [build_report(shape, w, v, tau, m) for m in points]
+    return [inst.report(m) for m in points]
 
 
 def _worker(payload) -> list[dict]:

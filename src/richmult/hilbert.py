@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .groebner import PolyIdeal
 from .poly import Exps, mono_deg, mono_divides
@@ -118,15 +119,11 @@ def hilbert_data(gens: Iterable[Exps], nvars: int) -> HilbertData:
     reduced = list(raw)
     strips = 0
     while sum(reduced) == 0:
-        # Divide by (1 - t): r_i = q_i + r_{i-1}, remainder must vanish.
-        out = []
-        acc = 0
-        for c in reduced:
-            acc += c
-            out.append(acc)
-        assert out[-1] == 0
-        out.pop()
-        reduced = out if out else [1]
+        if not any(reduced):
+            raise ValueError(f"zero Hilbert numerator {raw}")
+        # Divide by (1 - t): the quotient's coefficients are the partial
+        # sums; the last partial sum is the remainder N(1) = 0.
+        reduced = list(accumulate(reduced))[:-1]
         strips += 1
     while len(reduced) > 1 and reduced[-1] == 0:
         reduced.pop()

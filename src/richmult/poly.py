@@ -132,12 +132,6 @@ class PolyRing:
         cone order (t-degree dominant within each total degree)."""
         return PolyRing((HOMOGENIZATION_VARIABLE,) + self.names, CONE, _internal=True)
 
-    def with_names(self, names: Sequence[str]) -> "PolyRing":
-        """Same order and arity, different variable names."""
-        if len(names) != self.nvars:
-            raise ValueError("variable count mismatch")
-        return PolyRing(names, self.order)
-
 
 class Polynomial:
     """Immutable sparse polynomial over Q."""
@@ -310,12 +304,6 @@ class Polynomial:
                     term = term * factor**k
             out = out + term
         return out
-
-    def map_ring(self, target: PolyRing) -> "Polynomial":
-        """Reinterpret the same exponent data in another ring of equal arity."""
-        if target.nvars != self.ring.nvars:
-            raise ValueError("ring arity mismatch")
-        return Polynomial(target, dict(self.terms))
 
     def derivative(self, i: int) -> "Polynomial":
         res: dict = {}

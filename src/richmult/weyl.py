@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class ShapeMismatchError(ValueError):
@@ -139,12 +139,6 @@ def maximal_rep(shape: GrassShape) -> CosetRep:
 def all_coset_reps(shape: GrassShape) -> list[CosetRep]:
     """All strata labels of the shape, in lexicographic order."""
     return [CosetRep(shape, c) for c in combinations(range(1, shape.n + 1), shape.d)]
-
-
-def bruhat_interval(shape: GrassShape, lo: CosetRep, hi: CosetRep) -> Iterator[CosetRep]:
-    for rep in all_coset_reps(shape):
-        if bruhat_leq(lo, rep) and bruhat_leq(rep, hi):
-            yield rep
 
 
 def chart_index_set(shape: GrassShape, tau: CosetRep) -> tuple[RootIndex, ...]:

@@ -6,6 +6,7 @@ import pytest
 
 from richmult.cli import main
 from richmult.charts import build_chart, parse_ideal
+from richmult.localmult import OracleBudgetError
 from richmult.weyl import CosetRep, GrassShape
 
 DEMO_GOLDEN = """chart tau=256
@@ -194,3 +195,54 @@ class TestQuadric:
             files("richmult.schemas").joinpath("report.schema.json").read_text()
         )
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+class TestComputationFailures:
+    """Kernel failures exit with status 3 and one stderr line, apart from
+    disagreement (1) and bad input (2)."""
+
+    MULT = ["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "12"]
+
+    def test_dimension_mismatch_exits_3(self, capsys, monkeypatch):
+        from richmult import engine
+
+        monkeypatch.setattr(engine, "ideal_dimension", lambda ideal: -1)
+        assert main(self.MULT) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: KernelInconsistencyError: dimension")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [
+        OracleBudgetError("401 columns exceed the budget of 400"),
+        RuntimeError("Hilbert-Samuel function not stabilized"),
+    ])
+    def test_runtime_failures_exit_3(self, capsys, monkeypatch, exc):
+        from richmult import cli
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_report", fail)
+        assert main(self.MULT) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_report_fields_match_schema(tmp_path):
+    """The dataclass fields are the one field list: JSON keys, CSV columns
+    and the schema's required keys all follow it."""
+    from dataclasses import fields
+    from importlib.resources import files
+
+    from richmult.engine import MultiplicityReport
+
+    schema = json.loads(files("richmult.schemas").joinpath("report.schema.json").read_text())
+    names = [f.name for f in fields(MultiplicityReport)]
+    assert names == schema["items"]["required"]
+
+    out = tmp_path / "r.csv"
+    assert main([
+        "mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "12",
+        "--format", "csv", "--out", str(out),
+    ]) == 0
+    assert out.read_text().splitlines()[0].split(",") == names

@@ -13,6 +13,7 @@ from richmult.charts import (
     translate_to_origin,
 )
 from richmult.engine import (
+    KernelInconsistencyError,
     MembershipError,
     PreconditionError,
     SweepConfig,
@@ -174,6 +175,15 @@ class TestJacobian:
             mu = mult_richardson_oracle(G24, w, v, tau)
             assert (corank == 0) == (mu == 1)
 
+    def test_negative_corank_raises(self, monkeypatch):
+        from richmult import engine
+
+        chart = build_chart(G24, rep(G24, 1, 2))
+        ideal = schubert_ideal(chart, rep(G24, 1, 4))
+        monkeypatch.setattr(engine, "ideal_dimension", lambda ideal: ideal.ring.nvars)
+        with pytest.raises(KernelInconsistencyError, match="tangent space"):
+            jacobian_corank(ideal, chart.origin())
+
 
 class TestScalingInvariance:
     def test_multiplicity_constant_along_scaling_orbit(self):
@@ -277,6 +287,32 @@ class TestSweep:
         )
         assert result.truncated
         assert "truncated=yes" in result.summary_line()
+
+    def test_instance_ideals_built_once(self, monkeypatch):
+        """The stratum ideals of one (w, v, tau) are built once for all of
+        its points, and the hoisted reports equal per-point ones."""
+        from richmult import engine
+
+        shape = GrassShape(2, 5)
+        w, v, tau = rep(shape, 2, 5), rep(shape, 1, 3), rep(shape, 2, 4)
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        chart = build_chart(shape, tau)
+        points = [chart.origin()] + [
+            p for p in sample_points(richardson_ideal(chart, w, v), chart, grid, cell_only=True)
+            if not p.is_origin()
+        ]
+        assert len(points) == 9
+
+        builds = {"schubert_ideal": 0, "opposite_ideal": 0}
+        for name in builds:
+            def counted(*args, _build=getattr(engine, name), _name=name):
+                builds[_name] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        reports = engine._instance_reports(shape, w, v, tau, SweepConfig(grid=grid))
+        assert builds == {"schubert_ideal": 1, "opposite_ideal": 1}
+        assert reports == [build_report(shape, w, v, tau, m) for m in points]
 
     def test_budget_rejects_large_shape(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,15 @@ class TestNumerator:
         with pytest.raises(ValueError):
             hilbert_data([(0, 0)], 2)
 
+    def test_zero_numerator_is_not_divided(self, monkeypatch):
+        # Dividing a zero numerator by (1 - t) never ends in a nonzero
+        # quotient; it must raise instead of producing degree 1.
+        from richmult import hilbert
+
+        monkeypatch.setattr(hilbert, "hilbert_numerator", lambda gens, nvars: (0, 0))
+        with pytest.raises(ValueError, match="zero Hilbert numerator"):
+            hilbert.hilbert_data([(1, 1)], 2)
+
     def test_minimalize(self):
         gens = [(2, 0), (2, 1), (0, 3), (1, 3)]
         assert minimalize_monomials(gens) == [(2, 0), (0, 3)]

@@ -5,6 +5,17 @@ computes the tangent-cone degree of the intersection ideal directly.  The
 sweep harness enumerates nested stratum triples, samples rational cell
 points from a grid, and emits one report per point with degree, cone and
 smoothness verdicts.
+
+The sweep's unit of work is a chart.  The Schubert side of an instance
+(w, v, tau) depends only on (tau, w) and the opposite side only on
+(tau, v), so a :class:`ChartContext` builds each :class:`StratumSide`
+once (its ideal, dimension, degree, symbolic Jacobian, and per point its
+multiplicity, cone flag and Jacobian rows) and every
+:class:`StratumInstance` on the chart shares it; an instance adds only
+what needs both sides.  Instances are grouped by tau and the groups run
+largest cell first.  Each group is served from one context that is
+dropped when the group ends, and ``workers > 1`` maps the groups over a
+process pool.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .charts import (
     AffinePoint,
@@ -93,6 +104,10 @@ def _translate(ideal: PolyIdeal, m: AffinePoint, variety: str) -> PolyIdeal:
     return translate_to_origin(ideal, m)
 
 
+def _instance(shape: GrassShape, w: CosetRep, v: CosetRep, tau: CosetRep) -> "StratumInstance":
+    return StratumInstance(ChartContext(shape, tau), w, v)
+
+
 def mult_schubert_at(
     shape: GrassShape, w: CosetRep, tau: CosetRep, m: Optional[AffinePoint] = None
 ) -> int:
@@ -102,8 +117,8 @@ def mult_schubert_at(
     computed at the fixed point and the two must agree (the variety is
     translation-invariant along the cell); disagreement raises."""
     # The opposite variety of the minimal coset is the whole space.
-    inst = StratumInstance(shape, w, minimal_rep(shape), tau)
-    return inst.mult_schubert(inst.schubert_at(inst.resolve_point(m)))
+    inst = _instance(shape, w, minimal_rep(shape), tau)
+    return inst.schubert_point(inst.resolve_point(m)).mult
 
 
 def mult_opposite_at(
@@ -112,8 +127,8 @@ def mult_opposite_at(
     """Multiplicity of m on the opposite stratum variety of v; membership
     is checked by evaluating the generators at m."""
     # The Schubert variety of the maximal coset is the whole space.
-    inst = StratumInstance(shape, maximal_rep(shape), v, tau)
-    return _mult_of(inst.opposite_at(inst.resolve_point(m)))
+    inst = _instance(shape, maximal_rep(shape), v, tau)
+    return inst.side_v.at(inst.resolve_point(m)).mult
 
 
 def mult_richardson_fast(
@@ -127,9 +142,9 @@ def mult_richardson_fast(
     lies on the intersection)."""
     if not bruhat_leq(v, w):
         raise PreconditionError(f"require v <= w: {format_coset(v)} vs {format_coset(w)}")
-    inst = StratumInstance(shape, w, v, tau)
+    inst = _instance(shape, w, v, tau)
     m = inst.resolve_point(m)
-    return inst.mult_schubert(inst.schubert_at(m)) * _mult_of(inst.opposite_at(m))
+    return inst.schubert_point(m).mult * inst.side_v.at(m).mult
 
 
 def mult_richardson_oracle(
@@ -141,7 +156,7 @@ def mult_richardson_oracle(
 ) -> int:
     """Tangent-cone multiplicity of the intersection ideal at m, computed
     without the product shortcut."""
-    inst = StratumInstance(shape, w, v, tau)
+    inst = _instance(shape, w, v, tau)
     return _mult_of(inst.richardson_at(inst.resolve_point(m)))
 
 
@@ -150,7 +165,7 @@ def degree_product_check(
 ) -> tuple[int, int, int, bool]:
     """Projective degrees of the three cone ideals on the chart and whether
     deg(intersection) = deg * deg."""
-    return StratumInstance(shape, w, v, tau).degrees
+    return _instance(shape, w, v, tau).degrees
 
 
 def jacobian_corank(ideal: PolyIdeal, m: AffinePoint, dim: Optional[int] = None) -> int:
@@ -163,12 +178,22 @@ def jacobian_corank(ideal: PolyIdeal, m: AffinePoint, dim: Optional[int] = None)
         raise MembershipError("point is not on the variety")
     if dim is None:
         dim = ideal_dimension(ideal)
-    values = m.coords
-    rows = [
-        [g.derivative(i).evaluate(values) for i in range(ideal.ring.nvars)]
-        for g in ideal.gens
-    ]
-    tangent_dim = ideal.ring.nvars - _matrix_rank(rows)
+    return _corank(_jacobian_rows(_gradient(ideal), m), ideal.ring.nvars, dim, m)
+
+
+def _gradient(ideal: PolyIdeal) -> list[list]:
+    """The symbolic Jacobian: one row of partial derivatives per generator."""
+    return [[g.derivative(i) for i in range(ideal.ring.nvars)] for g in ideal.gens]
+
+
+def _jacobian_rows(gradient: list[list], m: AffinePoint) -> list[list[Fraction]]:
+    return [[d.evaluate(m.coords) for d in row] for row in gradient]
+
+
+def _corank(rows: list[list[Fraction]], nvars: int, dim: int, m: AffinePoint) -> int:
+    """Corank of the Jacobian rows at m against a variety of dimension dim;
+    a tangent space smaller than the variety raises."""
+    tangent_dim = nvars - _matrix_rank(rows)
     if tangent_dim < dim:
         raise KernelInconsistencyError(
             f"tangent space of dimension {tangent_dim} at {m} is smaller than "
@@ -283,24 +308,87 @@ class MultiplicityReport:
         )
 
 
-class StratumInstance:
-    """The point-independent part of verifying one stratum triple
-    (w, v, tau): the chart of tau, the three chart ideals with their bases,
-    and, each computed on first use and kept, the dimension check, the
-    degree identity, the cone flag of the intersection and the fixed-point
-    multiplicity on the Schubert side.  The per-point methods only
-    translate, take multiplicities and run the checks that depend on the
-    point."""
+class SidePoint(NamedTuple):
+    """One stratum side at one point: the multiplicity there, whether the
+    translated ideal is a cone over the point, and the Jacobian rows of
+    the side's generators evaluated at the point."""
 
-    def __init__(self, shape: GrassShape, w: CosetRep, v: CosetRep, tau: CosetRep):
+    mult: int
+    cone_over_point: bool
+    jacobian_rows: list
+
+
+class StratumSide:
+    """One stratum variety on one chart: the Schubert variety of w or the
+    opposite variety of v.  It holds the chart ideal and, each computed on
+    first use and kept, its dimension, its projective degree, its symbolic
+    Jacobian, and per point a :class:`SidePoint`.  Nothing in it depends
+    on the other side, so every instance of the chart shares it."""
+
+    def __init__(self, ideal: PolyIdeal, variety: str):
+        self.ideal = ideal
+        self.variety = variety
+        self._points: dict = {}
+
+    @cached_property
+    def dimension(self) -> int:
+        return ideal_dimension(self.ideal)
+
+    @cached_property
+    def degree(self) -> int:
+        return projective_degree(self.ideal)
+
+    @cached_property
+    def gradient(self) -> list[list]:
+        return _gradient(self.ideal)
+
+    def at(self, m: AffinePoint) -> SidePoint:
+        """The side at m, built on first use; m must lie on the variety."""
+        point = self._points.get(m.coords)
+        if point is None:
+            moved = _translate(self.ideal, m, self.variety)
+            point = SidePoint(
+                mult=_mult_of(moved),
+                cone_over_point=is_cone_over_origin(moved),
+                jacobian_rows=_jacobian_rows(self.gradient, m),
+            )
+            self._points[m.coords] = point
+        return point
+
+
+class ChartContext:
+    """The chart of tau with every stratum side built on it, each once per
+    w or v: the sweep's unit of work.  Sides live as long as the context."""
+
+    def __init__(self, shape: GrassShape, tau: CosetRep):
         self.shape = shape
-        self.w = w
-        self.v = v
         self.tau = tau
         self.chart = build_chart(shape, tau)
-        self.iw = schubert_ideal(self.chart, w)
-        self.iv = opposite_ideal(self.chart, v)
-        self.iwv = intersection_ideal(self.iw, self.iv)
+        self._sides: dict = {}
+
+    def side(self, build, rep: CosetRep, variety: str) -> StratumSide:
+        """The side of rep whose ideal build(chart, rep) makes (the Schubert
+        or the opposite one), built on first use."""
+        side = self._sides.get((variety, rep))
+        if side is None:
+            side = self._sides[variety, rep] = StratumSide(build(self.chart, rep), variety)
+        return side
+
+
+class StratumInstance:
+    """What verifying one stratum triple (w, v, tau) needs beyond its two
+    sides, which it takes from the chart's context: the intersection
+    ideal and, each computed on first use and kept, the dimension check
+    against Bruhat lengths, the degree identity and the cone flag of the
+    intersection."""
+
+    def __init__(self, context: ChartContext, w: CosetRep, v: CosetRep):
+        self.context = context
+        self.w = w
+        self.v = v
+        self.side_w = context.side(schubert_ideal, w, "Schubert")
+        self.side_v = context.side(opposite_ideal, v, "opposite")
+        self.iwv = intersection_ideal(self.side_w.ideal, self.side_v.ideal)
 
     @cached_property
     def dimensions(self) -> tuple[int, int, int]:
@@ -310,12 +398,12 @@ class StratumInstance:
         if self.iwv.is_unit():
             raise PreconditionError("empty intersection on this chart")
         lw, lv = self.w.length(), self.v.length()
-        expected = (lw, self.shape.dim - lv, lw - lv)
-        for ideal, exp, label in zip((self.iw, self.iv, self.iwv), expected, ("w", "v", "wv")):
-            actual = ideal_dimension(ideal)
-            if actual != exp:
+        expected = (lw, self.context.shape.dim - lv, lw - lv)
+        actual = (self.side_w.dimension, self.side_v.dimension, ideal_dimension(self.iwv))
+        for dim, exp, label in zip(actual, expected, ("w", "v", "wv")):
+            if dim != exp:
                 raise KernelInconsistencyError(
-                    f"dimension of {label}-ideal is {actual}, expected {exp}"
+                    f"dimension of {label}-ideal is {dim}, expected {exp}"
                 )
         return expected
 
@@ -323,90 +411,85 @@ class StratumInstance:
     def degrees(self) -> tuple[int, int, int, bool]:
         """Projective degrees of the three cone ideals and whether
         deg(intersection) = deg * deg."""
-        v, tau, w = self.v, self.tau, self.w
+        v, tau, w = self.v, self.context.tau, self.w
         if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
             raise PreconditionError(
                 f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
             )
-        deg_w, deg_v, deg_wv = (projective_degree(i) for i in (self.iw, self.iv, self.iwv))
+        deg_w, deg_v = self.side_w.degree, self.side_v.degree
+        deg_wv = projective_degree(self.iwv)
         return deg_w, deg_v, deg_wv, deg_wv == deg_w * deg_v
 
     @cached_property
     def cone_richardson_over_origin(self) -> bool:
         return self.iwv.is_zero_ideal() or is_cone_over_origin(self.iwv)
 
-    @cached_property
-    def mu_w_fixed(self) -> int:
-        return _mult_of(translate_to_origin(self.iw, self.chart.origin()))
-
     def resolve_point(self, m: Optional[AffinePoint]) -> AffinePoint:
         """m itself, or the fixed point when m is None."""
         if m is None:
-            return self.chart.origin()
-        if m.chart != self.chart:
+            return self.context.chart.origin()
+        if m.chart != self.context.chart:
             raise MembershipError("point lies on a different chart")
         return m
 
-    def schubert_at(self, m: AffinePoint) -> PolyIdeal:
-        """The Schubert ideal translated to m, a cell point on X_w."""
-        if not bruhat_leq(self.tau, self.w):
+    def schubert_point(self, m: AffinePoint) -> SidePoint:
+        """The Schubert side at m, a cell point on X_w.  Its multiplicity
+        must equal the one at the fixed point (the variety is
+        translation-invariant along the cell)."""
+        tau, chart = self.context.tau, self.context.chart
+        if not bruhat_leq(tau, self.w):
             raise PreconditionError(
-                f"require tau <= w: {format_coset(self.tau)} vs {format_coset(self.w)}"
+                f"require tau <= w: {format_coset(tau)} vs {format_coset(self.w)}"
             )
-        if not in_cell(self.chart, m):
-            raise MembershipError(f"point {m} is not in the cell of {format_coset(self.tau)}")
-        return _translate(self.iw, m, "Schubert")
-
-    def opposite_at(self, m: AffinePoint) -> PolyIdeal:
-        return _translate(self.iv, m, "opposite")
+        if not in_cell(chart, m):
+            raise MembershipError(f"point {m} is not in the cell of {format_coset(tau)}")
+        point = self.side_w.at(m)
+        fixed = self.side_w.at(chart.origin()).mult
+        if point.mult != fixed:
+            raise KernelInconsistencyError(
+                f"translation invariance violated: {point.mult} != {fixed}"
+            )
+        return point
 
     def richardson_at(self, m: AffinePoint) -> PolyIdeal:
         return _translate(self.iwv, m, "intersection")
-
-    def mult_schubert(self, moved: PolyIdeal) -> int:
-        """Multiplicity of a translated Schubert ideal, which must equal the
-        one at the fixed point (the variety is translation-invariant along
-        the cell)."""
-        mu = _mult_of(moved)
-        if mu != self.mu_w_fixed:
-            raise KernelInconsistencyError(
-                f"translation invariance violated: {mu} != {self.mu_w_fixed}"
-            )
-        return mu
 
     def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
         """Full verification record for one point."""
         m = self.resolve_point(m)
         dim_w, dim_v, dim_wv = self.dimensions
-        moved_w = self.schubert_at(m)
-        mu_w = self.mult_schubert(moved_w)
-        moved_v = self.opposite_at(m)
-        mu_v = _mult_of(moved_v)
-        mu_fast = mu_w * mu_v
+        at_w = self.schubert_point(m)
+        at_v = self.side_v.at(m)
+        mu_fast = at_w.mult * at_v.mult
         mu_oracle = _mult_of(self.richardson_at(m))
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
+        nvars = self.context.chart.ring.nvars
+        # The intersection's generators are the union of the two sides'
+        # (deduplicated, already primitive), so its Jacobian has the same
+        # rank as the two sides' rows stacked.
+        rows_wv = at_w.jacobian_rows + at_v.jacobian_rows
         return MultiplicityReport(
             family="grassmannian",
-            d=self.shape.d,
-            n=self.shape.n,
-            tau=format_coset(self.tau),
+            d=self.context.shape.d,
+            n=self.context.shape.n,
+            tau=format_coset(self.context.tau),
             w=format_coset(self.w),
             v=format_coset(self.v),
             point=m.to_json_dict(),
-            mu_w=mu_w,
-            mu_v=mu_v,
+            mu_w=at_w.mult,
+            mu_v=at_v.mult,
             mu_wv_fast=mu_fast,
             mu_wv_oracle=mu_oracle,
             deg_zw=deg_w,
             deg_zv=deg_v,
             deg_zwv=deg_wv,
             degree_product_ok=deg_ok,
-            cone_schubert_over_point=is_cone_over_origin(moved_w),
-            cone_opposite_over_point=is_cone_over_origin(moved_v),
+            cone_schubert_over_point=at_w.cone_over_point,
+            cone_opposite_over_point=at_v.cone_over_point,
             cone_richardson_over_origin=self.cone_richardson_over_origin,
-            smooth_w=jacobian_corank(self.iw, m, dim_w) == 0,
-            smooth_v=jacobian_corank(self.iv, m, dim_v) == 0,
-            smooth_wv=jacobian_corank(self.iwv, m, dim_wv) == 0,
+            smooth_w=_corank(at_w.jacobian_rows, nvars, dim_w, m) == 0,
+            smooth_v=_corank(at_v.jacobian_rows, nvars, dim_v, m) == 0,
+            smooth_wv=_corank(rows_wv, nvars, dim_wv, m) == 0,
             agreement=mu_fast == mu_oracle,
         )
 
@@ -419,7 +502,7 @@ def build_report(
     m: Optional[AffinePoint] = None,
 ) -> MultiplicityReport:
     """Full verification record for one point of one stratum triple."""
-    return StratumInstance(shape, w, v, tau).report(m)
+    return _instance(shape, w, v, tau).report(m)
 
 
 @dataclass(frozen=True)
@@ -487,26 +570,29 @@ def _instance_reports(
     tau: CosetRep,
     config: SweepConfig,
 ) -> list[MultiplicityReport]:
-    inst = StratumInstance(shape, w, v, tau)
-    points = [inst.chart.origin()]
-    for p in sample_points(inst.iwv, inst.chart, config.grid, cell_only=True, limit=config.point_cap):
-        if not p.is_origin():
-            points.append(p)
-    return [inst.report(m) for m in points]
+    return _chart_reports(shape, tau, [(w, v)], config)
 
 
-def _worker(payload) -> list[dict]:
-    d, n, w_e, v_e, tau_e, grid, cap = payload
-    shape = GrassShape(d, n)
-    config = SweepConfig(grid=tuple(Fraction(g) for g in grid), point_cap=cap)
-    reports = _instance_reports(
-        shape,
-        CosetRep(shape, w_e),
-        CosetRep(shape, v_e),
-        CosetRep(shape, tau_e),
-        config,
-    )
-    return [r.to_dict() for r in reports]
+def _chart_reports(
+    shape: GrassShape,
+    tau: CosetRep,
+    pairs: list[tuple[CosetRep, CosetRep]],
+    config: SweepConfig,
+) -> list[MultiplicityReport]:
+    """Reports at the fixed point and the sampled cell points of every
+    (w, v) on the chart of tau, all served from one context, which is
+    dropped on return."""
+    context = ChartContext(shape, tau)
+    origin = context.chart.origin()
+    reports = []
+    for w, v in pairs:
+        inst = StratumInstance(context, w, v)
+        sampled = sample_points(
+            inst.iwv, context.chart, config.grid, cell_only=True, limit=config.point_cap
+        )
+        points = [origin] + [p for p in sampled if not p.is_origin()]
+        reports.extend(inst.report(m) for m in points)
+    return reports
 
 
 def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> SweepResult:
@@ -523,22 +609,27 @@ def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> Sw
         instances = instances[: config.max_instances]
         truncated = True
 
-    reports: list[MultiplicityReport] = []
+    by_chart: dict = {}
+    for w, v, tau in instances:
+        by_chart.setdefault(tau, []).append((w, v))
+    # Largest cells first, where the sampled points are: a pool then
+    # starts its longest tasks first instead of ending on them.
+    taus = sorted(by_chart, key=lambda tau: tau.length(), reverse=True)
+
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [
-            (shape.d, shape.n, w.entries, v.entries, tau.entries,
-             tuple(str(g) for g in config.grid), config.point_cap)
-            for (w, v, tau) in instances
-        ]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for batch in pool.map(_worker, payloads):
-                reports.extend(MultiplicityReport.from_dict(r) for r in batch)
+            batches = list(pool.map(
+                _chart_reports,
+                itertools.repeat(shape),
+                taus,
+                [by_chart[tau] for tau in taus],
+                itertools.repeat(config),
+            ))
     else:
-        for w, v, tau in instances:
-            reports.extend(_instance_reports(shape, w, v, tau, config))
-
+        batches = [_chart_reports(shape, tau, by_chart[tau], config) for tau in taus]
+    reports = [r for batch in batches for r in batch]
     reports.sort(key=MultiplicityReport.sort_key)
     agreed = sum(1 for r in reports if r.agreement)
     return SweepResult(

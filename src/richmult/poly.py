@@ -297,9 +297,10 @@ class Polynomial:
         offsets = [Fraction(o) for o in offsets]
         out = ring.zero()
         for e, c in self.terms.items():
-            term = ring.const(c)
+            # Powers of coordinates with a zero offset stay as they are.
+            term = Polynomial(ring, {tuple(0 if offsets[i] else k for i, k in enumerate(e)): c})
             for i, k in enumerate(e):
-                if k:
+                if k and offsets[i]:
                     factor = ring.var(i) + ring.const(offsets[i])
                     term = term * factor**k
             out = out + term

@@ -19,6 +19,7 @@ from richmult.charts import (
     evaluate_ideal,
     format_ideal,
     in_cell,
+    intersection_ideal,
     is_cone_over_origin,
     opposite_ideal,
     parse_ideal,
@@ -30,7 +31,7 @@ from richmult.charts import (
 )
 from richmult.groebner import PolyIdeal, normal_form
 from richmult.hilbert import ideal_dimension
-from richmult.poly import parse_polynomial
+from richmult.poly import Polynomial, parse_polynomial
 from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq
 
 DEMO_SHAPE = GrassShape(3, 7)
@@ -356,6 +357,19 @@ class TestTranslation:
         assert [str(g).replace("y_", "x_") for g in translated.gens] == [
             str(g) for g in ideal.gens
         ]
+
+    def test_translation_to_origin_only_rehomes(self):
+        """At the origin translation moves the generators into the y-ring
+        and leaves their terms as they are."""
+        chart = build_chart(DEMO_SHAPE, DEMO_TAU)
+        iw, iv = schubert_ideal(chart, DEMO_W), opposite_ideal(chart, DEMO_V)
+        for ideal in (iw, iv, intersection_ideal(iw, iv)):
+            assert ideal.gens
+            translated = translate_to_origin(ideal, chart.origin())
+            assert translated.ring == chart.yring
+            assert [g.terms for g in translated.gens] == [
+                Polynomial(chart.yring, g.terms).primitive().terms for g in ideal.gens
+            ]
 
     def test_substitution_identity(self):
         """g(z) equals the m-shifted generator evaluated at z - m."""

@@ -141,6 +141,16 @@ class TestSweep:
             ]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_workers_keep_the_callers_budget(self, capsys):
+        """A cap above the default budget is accepted by the worker pool as
+        it is by the serial path."""
+        for workers in ("1", "2"):
+            assert main([
+                "sweep", "--d", "2", "--n", "4", "--grid=0", "--cap", "300",
+                "--workers", workers,
+            ]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == "checked=50 agreed=50 failed=0"
+
     def test_schema_validation(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         from importlib.resources import files

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from richmult.charts import (
+    AffinePoint,
     build_chart,
     opposite_ideal,
     point_from_matrix,
@@ -31,7 +32,7 @@ from richmult.engine import (
 from richmult.groebner import PolyIdeal
 from richmult.hilbert import ideal_dimension
 from richmult.localmult import hilbert_samuel_multiplicity
-from richmult.weyl import CosetRep, GrassShape
+from richmult.weyl import CosetRep, GrassShape, parse_coset
 
 G24 = GrassShape(2, 4)
 DEMO_SHAPE = GrassShape(3, 7)
@@ -42,6 +43,20 @@ DEMO_MATRIX = [
 
 def rep(shape, *entries):
     return CosetRep(shape, tuple(entries))
+
+
+def count_side_builds(monkeypatch) -> dict:
+    """Count the stratum ideal builds the engine makes from now on."""
+    from richmult import engine
+
+    builds = {"schubert_ideal": 0, "opposite_ideal": 0}
+    for name in builds:
+        def counted(*args, _build=getattr(engine, name), _name=name):
+            builds[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    return builds
 
 
 class TestSchubertMultiplicity:
@@ -185,6 +200,29 @@ class TestJacobian:
             jacobian_corank(ideal, chart.origin())
 
 
+    def test_report_smoothness_equals_direct_corank(self):
+        """The reports' smoothness flags, read from the two sides' stacked
+        Jacobian rows, equal the corank taken directly on each ideal."""
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        reports = verify_theorem(G24, SweepConfig(grid=grid)).reports
+        ideals = {}
+        for r in reports:
+            if (r.w, r.v, r.tau) not in ideals:
+                w, v, tau = (parse_coset(G24, label) for label in (r.w, r.v, r.tau))
+                chart = build_chart(G24, tau)
+                ideals[r.w, r.v, r.tau] = (
+                    chart,
+                    schubert_ideal(chart, w),
+                    opposite_ideal(chart, v),
+                    richardson_ideal(chart, w, v),
+                )
+            chart, *three = ideals[r.w, r.v, r.tau]
+            m = AffinePoint.from_json_dict(chart, r.point)
+            direct = tuple(jacobian_corank(ideal, m) == 0 for ideal in three)
+            assert (r.smooth_w, r.smooth_v, r.smooth_wv) == direct
+        assert {r.smooth_wv for r in reports} == {True, False}
+
+
 class TestScalingInvariance:
     def test_multiplicity_constant_along_scaling_orbit(self):
         """Nonzero scalings of a cell point stay on every stratum trace and
@@ -303,16 +341,24 @@ class TestSweep:
         ]
         assert len(points) == 9
 
-        builds = {"schubert_ideal": 0, "opposite_ideal": 0}
-        for name in builds:
-            def counted(*args, _build=getattr(engine, name), _name=name):
-                builds[_name] += 1
-                return _build(*args)
-
-            monkeypatch.setattr(engine, name, counted)
+        builds = count_side_builds(monkeypatch)
         reports = engine._instance_reports(shape, w, v, tau, SweepConfig(grid=grid))
         assert builds == {"schubert_ideal": 1, "opposite_ideal": 1}
         assert reports == [build_report(shape, w, v, tau, m) for m in points]
+
+    def test_sides_built_once_per_chart(self, monkeypatch):
+        """Over a whole sweep each Schubert ideal is built once per
+        (tau, w) and each opposite ideal once per (tau, v), not once per
+        instance."""
+        shape = GrassShape(2, 5)
+        instances = enumerate_instances(shape)
+        builds = count_side_builds(monkeypatch)
+        result = verify_theorem(shape, SweepConfig(grid=(Fraction(0),), point_cap=1))
+        assert result.failed == 0 and result.checked == len(instances) == 175
+        assert builds == {
+            "schubert_ideal": len({(tau, w) for w, v, tau in instances}),
+            "opposite_ideal": len({(tau, v) for w, v, tau in instances}),
+        } == {"schubert_ideal": 50, "opposite_ideal": 50}
 
     def test_budget_rejects_large_shape(self):
         with pytest.raises(ValueError):

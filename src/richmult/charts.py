@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .groebner import PolyIdeal, interreduce, normal_form
+from .groebner import PolyIdeal, dedupe_normalized, interreduce, normal_form
 from .poly import Polynomial, PolyRing, parse_polynomial
 from .weyl import (
     CosetRep,
@@ -184,18 +184,6 @@ def _minor_generators(
     return gens
 
 
-def _dedupe_normalized(gens: Iterable[Polynomial]) -> list[Polynomial]:
-    seen = set()
-    out = []
-    for g in gens:
-        g = g.primitive()
-        key = frozenset(g.terms.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
 def schubert_ideal(chart: Chart, w: CosetRep) -> PolyIdeal:
     """Ideal of the Schubert variety indexed by w on the chart.
 
@@ -212,7 +200,7 @@ def schubert_ideal(chart: Chart, w: CosetRep) -> PolyIdeal:
         bound = d - sum(1 for e in w.entries if e <= j)
         rows = matrix[j:]
         gens.extend(_minor_generators(rows, bound + 1, chart.ring))
-    return PolyIdeal(chart.ring, interreduce(_dedupe_normalized(gens)))
+    return PolyIdeal(chart.ring, interreduce(dedupe_normalized(gens)))
 
 
 def opposite_ideal(chart: Chart, v: CosetRep) -> PolyIdeal:
@@ -228,7 +216,7 @@ def opposite_ideal(chart: Chart, v: CosetRep) -> PolyIdeal:
         bound = d - sum(1 for e in v.entries if e >= j)
         rows = matrix[: j - 1]
         gens.extend(_minor_generators(rows, bound + 1, chart.ring))
-    return PolyIdeal(chart.ring, interreduce(_dedupe_normalized(gens)))
+    return PolyIdeal(chart.ring, interreduce(dedupe_normalized(gens)))
 
 
 def richardson_ideal(chart: Chart, w: CosetRep, v: CosetRep) -> PolyIdeal:
@@ -241,20 +229,16 @@ def intersection_ideal(iw: PolyIdeal, iv: PolyIdeal) -> PolyIdeal:
     an opposite ideal built on the same chart."""
     if iw.is_unit() or iv.is_unit():
         return PolyIdeal.unit_marker(iw.ring)
-    return PolyIdeal(iw.ring, _dedupe_normalized(list(iw.gens) + list(iv.gens)))
+    return PolyIdeal(iw.ring, dedupe_normalized(list(iw.gens) + list(iv.gens)))
 
 
 def translate_to_origin(ideal: PolyIdeal, m: AffinePoint) -> PolyIdeal:
     """Substitute x = y + m, mapping m to the origin of the y-coordinates."""
     chart = m.chart
-    if ideal.ring == chart.ring:
-        target = chart.yring
-    elif ideal.ring == chart.yring:
-        target = chart.yring
-    else:
+    if ideal.ring not in (chart.ring, chart.yring):
         raise PointNotOnChartError("ideal and point live on different charts")
-    gens = [g.shift(m.coords, target).primitive() for g in ideal.gens]
-    return PolyIdeal(target, [g for g in gens if not g.is_zero()])
+    gens = [g.shift(m.coords, chart.yring).primitive() for g in ideal.gens]
+    return PolyIdeal(chart.yring, [g for g in gens if not g.is_zero()])
 
 
 def evaluate_ideal(ideal: PolyIdeal, x: AffinePoint) -> bool:

@@ -31,7 +31,6 @@ from .charts import (
     translate_to_origin,
 )
 from .engine import (
-    EngineBudget,
     MembershipError,
     MultiplicityReport,
     PreconditionError,
@@ -200,7 +199,6 @@ def cmd_sweep(args) -> int:
         point_cap=args.cap,
         max_instances=args.max_instances,
         workers=args.workers,
-        budget=EngineBudget(point_cap=args.cap),
     )
     result = verify_theorem(shape, config)
     _emit(result.reports, args.format, args.out)

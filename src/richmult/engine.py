@@ -10,12 +10,14 @@ The sweep's unit of work is a chart.  The Schubert side of an instance
 (w, v, tau) depends only on (tau, w) and the opposite side only on
 (tau, v), so a :class:`ChartContext` builds each :class:`StratumSide`
 once (its ideal, dimension, degree, symbolic Jacobian, and per point its
-multiplicity, cone flag and Jacobian rows) and every
+translated ideal, multiplicity, cone flag and Jacobian rows) and every
 :class:`StratumInstance` on the chart shares it; an instance adds only
-what needs both sides.  Instances are grouped by tau and the groups run
-largest cell first.  Each group is served from one context that is
-dropped when the group ends, and ``workers > 1`` maps the groups over a
-process pool.
+what needs both sides.  On a chart the intersection's generators are the
+union of the two sides' generators, so the oracle's translated ideal is
+assembled from the two translated sides rather than translated again.
+Instances are grouped by tau and the groups run largest cell first.  Each
+group is served from one context that is dropped when the group ends,
+and ``workers > 1`` maps the groups over a process pool.
 """
 
 from __future__ import annotations
@@ -66,15 +68,10 @@ class KernelInconsistencyError(RuntimeError):
     """Cross-checks that must hold by theory failed; do not trust results."""
 
 
-@dataclass(frozen=True)
-class EngineBudget:
-    """Desk-scale guard rails; exceeding them raises or truncates
-    explicitly rather than silently degrading."""
-
-    max_variables: int = 12
-    max_grid_values: int = 5
-    point_cap: int = 200
-    max_instances: Optional[int] = None
+# Desk-scale guard rails: a sweep over more chart variables or grid
+# values than these raises instead of running for hours.
+MAX_VARIABLES = 12
+MAX_GRID_VALUES = 5
 
 
 # Multiplicities keyed by the canonical reduced basis of the translated
@@ -94,14 +91,6 @@ def _mult_of(ideal: PolyIdeal) -> int:
         value = multiplicity_at_origin(ideal)
         _MULT_CACHE[key] = value
     return value
-
-
-def _translate(ideal: PolyIdeal, m: AffinePoint, variety: str) -> PolyIdeal:
-    """The ideal moved so that m becomes the origin; m must lie on its
-    variety."""
-    if ideal.is_unit() or not evaluate_ideal(ideal, m):
-        raise MembershipError(f"point is not on the {variety} variety")
-    return translate_to_origin(ideal, m)
 
 
 def _instance(shape: GrassShape, w: CosetRep, v: CosetRep, tau: CosetRep) -> "StratumInstance":
@@ -155,9 +144,12 @@ def mult_richardson_oracle(
     m: Optional[AffinePoint] = None,
 ) -> int:
     """Tangent-cone multiplicity of the intersection ideal at m, computed
-    without the product shortcut."""
+    without the product shortcut.  The translated intersection ideal is
+    the union of the two translated sides' generators, and m must lie on
+    both sides."""
     inst = _instance(shape, w, v, tau)
-    return _mult_of(inst.richardson_at(inst.resolve_point(m)))
+    m = inst.resolve_point(m)
+    return _mult_of(intersection_ideal(inst.side_w.at(m).moved, inst.side_v.at(m).moved))
 
 
 def degree_product_check(
@@ -309,10 +301,13 @@ class MultiplicityReport:
 
 
 class SidePoint(NamedTuple):
-    """One stratum side at one point: the multiplicity there, whether the
-    translated ideal is a cone over the point, and the Jacobian rows of
-    the side's generators evaluated at the point."""
+    """One stratum side at one point: the side's ideal translated so that
+    the point is the origin (its reduced basis already computed), the
+    multiplicity there, whether the translated ideal is a cone over the
+    point, and the Jacobian rows of the side's generators evaluated at the
+    point."""
 
+    moved: PolyIdeal
     mult: int
     cone_over_point: bool
     jacobian_rows: list
@@ -346,8 +341,11 @@ class StratumSide:
         """The side at m, built on first use; m must lie on the variety."""
         point = self._points.get(m.coords)
         if point is None:
-            moved = _translate(self.ideal, m, self.variety)
+            if self.ideal.is_unit() or not evaluate_ideal(self.ideal, m):
+                raise MembershipError(f"point is not on the {self.variety} variety")
+            moved = translate_to_origin(self.ideal, m)
             point = SidePoint(
+                moved=moved,
                 mult=_mult_of(moved),
                 cone_over_point=is_cone_over_origin(moved),
                 jacobian_rows=_jacobian_rows(self.gradient, m),
@@ -451,9 +449,6 @@ class StratumInstance:
             )
         return point
 
-    def richardson_at(self, m: AffinePoint) -> PolyIdeal:
-        return _translate(self.iwv, m, "intersection")
-
     def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
         """Full verification record for one point."""
         m = self.resolve_point(m)
@@ -461,7 +456,9 @@ class StratumInstance:
         at_w = self.schubert_point(m)
         at_v = self.side_v.at(m)
         mu_fast = at_w.mult * at_v.mult
-        mu_oracle = _mult_of(self.richardson_at(m))
+        # The translated intersection ideal is the union of the translated
+        # sides' generators; m lies on it because it lies on both sides.
+        mu_oracle = _mult_of(intersection_ideal(at_w.moved, at_v.moved))
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
         nvars = self.context.chart.ring.nvars
         # The intersection's generators are the union of the two sides'
@@ -511,26 +508,14 @@ class SweepConfig:
     point_cap: int = 200
     max_instances: Optional[int] = None
     workers: int = 1
-    budget: EngineBudget = EngineBudget()
 
     def __post_init__(self):
-        if len(self.grid) > self.budget.max_grid_values:
+        if len(self.grid) > MAX_GRID_VALUES:
             raise ValueError(
-                f"grid has {len(self.grid)} values, budget allows "
-                f"{self.budget.max_grid_values}"
+                f"grid has {len(self.grid)} values, budget allows {MAX_GRID_VALUES}"
             )
         if self.point_cap < 1:
             raise ValueError("point_cap must be positive")
-        if self.point_cap > self.budget.point_cap:
-            raise ValueError(
-                f"point_cap {self.point_cap} exceeds the budget of "
-                f"{self.budget.point_cap}"
-            )
-        if (
-            self.budget.max_instances is not None
-            and (self.max_instances is None or self.max_instances > self.budget.max_instances)
-        ):
-            raise ValueError("max_instances exceeds the budget")
 
 
 @dataclass
@@ -563,16 +548,6 @@ def enumerate_instances(shape: GrassShape) -> list[tuple[CosetRep, CosetRep, Cos
     return out
 
 
-def _instance_reports(
-    shape: GrassShape,
-    w: CosetRep,
-    v: CosetRep,
-    tau: CosetRep,
-    config: SweepConfig,
-) -> list[MultiplicityReport]:
-    return _chart_reports(shape, tau, [(w, v)], config)
-
-
 def _chart_reports(
     shape: GrassShape,
     tau: CosetRep,
@@ -598,10 +573,9 @@ def _chart_reports(
 def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> SweepResult:
     """Run the product-formula verification over every stratum triple of
     the shape; returns sorted reports and tallies."""
-    if shape.dim > config.budget.max_variables:
+    if shape.dim > MAX_VARIABLES:
         raise ValueError(
-            f"{shape} has {shape.dim} chart variables, budget allows "
-            f"{config.budget.max_variables}"
+            f"{shape} has {shape.dim} chart variables, budget allows {MAX_VARIABLES}"
         )
     instances = enumerate_instances(shape)
     truncated = False

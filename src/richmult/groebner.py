@@ -172,6 +172,19 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return reduced
 
 
+def dedupe_normalized(gens: Iterable[Polynomial]) -> list[Polynomial]:
+    """The generators made primitive, each kept once, in first-seen order."""
+    seen = set()
+    out = []
+    for g in gens:
+        g = g.primitive()
+        key = frozenset(g.terms.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
+
+
 def interreduce(gens: Sequence[Polynomial]) -> list[Polynomial]:
     """Autoreduce a generating set without completing it to a Groebner
     basis: repeatedly replace each generator by its remainder modulo the

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .groebner import PolyIdeal, interreduce, reduced_groebner_basis
+from .groebner import PolyIdeal, dedupe_normalized, interreduce, reduced_groebner_basis
 from .hilbert import ideal_hilbert_data
 from .poly import PolyRing, mono_deg, mono_mul
 
@@ -57,14 +57,7 @@ def tangent_cone(ideal: PolyIdeal) -> PolyIdeal:
     hring = ring.homogenized()
     homogenized = [g.homogenize(hring) for g in basis]
     hbasis = reduced_groebner_basis(homogenized)
-    seen = set()
-    gens = []
-    for h in hbasis:
-        low = h.dehomogenize(ring).lowest_form().primitive()
-        key = frozenset(low.terms.items())
-        if key not in seen:
-            seen.add(key)
-            gens.append(low)
+    gens = dedupe_normalized(h.dehomogenize(ring).lowest_form() for h in hbasis)
     return PolyIdeal(ring, interreduce(gens))
 
 

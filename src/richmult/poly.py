@@ -17,7 +17,6 @@ from math import gcd
 from typing import Mapping, Optional, Sequence
 
 GREVLEX = "grevlex"
-GRLEX = "grlex"
 # Graded order on a homogenized ring: total degree first, then the
 # homogenization variable's exponent (higher wins), grevlex on the rest.
 # Within each total degree the t-power dominates, which is what makes
@@ -60,7 +59,7 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         if not _internal and HOMOGENIZATION_VARIABLE in names:
             raise ValueError(f"variable name {HOMOGENIZATION_VARIABLE!r} is reserved")
-        if order not in (GREVLEX, GRLEX, CONE):
+        if order not in (GREVLEX, CONE):
             raise ValueError(f"unknown term order {order!r}")
         if order == CONE and (not _internal or names[0] != HOMOGENIZATION_VARIABLE):
             raise ValueError("cone order is only for homogenized rings")
@@ -69,20 +68,12 @@ class PolyRing:
         self.nvars = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
         self._zero_exps = (0,) * self.nvars
-        if order == GREVLEX:
-            self._key = self._key_grevlex
-        elif order == GRLEX:
-            self._key = self._key_grlex
-        else:
-            self._key = self._key_cone
+        self._key = self._key_grevlex if order == GREVLEX else self._key_cone
 
     # Sort keys: larger key = larger monomial.  Variables earlier in
     # `names` are the larger ones.
     def _key_grevlex(self, e: Exps):
         return (sum(e), tuple(-x for x in reversed(e)))
-
-    def _key_grlex(self, e: Exps):
-        return (sum(e), e)
 
     def _key_cone(self, e: Exps):
         return (sum(e), e[0], tuple(-x for x in reversed(e[1:])))

@@ -1,5 +1,6 @@
 """Fast path vs oracle, degrees, smoothness, sampling, the sweep harness."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from richmult.charts import (
     AffinePoint,
     build_chart,
+    intersection_ideal,
     opposite_ideal,
     point_from_matrix,
     richardson_ideal,
@@ -45,18 +47,23 @@ def rep(shape, *entries):
     return CosetRep(shape, tuple(entries))
 
 
-def count_side_builds(monkeypatch) -> dict:
-    """Count the stratum ideal builds the engine makes from now on."""
+def count_engine_calls(monkeypatch, *names) -> dict:
+    """Count the engine's calls to the named functions from now on."""
     from richmult import engine
 
-    builds = {"schubert_ideal": 0, "opposite_ideal": 0}
-    for name in builds:
-        def counted(*args, _build=getattr(engine, name), _name=name):
-            builds[_name] += 1
-            return _build(*args)
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _call=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
 
         monkeypatch.setattr(engine, name, counted)
-    return builds
+    return calls
+
+
+def count_side_builds(monkeypatch) -> dict:
+    """Count the stratum ideal builds the engine makes from now on."""
+    return count_engine_calls(monkeypatch, "schubert_ideal", "opposite_ideal")
 
 
 class TestSchubertMultiplicity:
@@ -342,7 +349,7 @@ class TestSweep:
         assert len(points) == 9
 
         builds = count_side_builds(monkeypatch)
-        reports = engine._instance_reports(shape, w, v, tau, SweepConfig(grid=grid))
+        reports = engine._chart_reports(shape, tau, [(w, v)], SweepConfig(grid=grid))
         assert builds == {"schubert_ideal": 1, "opposite_ideal": 1}
         assert reports == [build_report(shape, w, v, tau, m) for m in points]
 
@@ -360,9 +367,54 @@ class TestSweep:
             "opposite_ideal": len({(tau, v) for w, v, tau in instances}),
         } == {"schubert_ideal": 50, "opposite_ideal": 50}
 
+    def test_sides_translated_once_per_point(self, monkeypatch):
+        """Over a whole sweep each side is translated once per point; the
+        translated intersection is assembled from the translated sides."""
+        shape = GrassShape(2, 5)
+        calls = count_engine_calls(monkeypatch, "translate_to_origin")
+        result = verify_theorem(shape, SweepConfig(grid=(Fraction(0),)))
+        assert result.failed == 0 and result.checked == 175
+        assert calls == {"translate_to_origin": 50 + 50}
+
+    def test_translated_sides_give_the_translated_intersection(self):
+        """At every report point the union of the two translated sides has
+        the generator terms, in order, of the translated intersection."""
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        reports = verify_theorem(G24, SweepConfig(grid=grid)).reports
+        assert any(c != "0" for r in reports for c in r.point.values())
+        for r in reports:
+            w, v, tau = (parse_coset(G24, label) for label in (r.w, r.v, r.tau))
+            chart = build_chart(G24, tau)
+            iw, iv = schubert_ideal(chart, w), opposite_ideal(chart, v)
+            m = AffinePoint.from_json_dict(chart, r.point)
+            assembled = intersection_ideal(translate_to_origin(iw, m), translate_to_origin(iv, m))
+            direct = translate_to_origin(intersection_ideal(iw, iv), m)
+            assert assembled.ring == direct.ring
+            assert [g.terms for g in assembled.gens] == [g.terms for g in direct.gens]
+
+    def test_sweep_config_fields(self):
+        """A sweep has four settings; a cap above the default reaches the
+        worker pool unchanged."""
+        assert [f.name for f in fields(SweepConfig)] == [
+            "grid", "point_cap", "max_instances", "workers"
+        ]
+        serial = verify_theorem(G24, SweepConfig(grid=(Fraction(0),), point_cap=300))
+        parallel = verify_theorem(
+            G24, SweepConfig(grid=(Fraction(0),), point_cap=300, workers=2)
+        )
+        assert serial.reports == parallel.reports and serial.checked == 50
+
     def test_budget_rejects_large_shape(self):
         with pytest.raises(ValueError):
             verify_theorem(GrassShape(4, 8), SweepConfig())
+
+    @pytest.mark.parametrize("settings, match", [
+        ({"grid": tuple(Fraction(k) for k in range(6))}, "grid has 6 values"),
+        ({"point_cap": 0}, "point_cap must be positive"),
+    ])
+    def test_config_rejects_out_of_bounds(self, settings, match):
+        with pytest.raises(ValueError, match=match):
+            SweepConfig(**settings)
 
     def test_workers_do_not_change_results(self):
         config1 = SweepConfig(grid=(Fraction(-1), Fraction(0), Fraction(1)), point_cap=4)

@@ -34,7 +34,6 @@ from .charts import (
     translate_to_origin,
 )
 from .engine import (
-    MultiplicityReport,
     SweepConfig,
     SweepResult,
     build_report,
@@ -57,5 +56,6 @@ from .quadric import (
     singular_locus_index,
     verify_disjoint_sing,
 )
+from .report import MultiplicityReport
 
 __version__ = "0.1.0"

@@ -32,13 +32,13 @@ from .charts import (
 )
 from .engine import (
     MembershipError,
-    MultiplicityReport,
     PreconditionError,
     SweepConfig,
     build_report,
     verify_theorem,
 )
 from .quadric import QuadricShape, quadric_report, quadric_sweep
+from .report import MultiplicityReport
 from .weyl import GrassShape, bruhat_leq, format_coset, parse_coset
 
 

@@ -23,7 +23,7 @@ and ``workers > 1`` maps the groups over a process pool.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -43,6 +43,7 @@ from .charts import (
 from .groebner import PolyIdeal
 from .hilbert import ideal_dimension, projective_degree
 from .localmult import multiplicity_at_origin
+from .report import MultiplicityReport
 from .weyl import (
     CosetRep,
     GrassShape,
@@ -250,54 +251,6 @@ def sample_points(
 # ---------------------------------------------------------------------------
 # Reports and the sweep harness
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiplicityReport:
-    """Flat, JSON-ready record of one (w, v, tau, point) verification."""
-
-    family: str
-    d: int
-    n: int
-    tau: str
-    w: str
-    v: str
-    point: dict
-    mu_w: int
-    mu_v: int
-    mu_wv_fast: int
-    mu_wv_oracle: int
-    deg_zw: Optional[int]
-    deg_zv: Optional[int]
-    deg_zwv: Optional[int]
-    degree_product_ok: Optional[bool]
-    cone_schubert_over_point: Optional[bool]
-    cone_opposite_over_point: Optional[bool]
-    cone_richardson_over_origin: Optional[bool]
-    smooth_w: bool
-    smooth_v: bool
-    smooth_wv: bool
-    agreement: bool
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["point"] = dict(self.point)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiplicityReport":
-        return cls(**data)
-
-    def sort_key(self):
-        return (
-            self.family,
-            self.d,
-            self.n,
-            self.w,
-            self.v,
-            self.tau,
-            sorted(self.point.items()),
-        )
 
 
 class SidePoint(NamedTuple):
@@ -516,6 +469,10 @@ class SweepConfig:
             )
         if self.point_cap < 1:
             raise ValueError("point_cap must be positive")
+        if self.max_instances is not None and self.max_instances < 0:
+            raise ValueError("max_instances must not be negative")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
 
 
 @dataclass

@@ -11,19 +11,20 @@ degree of the resulting homogeneous ideal.
 The independent cross-check computes dim_Q k[x]/(I + m^k) by sparse exact
 Gaussian elimination on truncated multiples of the generators, and fits
 the leading coefficient of the eventual polynomial in k by finite
-differences.  It shares no code path with the tangent-cone computation
-beyond polynomial arithmetic.
+differences.  Its columns are monomials packed into integer codes, and
+its rows are eliminated fraction-free over the integers.  It shares no
+code path with the tangent-cone computation beyond polynomial arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .groebner import PolyIdeal, dedupe_normalized, interreduce, reduced_groebner_basis
 from .hilbert import ideal_hilbert_data
-from .poly import PolyRing, mono_deg, mono_mul
+from .poly import PolyRing, mono_deg
 
 
 class OriginNotOnVarietyError(ValueError):
@@ -75,115 +76,137 @@ def multiplicity_at_origin(ideal: PolyIdeal) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_up_to(nvars: int, max_deg: int):
-    """All exponent tuples of total degree <= max_deg, by degree then
-    reverse-lexicographically (deterministic)."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for take in range(remaining + 1):
-            rec(prefix + (take,), remaining - take, slots - 1)
-
-    for d in range(max_deg + 1):
-        rec((), d, nvars)
-    return out
-
-
 def hilbert_samuel_series(
     ideal: PolyIdeal, k_max: int, max_columns: int = 400_000
 ) -> list[int]:
     """[dim k[x]/(I + m^k) for k = 1..k_max], by exact linear algebra.
 
-    Columns are the monomials of degree < k_max ordered by degree; rows are
+    Columns are the monomials of degree < k_max graded by degree; rows are
     the truncations of monomial multiples of the generators.  One leftmost-
     pivot elimination yields every k at once: the rank of the degree-< k
     truncation equals the number of pivots in columns of degree < k.
+
+    A monomial x^e is packed into the integer code sum(e_i * k_max**i).  A
+    monomial of degree < k_max has every exponent below k_max, so adding
+    the codes of two monomials whose product has degree < k_max never
+    carries: it gives the product's code, and ``col_of`` maps it to a
+    column.  Rows hold integers: each generator is scaled by the lcm of its
+    denominators, which leaves the row space unchanged; each pivot row is
+    stored primitive with a positive lead p, and a row with lead f is
+    reduced as row * (p/g) - (f/g) * pivot with g = gcd(p, f).
+
+    Neither choice can change the result.  The set of leading positions of
+    a row space does not depend on how the space is reduced, and the rank
+    of the degree-< k truncation counts those positions in the degree-< k
+    columns.  So the series depends only on the columns being graded by
+    degree, not on their order within a degree or on the arithmetic used.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _check_vanishes_at_origin(ideal)
-    ring = ideal.ring
-    n = ring.nvars
+    n = ideal.ring.nvars
     if not ideal.gens:
         # No relations: the quotient dimension is the monomial count itself.
-        return [comb(k - 1 + n, n) for k in range(1, k_max + 1)]
+        return _series([0] * k_max, n)
     ncols = comb(k_max - 1 + n, n)
     if ncols > max_columns:
         raise OracleBudgetError(
             f"{ncols} columns exceed the budget of {max_columns}"
         )
-    mons = _monomials_up_to(n, k_max - 1)
-    col_of = {e: i for i, e in enumerate(mons)}
-    mons_per_deg = [0] * k_max
-    for e in mons:
-        mons_per_deg[mono_deg(e)] += 1
+    # Codes of the monomials of degree < k_max, degree by degree, so those
+    # of degree <= D are the first comb(D + n, n).  A monomial is extended
+    # only by variables from its highest one on, which reaches each once.
+    weights = [k_max**i for i in range(n)]
+    codes, degs, tops = [0], [0], [0]
+    start = 0
+    for d in range(1, k_max):
+        end = len(codes)
+        for j in range(start, end):
+            code = codes[j]
+            for i in range(tops[j], n):
+                codes.append(code + weights[i])
+                tops.append(i)
+        degs += [d] * (len(codes) - end)
+        start = end
+    col_of = {code: col for col, code in enumerate(codes)}
 
-    gens = ideal.gens
-    if gens and all(len(g.terms) == 1 for g in gens):
-        # Monomial ideal: the rows are unit vectors, so the rank in degree
-        # < k is the number of monomials divisible by some generator.
-        gen_exps = [next(iter(g.terms)) for g in gens]
-        pivots_per_deg = [0] * k_max
-        for e in mons:
-            if any(all(x <= y for x, y in zip(ge, e)) for ge in gen_exps):
-                pivots_per_deg[mono_deg(e)] += 1
-        return _accumulate_series(mons_per_deg, pivots_per_deg, k_max)
-
-    pivots: dict[int, dict[int, Fraction]] = {}
+    # Each generator as integer terms (degree, code, coefficient) of degree
+    # < k_max, lowest degree first; higher terms never reach a column.
+    gens = []
+    for g in ideal.gens:
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        gens.append(sorted(
+            (mono_deg(e), sum(x * w for x, w in zip(e, weights)),
+             c.numerator * (scale // c.denominator))
+            for e, c in g.terms.items()
+            if c and mono_deg(e) < k_max
+        ))
+    gens = [terms for terms in gens if terms]
     pivot_deg = [0] * k_max
 
-    for g in gens:
-        terms = g.terms
-        mindeg = g.min_degree()
-        for alpha in _monomials_up_to(n, k_max - 1 - mindeg):
-            row: dict[int, Fraction] = {}
-            for e, c in terms.items():
-                prod = mono_mul(alpha, e)
-                if mono_deg(prod) < k_max:
-                    col = col_of[prod]
-                    s = row.get(col)
-                    row[col] = c if s is None else s + c
-            row = {c: v for c, v in row.items() if v}
+    if all(len(terms) == 1 for terms in gens):
+        # Monomial ideal: the rows are unit vectors, so the rank in degree
+        # < k is the number of monomials divisible by some generator.
+        covered = {
+            col_of[a + code]
+            for ((deg, code, _),) in gens
+            for a in codes[: comb(k_max - 1 - deg + n, n)]
+        }
+        for col in covered:
+            pivot_deg[degs[col]] += 1
+        return _series(pivot_deg, n)
+
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for terms in gens:
+        for j in range(comb(k_max - 1 - terms[0][0] + n, n)):
+            a, room = codes[j], k_max - degs[j]
+            row = {col_of[a + code]: c for deg, code, c in terms if deg < room}
             while row:
                 lead = min(row)
                 pivot = pivots.get(lead)
                 if pivot is None:
-                    coeff = row.pop(lead)
-                    if coeff != 1:
-                        row = {c: v / coeff for c, v in row.items()}
-                    pivots[lead] = row
-                    pivot_deg[mono_deg(mons[lead])] += 1
+                    content = gcd(*row.values())
+                    if row[lead] < 0:
+                        content = -content
+                    if content != 1:
+                        row = {col: v // content for col, v in row.items()}
+                    pivots[lead] = (row.pop(lead), row)
+                    pivot_deg[degs[lead]] += 1
                     break
-                factor = row.pop(lead)
-                for c, v in pivot.items():
-                    s = row.get(c)
-                    if s is None:
-                        row[c] = -factor * v
+                p, rest = pivot
+                f = row.pop(lead)
+                g = gcd(p, f)
+                if g != p:
+                    scale = p // g
+                    row = {col: v * scale for col, v in row.items()}
+                q = f // g
+                for col, v in rest.items():
+                    s = row.get(col, 0) - q * v
+                    if s:
+                        row[col] = s
                     else:
-                        s = s - factor * v
-                        if s:
-                            row[c] = s
-                        else:
-                            del row[c]
-    return _accumulate_series(mons_per_deg, pivot_deg, k_max)
+                        del row[col]
+    return _series(pivot_deg, n)
 
 
-def _accumulate_series(mons_per_deg, pivots_per_deg, k_max):
-    series = []
-    total = 0
-    for d in range(k_max):
-        total += mons_per_deg[d] - pivots_per_deg[d]
-        series.append(total)
-    return series
+def _series(pivot_deg, n):
+    """Monomials of degree < k minus pivots of degree < k, for k = 1.."""
+    return [comb(k + n, n) - rank for k, rank in enumerate(accumulate(pivot_deg))]
 
 
 def fit_leading_coefficient(values: Sequence[int], dim: int) -> Optional[int]:
     """Normalized top coefficient of the degree-`dim` polynomial the values
     eventually agree with: the stabilized `dim`-th forward difference.
-    Returns None if the tail has not stabilized."""
+    Returns None if the tail has not stabilized.
+
+    The rule accepts once the last three `dim`-th differences agree (the
+    last two when only two exist).  With values[i] = H(i + 1) for i < K,
+    those differences read H(k) for k >= K - dim - 2.  The answer is right
+    when H is a polynomial from the point where that tail starts, that is,
+    when K - dim - 2 is at least the regularity index of H.  A series whose
+    differences agree on the window before the regularity index and change
+    after it would fool the rule; whether an ideal can do that is open.
+    """
     diffs = list(values)
     for _ in range(dim):
         if len(diffs) < 2:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .groebner import PolyIdeal
 from .localmult import multiplicity_at_origin
 from .poly import PolyRing
+from .report import MultiplicityReport
 
 
 class QuadricMembershipError(ValueError):
@@ -345,11 +346,9 @@ def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
     return reports
 
 
-def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence):
+def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> MultiplicityReport:
     """MultiplicityReport for a point of the intersection X_i and X^j,
     cross-checking the closed forms against the chart-ideal oracle."""
-    from .engine import MultiplicityReport
-
     vec = _coords(shape, x)
     mu_i = mult_schubert_quadric(shape, i, vec)
     mu_j = mult_opposite_quadric(shape, j, vec)

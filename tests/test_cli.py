@@ -151,6 +151,21 @@ class TestSweep:
             ]) == 0
             assert capsys.readouterr().out.splitlines()[-1] == "checked=50 agreed=50 failed=0"
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--max-instances", "-1", "max_instances must not be negative"),
+        ("--workers", "0", "workers must be positive"),
+        ("--workers", "-1", "workers must be positive"),
+    ])
+    def test_out_of_range_settings_rejected(self, capsys, option, value, message):
+        """Out-of-range settings exit with status 2 instead of being
+        clamped or dropping instances."""
+        code = main([
+            "sweep", "--d", "2", "--n", "4", "--grid=0", "--cap", "1", option, value,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_schema_validation(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         from importlib.resources import files

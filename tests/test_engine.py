@@ -411,6 +411,9 @@ class TestSweep:
     @pytest.mark.parametrize("settings, match", [
         ({"grid": tuple(Fraction(k) for k in range(6))}, "grid has 6 values"),
         ({"point_cap": 0}, "point_cap must be positive"),
+        ({"max_instances": -1}, "max_instances must not be negative"),
+        ({"workers": 0}, "workers must be positive"),
+        ({"workers": -2}, "workers must be positive"),
     ])
     def test_config_rejects_out_of_bounds(self, settings, match):
         with pytest.raises(ValueError, match=match):

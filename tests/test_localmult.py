@@ -1,10 +1,16 @@
 """Tangent cones, multiplicity at the origin, the Hilbert-Samuel oracle."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richmult.groebner import PolyIdeal
 from richmult.hilbert import ideal_dimension
 from richmult.localmult import (
+    OracleBudgetError,
     OriginNotOnVarietyError,
     fit_leading_coefficient,
     hilbert_samuel_multiplicity,
@@ -12,11 +18,107 @@ from richmult.localmult import (
     multiplicity_at_origin,
     tangent_cone,
 )
-from richmult.poly import PolyRing, parse_polynomial
+from richmult.poly import PolyRing, mono_deg, mono_mul, parse_polynomial
 
 
 def ideal(ring, *texts):
     return PolyIdeal(ring, [parse_polynomial(ring, t) for t in texts])
+
+
+def _reference_series(ideal, k_max):
+    """The Hilbert-Samuel series by the earlier kernel: leftmost-pivot
+    elimination over Fraction on exponent tuples, every ideal through the
+    general loop (no monomial shortcut).  The packed integer kernel must
+    agree with it."""
+    n = ideal.ring.nvars
+
+    def monomials_up_to(max_deg):
+        out = []
+
+        def rec(prefix, remaining, slots):
+            if slots == 1:
+                out.append(prefix + (remaining,))
+                return
+            for take in range(remaining + 1):
+                rec(prefix + (take,), remaining - take, slots - 1)
+
+        for d in range(max_deg + 1):
+            rec((), d, n)
+        return out
+
+    mons = monomials_up_to(k_max - 1)
+    col_of = {e: i for i, e in enumerate(mons)}
+    mons_per_deg = [0] * k_max
+    for e in mons:
+        mons_per_deg[mono_deg(e)] += 1
+    pivots = {}
+    pivot_deg = [0] * k_max
+    for g in ideal.gens:
+        terms = g.terms
+        mindeg = g.min_degree()
+        for alpha in monomials_up_to(k_max - 1 - mindeg):
+            row = {}
+            for e, c in terms.items():
+                prod = mono_mul(alpha, e)
+                if mono_deg(prod) < k_max:
+                    col = col_of[prod]
+                    s = row.get(col)
+                    row[col] = c if s is None else s + c
+            row = {c: v for c, v in row.items() if v}
+            while row:
+                lead = min(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    coeff = row.pop(lead)
+                    if coeff != 1:
+                        row = {c: v / coeff for c, v in row.items()}
+                    pivots[lead] = row
+                    pivot_deg[mono_deg(mons[lead])] += 1
+                    break
+                factor = row.pop(lead)
+                for c, v in pivot.items():
+                    s = row.get(c)
+                    if s is None:
+                        row[c] = -factor * v
+                    else:
+                        s = s - factor * v
+                        if s:
+                            row[c] = s
+                        else:
+                            del row[c]
+    series = []
+    total = 0
+    for d in range(k_max):
+        total += mons_per_deg[d] - pivot_deg[d]
+        series.append(total)
+    return series
+
+
+@st.composite
+def oracle_inputs(draw):
+    """An ideal vanishing at the origin and a window k_max: 1-4 generators
+    in 2-4 variables, coefficients of large height (non-integral ones
+    included), homogeneous, mixed-degree and one-term generators."""
+    n = draw(st.integers(2, 4))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    height = 10**30
+    coeffs = st.builds(
+        Fraction,
+        st.integers(-height, height).filter(bool),
+        st.sampled_from([1, 1, 2, 3, 7, 10**9 + 7, 2**61 - 1, height + 1]),
+    )
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["monomial", "homogeneous", "mixed"]))
+        size = 1 if kind == "monomial" else draw(st.integers(1, 4))
+        deg = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(size):
+            d = deg if kind == "homogeneous" else draw(st.integers(1, 4))
+            parts = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+            terms[tuple(parts.count(i) for i in range(n))] = draw(coeffs)
+        gens.append(ring.from_terms(terms))
+    return PolyIdeal(ring, gens), draw(st.integers(1, 7))
 
 
 @pytest.fixture
@@ -106,6 +208,29 @@ class TestHilbertSamuelSeries:
     def test_rejects_bad_k(self, xy):
         with pytest.raises(ValueError):
             hilbert_samuel_series(PolyIdeal(xy, []), 0)
+
+    @given(oracle_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        target, k_max = case
+        assert hilbert_samuel_series(target, k_max) == _reference_series(target, k_max)
+
+    def test_column_budget_is_inclusive(self, xyz):
+        target = ideal(xyz, "x*y - z^3", "y^2 + x*z")
+        k_max = 6
+        ncols = comb(k_max - 1 + 3, 3)
+        series = hilbert_samuel_series(target, k_max, max_columns=ncols)
+        assert series == _reference_series(target, k_max)
+        with pytest.raises(OracleBudgetError, match=f"{ncols} columns exceed the budget of {ncols - 1}"):
+            hilbert_samuel_series(target, k_max, max_columns=ncols - 1)
+
+    def test_budget_checked_before_enumeration(self):
+        """comb(41, 12), about 7.9e9 columns: enumerating them first would
+        not return, so an immediate error shows the check comes first."""
+        ring = PolyRing(tuple(f"x{i}" for i in range(12)))
+        target = ideal(ring, "x0 - x1^2")
+        with pytest.raises(OracleBudgetError, match=f"{comb(41, 12)} columns"):
+            hilbert_samuel_series(target, 30)
 
 
 class TestFit:

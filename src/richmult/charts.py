@@ -232,13 +232,16 @@ def intersection_ideal(iw: PolyIdeal, iv: PolyIdeal) -> PolyIdeal:
     return PolyIdeal(iw.ring, dedupe_normalized(list(iw.gens) + list(iv.gens)))
 
 
-def translate_to_origin(ideal: PolyIdeal, m: AffinePoint) -> PolyIdeal:
-    """Substitute x = y + m, mapping m to the origin of the y-coordinates."""
-    chart = m.chart
-    if ideal.ring not in (chart.ring, chart.yring):
-        raise PointNotOnChartError("ideal and point live on different charts")
-    gens = [g.shift(m.coords, chart.yring).primitive() for g in ideal.gens]
-    return PolyIdeal(chart.yring, [g for g in gens if not g.is_zero()])
+def translate_to_origin(ideal: PolyIdeal, m) -> PolyIdeal:
+    """Substitute x = y + m, mapping m to the origin: of the chart's
+    y-coordinates for a chart point, of the ideal's ring for a tuple."""
+    ring, coords = ideal.ring, m
+    if isinstance(m, AffinePoint):
+        if ideal.ring not in (m.chart.ring, m.chart.yring):
+            raise PointNotOnChartError("ideal and point live on different charts")
+        ring, coords = m.chart.yring, m.coords
+    gens = [g.shift(coords, ring).primitive() for g in ideal.gens]
+    return PolyIdeal(ring, [g for g in gens if not g.is_zero()])
 
 
 def evaluate_ideal(ideal: PolyIdeal, x: AffinePoint) -> bool:

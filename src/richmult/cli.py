@@ -208,18 +208,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_quadric(args) -> int:
     shape = QuadricShape(args.qn)
-    if args.i is not None and args.j is not None:
-        if args.point:
-            with open(args.point, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if isinstance(data, dict):
-                data = data["x"]
-            x = [Fraction(str(v)) for v in data]
-        else:
-            raise UsageError("--point is required with --i/--j")
-        reports = [quadric_report(shape, args.i, args.j, x)]
-    else:
+    if (args.i, args.j, args.point) == (None, None, None):
         reports = quadric_sweep(shape, grid=_parse_grid(args.grid), cap=args.cap)
+    elif None in (args.i, args.j, args.point):
+        raise UsageError("--i, --j and --point must be given together")
+    else:
+        with open(args.point, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if isinstance(data, dict):
+            data = data.get("x")
+        if not isinstance(data, list):
+            raise UsageError('point file must hold a JSON array or {"x": [...]}')
+        reports = [quadric_report(shape, args.i, args.j, [Fraction(str(v)) for v in data])]
     _emit(reports, args.format, args.out)
     agreed = sum(1 for r in reports if r.agreement)
     failed = len(reports) - agreed

@@ -171,7 +171,7 @@ def jacobian_corank(ideal: PolyIdeal, m: AffinePoint, dim: Optional[int] = None)
         raise MembershipError("point is not on the variety")
     if dim is None:
         dim = ideal_dimension(ideal)
-    return _corank(_jacobian_rows(_gradient(ideal), m), ideal.ring.nvars, dim, m)
+    return _corank(_jacobian_rows(_gradient(ideal), m.coords), ideal.ring.nvars, dim, m)
 
 
 def _gradient(ideal: PolyIdeal) -> list[list]:
@@ -179,11 +179,11 @@ def _gradient(ideal: PolyIdeal) -> list[list]:
     return [[g.derivative(i) for i in range(ideal.ring.nvars)] for g in ideal.gens]
 
 
-def _jacobian_rows(gradient: list[list], m: AffinePoint) -> list[list[Fraction]]:
-    return [[d.evaluate(m.coords) for d in row] for row in gradient]
+def _jacobian_rows(gradient: list[list], coords: Sequence[Fraction]) -> list[list[Fraction]]:
+    return [[d.evaluate(coords) for d in row] for row in gradient]
 
 
-def _corank(rows: list[list[Fraction]], nvars: int, dim: int, m: AffinePoint) -> int:
+def _corank(rows: list[list[Fraction]], nvars: int, dim: int, m) -> int:
     """Corank of the Jacobian rows at m against a variety of dimension dim;
     a tangent space smaller than the variety raises."""
     tangent_dim = nvars - _matrix_rank(rows)
@@ -267,11 +267,11 @@ class SidePoint(NamedTuple):
 
 
 class StratumSide:
-    """One stratum variety on one chart: the Schubert variety of w or the
-    opposite variety of v.  It holds the chart ideal and, each computed on
-    first use and kept, its dimension, its projective degree, its symbolic
-    Jacobian, and per point a :class:`SidePoint`.  Nothing in it depends
-    on the other side, so every instance of the chart shares it."""
+    """One stratum variety on one chart: the Schubert variety of w, the
+    opposite variety of v or a quadric stratum.  It holds the chart ideal
+    and, each computed on first use and kept, its dimension, its degree,
+    its symbolic Jacobian, and per point a :class:`SidePoint`.  Nothing in
+    it depends on the other side, so every instance of the chart shares it."""
 
     def __init__(self, ideal: PolyIdeal, variety: str):
         self.ideal = ideal
@@ -301,7 +301,7 @@ class StratumSide:
                 moved=moved,
                 mult=_mult_of(moved),
                 cone_over_point=is_cone_over_origin(moved),
-                jacobian_rows=_jacobian_rows(self.gradient, m),
+                jacobian_rows=_jacobian_rows(self.gradient, m.coords),
             )
             self._points[m.coords] = point
         return point

@@ -283,8 +283,8 @@ class Polynomial:
         """Substitute x_i -> x_i + offsets[i], optionally landing in a ring
         with different names (same order and arity)."""
         ring = target if target is not None else self.ring
-        if ring.nvars != self.ring.nvars:
-            raise ValueError("ring arity mismatch")
+        if not ring.nvars == self.ring.nvars == len(offsets):
+            raise ValueError("ring or offset arity mismatch")
         offsets = [Fraction(o) for o in offsets]
         out = ring.zero()
         for e, c in self.terms.items():

@@ -4,18 +4,22 @@ The quadric lives in P^{2n} with the form Q(x) = x_{n+1}^2 +
 2*sum_{a=1}^{n} x_a x_{2n+2-a}.  Stratum varieties are coordinate-window
 slices X_i (top coordinates zero) and X^j (bottom coordinates zero); their
 point multiplicities have a two-case closed form which this module
-implements and cross-checks against the general tangent-cone machinery on
-an affine chart.
+implements.  Each report checks it on the point's affine chart, built once
+per sweep, against the tangent-cone oracle and against smoothness from the
+Jacobian corank (each stratum is a reduced quadric in a linear space,
+smooth exactly where its multiplicity is 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
+from .charts import translate_to_origin
+from .engine import KernelInconsistencyError, StratumSide, _corank, _jacobian_rows, _mult_of
 from .groebner import PolyIdeal
-from .localmult import multiplicity_at_origin
 from .poly import PolyRing
 from .report import MultiplicityReport
 
@@ -53,8 +57,10 @@ def _coords(shape: QuadricShape, x: Sequence) -> tuple[Fraction, ...]:
 
 def q_eval(shape: QuadricShape, x: Sequence) -> Fraction:
     """The quadratic form x_{n+1}^2 + 2*sum x_a x_{2n+2-a}."""
-    vec = _coords(shape, x)
-    n = shape.n
+    return _form(shape.n, _coords(shape, x))
+
+
+def _form(n: int, vec: Sequence):
     total = vec[n] * vec[n]  # x_{n+1} is index n, 0-based
     for a in range(1, n + 1):
         total += 2 * vec[a - 1] * vec[2 * n + 1 - a]
@@ -67,7 +73,7 @@ def schubert_member(shape: QuadricShape, i: int, x: Sequence) -> bool:
     vec = _coords(shape, x)
     if all(v == 0 for v in vec):
         raise ValueError("projective point cannot be zero")
-    return all(vec[a] == 0 for a in range(i, shape.ncoords)) and q_eval(shape, vec) == 0
+    return all(vec[a] == 0 for a in range(i, shape.ncoords)) and _form(shape.n, vec) == 0
 
 
 def opposite_member(shape: QuadricShape, j: int, x: Sequence) -> bool:
@@ -76,19 +82,15 @@ def opposite_member(shape: QuadricShape, j: int, x: Sequence) -> bool:
     vec = _coords(shape, x)
     if all(v == 0 for v in vec):
         raise ValueError("projective point cannot be zero")
-    return all(vec[a] == 0 for a in range(j - 1)) and q_eval(shape, vec) == 0
+    return all(vec[a] == 0 for a in range(j - 1)) and _form(shape.n, vec) == 0
 
 
 def mult_schubert_quadric(shape: QuadricShape, i: int, x: Sequence) -> int:
     """Closed-form multiplicity of x on X_i: 2 exactly when i > n+1 and the
-    window x_i .. x_{2n+2-i} vanishes, else 1."""
+    window x_{2n+2-i} .. x_i vanishes, else 1."""
     if not schubert_member(shape, i, x):
         raise QuadricMembershipError(f"point is not on X_{i}")
-    vec = _coords(shape, x)
-    if i < shape.n + 1:
-        return 1
-    window = range(2 * shape.n + 2 - i, i + 1)
-    return 2 if all(vec[a - 1] == 0 for a in window) else 1
+    return _window_mult(_coords(shape, x), 2 * shape.n + 2 - i, i)
 
 
 def mult_opposite_quadric(shape: QuadricShape, j: int, x: Sequence) -> int:
@@ -96,11 +98,13 @@ def mult_opposite_quadric(shape: QuadricShape, j: int, x: Sequence) -> int:
     x_j .. x_{2n+2-j} vanishes, else 1."""
     if not opposite_member(shape, j, x):
         raise QuadricMembershipError(f"point is not on X^{j}")
-    vec = _coords(shape, x)
-    if j > shape.n + 1:
-        return 1
-    window = range(j, 2 * shape.n + 2 - j + 1)
-    return 2 if all(vec[a - 1] == 0 for a in window) else 1
+    return _window_mult(_coords(shape, x), j, 2 * shape.n + 2 - j)
+
+
+def _window_mult(vec: Sequence[Fraction], lo: int, hi: int) -> int:
+    """Both closed forms: 2 exactly when the window x_lo .. x_hi is longer
+    than one coordinate and vanishes, else 1."""
+    return 2 if lo < hi and not any(vec[lo - 1:hi]) else 1
 
 
 def singular_locus_index(shape: QuadricShape, i: int) -> Optional[int]:
@@ -200,8 +204,6 @@ def verify_disjoint_sing(shape: QuadricShape, i: int, j: int, grid=None) -> bool
 
 
 def _grid_points(shape: QuadricShape, grid):
-    from itertools import product
-
     for combo in product(grid, repeat=shape.ncoords):
         if any(c != 0 for c in combo):
             yield tuple(Fraction(c) for c in combo)
@@ -214,12 +216,12 @@ def richardson_mult_quadric(shape: QuadricShape, i: int, j: int, x: Sequence) ->
         raise ValueError("need j <= i")
     if not (schubert_member(shape, i, x) and opposite_member(shape, j, x)):
         raise QuadricMembershipError("point is not on the intersection")
-    product = mult_schubert_quadric(shape, i, x) * mult_opposite_quadric(shape, j, x)
-    if product > 2:
+    mu = mult_schubert_quadric(shape, i, x) * mult_opposite_quadric(shape, j, x)
+    if mu > 2:
         raise RuntimeError(
             "singular on both one-sided varieties: impossible on a quadric"
         )
-    return product
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -227,82 +229,55 @@ def richardson_mult_quadric(shape: QuadricShape, i: int, j: int, x: Sequence) ->
 # ---------------------------------------------------------------------------
 
 
-def normalize_on_chart(shape: QuadricShape, x: Sequence) -> tuple[int, tuple]:
-    """Scale a projective point so its last nonzero coordinate is 1; that
-    coordinate indexes the affine chart used for the oracle."""
-    vec = _coords(shape, x)
-    c = max(a for a in range(shape.ncoords) if vec[a] != 0) + 1
-    scale = vec[c - 1]
-    return c, tuple(v / scale for v in vec)
+class QuadricChart:
+    """The affine chart x_c = 1 in the other coordinates u_a, with the ideal
+    of X_i ∩ X^j on it built once per (i, j) as a :class:`StratumSide`; X_i
+    is (i, 1) and X^j is (2n+1, j).  The ideal is the unit marker where c
+    lies outside [j, i] and the chart misses the variety."""
+
+    def __init__(self, shape: QuadricShape, c: int):
+        self.c = c
+        self.indices = [a for a in range(1, shape.ncoords + 1) if a != c]
+        self.ring = PolyRing([f"u{a}" for a in self.indices])
+        x = [self.ring.var(pos) for pos in range(len(self.indices))]
+        self.q = _form(shape.n, x[: c - 1] + [self.ring.one()] + x[c - 1 :])  # x_c = 1
+        self._sides: dict = {}
+
+    def side(self, i: int, j: int) -> StratumSide:
+        if (i, j) not in self._sides:
+            ideal = PolyIdeal.unit_marker(self.ring)
+            if j <= self.c <= i:
+                gens = [self.ring.var(pos) for pos, a in enumerate(self.indices) if a > i or a < j]
+                ideal = PolyIdeal(self.ring, gens + [self.q])
+            self._sides[i, j] = StratumSide(ideal, "quadric stratum")
+        return self._sides[i, j]
 
 
-def _chart_ring(shape: QuadricShape, c: int) -> PolyRing:
-    names = tuple(f"u{a}" for a in range(1, shape.ncoords + 1) if a != c)
-    return PolyRing(names)
+def _on_chart(charts: dict, shape: QuadricShape, vec: tuple) -> tuple[QuadricChart, tuple]:
+    """The chart x_c = 1 of a coerced point, c its last nonzero coordinate,
+    from the table or added to it, and the point's coordinates there."""
+    c = max((a for a, v in enumerate(vec, 1) if v != 0), default=0)
+    if not c:
+        raise ValueError("projective point cannot be zero")
+    if c not in charts:
+        charts[c] = QuadricChart(shape, c)
+    return charts[c], tuple(v / vec[c - 1] for a, v in enumerate(vec, 1) if a != c)
 
 
-def _chart_q(shape: QuadricShape, ring: PolyRing, c: int):
-    """Q with x_c = 1 in the chart variables."""
-    n = shape.n
-    idx = {}
-    pos = 0
-    for a in range(1, shape.ncoords + 1):
-        if a != c:
-            idx[a] = pos
-            pos += 1
-
-    def coord(a):
-        return ring.one() if a == c else ring.var(idx[a])
-
-    total = coord(n + 1) * coord(n + 1)
-    for a in range(1, n + 1):
-        total = total + 2 * coord(a) * coord(2 * n + 2 - a)
-    return total
-
-
-def stratum_chart_ideal(
-    shape: QuadricShape,
-    x: Sequence,
-    i: Optional[int] = None,
-    j: Optional[int] = None,
-) -> tuple[PolyIdeal, tuple]:
-    """Affine-chart ideal of X_i, X^j or their intersection, together with
-    the chart coordinates of the (normalized) point."""
-    c, vec = normalize_on_chart(shape, x)
-    if i is not None and any(vec[a] != 0 for a in range(i, shape.ncoords)):
-        raise QuadricMembershipError(f"point is not on X_{i}")
-    if j is not None and any(vec[a] != 0 for a in range(j - 1)):
-        raise QuadricMembershipError(f"point is not on X^{j}")
-    ring = _chart_ring(shape, c)
-    gens = []
-    pos = 0
-    chart_coords = []
-    for a in range(1, shape.ncoords + 1):
-        if a == c:
-            continue
-        if i is not None and a > i:
-            gens.append(ring.var(pos))
-        if j is not None and a < j:
-            gens.append(ring.var(pos))
-        chart_coords.append(vec[a - 1])
-        pos += 1
-    gens.append(_chart_q(shape, ring, c))
-    return PolyIdeal(ring, gens), tuple(chart_coords)
+def _oracle(side: StratumSide, coords: tuple) -> int:
+    """Tangent-cone multiplicity of the side's ideal at a point of its chart."""
+    if not side.ideal.vanishes_at(coords):
+        raise QuadricMembershipError("point is not on the variety")
+    return _mult_of(translate_to_origin(side.ideal, coords))
 
 
 def mult_oracle(
-    shape: QuadricShape,
-    x: Sequence,
-    i: Optional[int] = None,
-    j: Optional[int] = None,
+    shape: QuadricShape, x: Sequence, i: Optional[int] = None, j: Optional[int] = None
 ) -> int:
-    """Tangent-cone multiplicity of the chart ideal at the point."""
-    ideal, coords = stratum_chart_ideal(shape, x, i=i, j=j)
-    if not ideal.vanishes_at(coords):
-        raise QuadricMembershipError("point is not on the variety")
-    shifted = [g.shift(coords) for g in ideal.gens]
-    translated = PolyIdeal(ideal.ring, [g for g in shifted if not g.is_zero()])
-    return multiplicity_at_origin(translated)
+    """Tangent-cone multiplicity at the point of the chart ideal of X_i, of
+    X^j, of their intersection, or of the quadric when neither is given."""
+    chart, coords = _on_chart({}, shape, _coords(shape, x))
+    return _oracle(chart.side(shape.ncoords if i is None else i, 1 if j is None else j), coords)
 
 
 def sample_quadric_points(
@@ -311,22 +286,19 @@ def sample_quadric_points(
     """Deterministic projective representatives on the intersection of X_i
     and X^j: support inside [j, i], last nonzero coordinate scaled to 1,
     earlier window coordinates from the grid, Q = 0."""
-    from itertools import product as iproduct
-
     check_schubert_index(shape, i)
     check_schubert_index(shape, j)
     if j > i:
         raise ValueError("need j <= i")
+    if limit < 1:
+        raise ValueError("the point cap must be positive")
     out: list[tuple] = []
-    N = shape.ncoords
+    zero = (Fraction(0),)
     for c in range(j, i + 1):
-        for combo in iproduct(grid, repeat=c - j):
-            vec = [Fraction(0)] * N
-            for offset, val in enumerate(combo):
-                vec[j - 1 + offset] = Fraction(val)
-            vec[c - 1] = Fraction(1)
-            if q_eval(shape, vec) == 0:
-                out.append(tuple(vec))
+        for combo in product(grid, repeat=c - j):
+            vec = zero * (j - 1) + tuple(map(Fraction, combo + (1,))) + zero * (shape.ncoords - c)
+            if _form(shape.n, vec) == 0:
+                out.append(vec)
                 if len(out) >= limit:
                     return out
     return out
@@ -334,7 +306,8 @@ def sample_quadric_points(
 
 def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
     """Reports for every index pair j <= i over grid points of the
-    intersection, in deterministic order."""
+    intersection, in deterministic order; each chart is built once."""
+    charts: dict = {}
     reports = []
     valid = [k for k in range(1, shape.ncoords + 1) if k != shape.n + 1]
     for i in valid:
@@ -342,18 +315,40 @@ def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
             if j > i:
                 continue
             for x in sample_quadric_points(shape, i, j, grid, limit=cap):
-                reports.append(quadric_report(shape, i, j, x))
+                reports.append(_report(shape, charts, i, j, x))
     return reports
 
 
 def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> MultiplicityReport:
     """MultiplicityReport for a point of the intersection X_i and X^j,
-    cross-checking the closed forms against the chart-ideal oracle."""
+    cross-checking the closed forms against the oracle and the Jacobian."""
+    return _report(shape, {}, i, j, x)
+
+
+def _report(shape: QuadricShape, charts: dict, i: int, j: int, x: Sequence) -> MultiplicityReport:
+    check_schubert_index(shape, i)
+    check_schubert_index(shape, j)
     vec = _coords(shape, x)
-    mu_i = mult_schubert_quadric(shape, i, vec)
-    mu_j = mult_opposite_quadric(shape, j, vec)
-    fast = richardson_mult_quadric(shape, i, j, vec)
-    oracle = mult_oracle(shape, vec, i=i, j=j)
+    chart, coords = _on_chart(charts, shape, vec)
+    side_i, side_j, side_ij = chart.side(i, 1), chart.side(shape.ncoords, j), chart.side(i, j)
+    oracle = _oracle(side_ij, coords)
+    mu_i = _window_mult(vec, 2 * shape.n + 2 - i, i)
+    mu_j = _window_mult(vec, j, 2 * shape.n + 2 - j)
+    fast = mu_i * mu_j
+    point = {f"x{k + 1}": str(c) for k, c in enumerate(vec)}
+    rows_i = _jacobian_rows(side_i.gradient, coords)
+    rows_j = _jacobian_rows(side_j.gradient, coords)
+    # The intersection's generators are the two sides' (Q twice).
+    smooth = tuple(
+        _corank(rows, chart.ring.nvars, side.dimension, point) == 0
+        for rows, side in ((rows_i, side_i), (rows_j, side_j), (rows_i + rows_j, side_ij))
+    )
+    # Smooth is multiplicity 1 on each stratum; the singular loci are disjoint.
+    if fast > 2 or smooth != (mu_i == 1, mu_j == 1, fast == 1):
+        raise KernelInconsistencyError(
+            f"closed forms mu_i={mu_i}, mu_j={mu_j} contradict disjoint singular "
+            f"loci or the Jacobian smoothness verdicts {smooth} at {point}"
+        )
     return MultiplicityReport(
         family="quadric",
         d=1,
@@ -361,7 +356,7 @@ def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> Multipli
         tau="",
         w=str(i),
         v=str(j),
-        point={f"x{k + 1}": str(c) for k, c in enumerate(vec)},
+        point=point,
         mu_w=mu_i,
         mu_v=mu_j,
         mu_wv_fast=fast,
@@ -373,8 +368,8 @@ def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> Multipli
         cone_schubert_over_point=None,
         cone_opposite_over_point=None,
         cone_richardson_over_origin=None,
-        smooth_w=mu_i == 1,
-        smooth_v=mu_j == 1,
-        smooth_wv=fast == 1,
+        smooth_w=smooth[0],
+        smooth_v=smooth[1],
+        smooth_wv=smooth[2],
         agreement=fast == oracle,
     )

@@ -204,6 +204,30 @@ class TestQuadric:
         data = json.loads(out.read_text())
         assert data[0]["mu_w"] == 2 and data[0]["agreement"]
 
+    @pytest.mark.parametrize("content", [{"y": ["1", "0", "0", "0", "0"]}, "1", 3])
+    def test_point_file_without_coordinates(self, capsys, tmp_path, content):
+        point = tmp_path / "x.json"
+        point.write_text(json.dumps(content))
+        code = main(["quadric", "--qn", "2", "--i", "4", "--j", "1", "--point", str(point)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--i", "4", "--point", "x.json"],
+        ["--j", "1", "--point", "x.json"],
+        ["--i", "4", "--j", "1"],
+        ["--point", "x.json"],
+        ["--cap", "0"],
+        ["--cap", "-3"],
+    ])
+    def test_bad_arguments_rejected(self, capsys, args):
+        """Incomplete single-point arguments and a cap below 1 exit with
+        status 2 instead of running a sweep."""
+        assert main(["quadric", "--qn", "2"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_small_sweep(self, capsys, tmp_path):
         out = tmp_path / "q.json"
         code = main(["quadric", "--qn", "2", "--cap", "5", "--out", str(out)])
@@ -235,6 +259,15 @@ class TestComputationFailures:
         assert main(self.MULT) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: KernelInconsistencyError: dimension")
+        assert err.count("\n") == 1
+
+    def test_quadric_smoothness_mismatch_exits_3(self, capsys, monkeypatch):
+        from richmult import quadric
+
+        monkeypatch.setattr(quadric, "_corank", lambda rows, nvars, dim, m: 1)
+        assert main(["quadric", "--qn", "2", "--cap", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: KernelInconsistencyError: closed forms")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("exc", [

@@ -2,8 +2,11 @@
 
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richmult.charts import (
     AffinePoint,
@@ -261,6 +264,43 @@ class TestScalingInvariance:
                     mult_opposite_at(shape, v, tau, scaled),
                     mult_richardson_oracle(shape, w, v, tau, scaled),
                 ) == base
+
+
+@cache
+def torus_cases() -> list:
+    """(shape, w, v, tau, m) for every instance of G(2,4) and G(2,5) and
+    the nonzero points m among its first eight -1,0,1 cell points."""
+    grid = (Fraction(-1), Fraction(0), Fraction(1))
+    cases = []
+    for shape in (G24, GrassShape(2, 5)):
+        for w, v, tau in enumerate_instances(shape):
+            chart = build_chart(shape, tau)
+            rich = richardson_ideal(chart, w, v)
+            points = sample_points(rich, chart, grid, cell_only=True, limit=8)
+            cases.extend((shape, w, v, tau, m) for m in points if not m.is_origin())
+    return cases
+
+
+HEIGHT = 10**12
+signed_rationals = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from((1, -1)), st.integers(1, HEIGHT), st.integers(1, HEIGHT),
+)
+
+
+class TestTorusInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_report_invariant_under_torus(self, data):
+        """The torus scales row q by t_q; on the chart x_{q,p} becomes
+        (t_q / t_p) * x_{q,p}.  Every stratum variety is torus-stable, so
+        multiplicities and smoothness at m and t.m agree."""
+        shape, w, v, tau, m = data.draw(st.sampled_from(torus_cases()))
+        t = [None] + [data.draw(signed_rationals) for _ in range(shape.n)]
+        moved = m.chart.point({ix: t[ix.q] / t[ix.p] * m[ix] for ix in m.chart.indices})
+        keys = ("mu_w", "mu_v", "mu_wv_oracle", "smooth_w", "smooth_v", "smooth_wv")
+        base, image = (build_report(shape, w, v, tau, p).to_dict() for p in (m, moved))
+        assert {k: image[k] for k in keys} == {k: base[k] for k in keys}
 
 
 class TestSampling:

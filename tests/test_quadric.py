@@ -6,6 +6,9 @@ from itertools import product
 
 import pytest
 
+from richmult import quadric
+from richmult.engine import KernelInconsistencyError
+from richmult.poly import PolyRing
 from richmult.quadric import (
     QuadricMembershipError,
     QuadricShape,
@@ -243,6 +246,42 @@ class TestRichardson:
         for r in quadric_sweep(shape, grid=(-1, 0, 1), cap=20):
             assert r.mu_wv_fast <= 2
             assert r.agreement
+
+    def test_sweep_builds_each_chart_ring_once(self, monkeypatch):
+        """The chart rings, and the ideals on them, are built once per
+        chart x_c = 1 for the whole sweep, not once per report."""
+        built = []
+
+        def counted(names, *args):
+            ring = PolyRing(names, *args)
+            built.append(ring.names)
+            return ring
+
+        monkeypatch.setattr(quadric, "PolyRing", counted)
+        shape = QuadricShape(2)
+        assert len(quadric_sweep(shape)) == 44
+        assert len(built) == len(set(built)) <= shape.ncoords
+
+    def test_smoothness_comes_from_the_jacobian(self, monkeypatch):
+        """smooth_* is a Jacobian corank, checked against the closed forms:
+        a corank that contradicts them raises."""
+        shape = QuadricShape(2)
+        report = quadric_report(shape, 4, 1, unit(shape, 1))
+        assert (report.smooth_w, report.smooth_v, report.smooth_wv) == (False, True, False)
+        monkeypatch.setattr(quadric, "_corank", lambda rows, nvars, dim, m: 1)
+        with pytest.raises(KernelInconsistencyError, match="Jacobian smoothness"):
+            quadric_report(shape, 4, 1, unit(shape, 1))
+
+    def test_report_checks_indices_and_membership(self):
+        shape = QuadricShape(2)
+        with pytest.raises(ValueError):
+            quadric_report(shape, 3, 1, unit(shape, 1))
+        with pytest.raises(QuadricMembershipError):
+            quadric_report(shape, 2, 4, unit(shape, 1))
+        with pytest.raises(QuadricMembershipError):
+            quadric_report(shape, 4, 2, unit(shape, 1))
+        with pytest.raises(ValueError, match="cannot be zero"):
+            quadric_report(shape, 4, 1, (0, 0, 0, 0, 0))
 
     def test_report_schema_fields(self):
         shape = QuadricShape(2)

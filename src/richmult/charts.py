@@ -6,6 +6,11 @@ Stratum ideals are generated by minors expressing rank conditions on
 top/bottom row blocks; rank conditions are emitted only at the essential
 column positions and the generator sets are autoreduced, which reproduces
 the familiar small generating sets.
+
+One exact elimination, :func:`_echelon`, serves every rank question: a
+matrix point's cell is the set of pivots of its columns' echelon basis,
+its chart coordinates are read off that basis once back-substituted, and
+the engine's Jacobian ranks are the basis's length.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .groebner import PolyIdeal, dedupe_normalized, interreduce, normal_form
+from .groebner import PolyIdeal, dedupe_normalized, interreduce
 from .poly import Polynomial, PolyRing, parse_polynomial
 from .weyl import (
     CosetRep,
@@ -265,100 +270,87 @@ def scale_action(xi: Fraction, x: AffinePoint) -> AffinePoint:
 
 
 def is_cone_over_origin(ideal: PolyIdeal) -> bool:
-    """Whether the ideal is homogeneous as an ideal: every homogeneous
-    component of every reduced-basis element must lie in the ideal."""
+    """Whether the ideal is homogeneous as an ideal, which holds exactly
+    when its reduced Groebner basis is."""
     if ideal.is_unit():
         raise ValueError("unit ideal: empty variety has no cone semantics")
-    basis = ideal.groebner()
-    for g in basis:
-        for component in g.homogeneous_components().values():
-            if not normal_form(component, basis).is_zero():
-                return False
-    return True
+    return all(g.is_homogeneous() for g in ideal.groebner())
 
 
 # ---------------------------------------------------------------------------
-# Matrix input
+# Exact elimination and matrix input
 # ---------------------------------------------------------------------------
+
+
+def _echelon(vectors) -> dict[int, list[Fraction]]:
+    """An echelon basis of the span of lists of Fractions, keyed by pivot.
+
+    Each vector is reduced against the basis found so far, last position
+    first; a nonzero remainder is kept, scaled to 1, under its last
+    nonzero position, its pivot.  A basis vector stops at its pivot (the
+    entries after it are zero).  The pivots are the lowest positions of
+    the span's vectors, and their number is the span's dimension.  Zero
+    entries are skipped, because Jacobian rows are mostly zero."""
+    basis: dict[int, list[Fraction]] = {}
+    for vec in vectors:
+        p = len(vec)
+        while p:
+            p -= 1
+            c = vec[p]
+            if not c:
+                continue
+            row = basis.get(p)
+            if row is None:
+                vec = vec[: p + 1]
+                if c != 1:
+                    inv = Fraction(1) / c
+                    vec = [a * inv if a else a for a in vec]
+                basis[p] = vec
+                break
+            vec = [a - c * b if b else a for a, b in zip(vec, row)]
+    return basis
+
+
+def _column_echelon(shape: GrassShape, matrix: Sequence[Sequence]):
+    """The cell of an n x d matrix's column span and the echelon basis of
+    the span, whose pivots are the cell's entries minus one."""
+    n, d = shape.n, shape.d
+    rows = [list(r) for r in matrix]
+    if len(rows) != n or any(len(r) != d for r in rows):
+        raise ValueError(f"expected an {n} x {d} matrix")
+    basis = _echelon([[Fraction(rows[r][c]) for r in range(n)] for c in range(d)])
+    if len(basis) != d:
+        raise ValueError("matrix does not have full column rank")
+    return CosetRep(shape, tuple(sorted(p + 1 for p in basis))), basis
 
 
 def cell_of_point(shape: GrassShape, matrix: Sequence[Sequence]) -> CosetRep:
     """The stratum label of the column span: the unique tau whose rank
-    table matches dim(V intersect span(e_1..e_j)) for all j.
-
-    Computed by bottom-up column reduction; the pivots are the lowest
-    nonzero rows of the reduced columns.
-    """
-    n, d = shape.n, shape.d
-    cols = _columns_as_fractions(matrix, n, d)
-    pivot_rows: list[int] = []
-    used: list[int] = []
-    for r in range(n - 1, -1, -1):
-        pick = None
-        for c in range(d):
-            if c not in used and cols[c][r] != 0:
-                pick = c
-                break
-        if pick is None:
-            continue
-        used.append(pick)
-        pivot_rows.append(r + 1)
-        for c in range(d):
-            if c != pick and cols[c][r] != 0:
-                factor = cols[c][r] / cols[pick][r]
-                cols[c] = [a - factor * b for a, b in zip(cols[c], cols[pick])]
-    if len(pivot_rows) != d:
-        raise ValueError("matrix does not have full column rank")
-    return CosetRep(shape, tuple(sorted(pivot_rows)))
+    table matches dim(V intersect span(e_1..e_j)) for all j, read off
+    as the lowest rows of the span's vectors."""
+    return _column_echelon(shape, matrix)[0]
 
 
 def point_from_matrix(shape: GrassShape, matrix: Sequence[Sequence]) -> AffinePoint:
     """Convert a rank-d matrix (columns spanning the subspace) to chart
     coordinates on the chart of the cell containing it."""
-    tau = cell_of_point(shape, matrix)
+    tau, basis = _column_echelon(shape, matrix)
+    pivots = sorted(basis)
+    # Back-substitute so each basis vector is 0 at the other pivot rows:
+    # the columns then hold the identity at the pivot rows.
+    for k, p in enumerate(pivots):
+        vec = basis[p]
+        for q in pivots[:k]:
+            c = vec[q]
+            if c:
+                for r, b in enumerate(basis[q]):
+                    vec[r] -= c * b
     chart = build_chart(shape, tau)
-    n, d = shape.n, shape.d
-    cols = _columns_as_fractions(matrix, n, d)
-    # Normalize so the pivot-row submatrix becomes the identity.
-    block = [[cols[c][p - 1] for c in range(d)] for p in tau.entries]
-    inverse = _invert(block)
-    normalized = [
-        [
-            sum(cols[c][r] * inverse[c][k] for c in range(d))
-            for k in range(d)
-        ]
-        for r in range(n)
-    ]
     coords = {}
     for ix in chart.indices:
-        k = tau.entries.index(ix.p)
-        coords[ix] = normalized[ix.q - 1][k]
+        vec = basis[ix.p - 1]
+        coords[ix] = vec[ix.q - 1] if ix.q <= len(vec) else Fraction(0)
     return chart.point(coords)
-
-
-def _columns_as_fractions(matrix, n: int, d: int) -> list[list[Fraction]]:
-    rows = [list(r) for r in matrix]
-    if len(rows) != n or any(len(r) != d for r in rows):
-        raise ValueError(f"expected an {n} x {d} matrix")
-    return [[Fraction(rows[r][c]) for r in range(n)] for c in range(d)]
-
-
-def _invert(block: list[list[Fraction]]) -> list[list[Fraction]]:
-    size = len(block)
-    work = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(block)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("pivot-row block is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [a * inv for a in work[col]]
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[size:] for row in work]
 
 
 # ---------------------------------------------------------------------------

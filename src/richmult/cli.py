@@ -2,7 +2,8 @@
 
 Exit status: 0 on success with all checks in agreement, 1 when a fast
 path and the oracle disagree (or a sweep reports failures), 2 on invalid
-input or violated preconditions, 3 when a computation cannot be trusted
+input, violated preconditions or a file that cannot be read or written
+(OSError), 3 when a computation cannot be trusted
 (KernelInconsistencyError, OracleBudgetError or another RuntimeError of
 the kernel); 2 and 3 print one ``error:`` line on stderr.  All inputs
 come from flags and files so identical invocations produce byte-identical
@@ -34,6 +35,7 @@ from .engine import (
     MembershipError,
     PreconditionError,
     SweepConfig,
+    SweepResult,
     build_report,
     verify_theorem,
 )
@@ -220,11 +222,10 @@ def cmd_quadric(args) -> int:
         if not isinstance(data, list):
             raise UsageError('point file must hold a JSON array or {"x": [...]}')
         reports = [quadric_report(shape, args.i, args.j, [Fraction(str(v)) for v in data])]
-    _emit(reports, args.format, args.out)
-    agreed = sum(1 for r in reports if r.agreement)
-    failed = len(reports) - agreed
-    print(f"checked={len(reports)} agreed={agreed} failed={failed}")
-    return 0 if failed == 0 else 1
+    result = SweepResult(reports)
+    _emit(result.reports, args.format, args.out)
+    print(result.summary_line())
+    return 0 if result.failed == 0 else 1
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, PreconditionError, MembershipError, ValueError) as exc:
+    except (UsageError, PreconditionError, MembershipError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 from .charts import (
     AffinePoint,
     Chart,
+    _echelon,
     build_chart,
     evaluate_ideal,
     in_cell,
@@ -186,33 +187,13 @@ def _jacobian_rows(gradient: list[list], coords: Sequence[Fraction]) -> list[lis
 def _corank(rows: list[list[Fraction]], nvars: int, dim: int, m) -> int:
     """Corank of the Jacobian rows at m against a variety of dimension dim;
     a tangent space smaller than the variety raises."""
-    tangent_dim = nvars - _matrix_rank(rows)
+    tangent_dim = nvars - len(_echelon(rows))
     if tangent_dim < dim:
         raise KernelInconsistencyError(
             f"tangent space of dimension {tangent_dim} at {m} is smaller than "
             f"the variety's dimension {dim}"
         )
     return tangent_dim - dim
-
-
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    work = [list(r) for r in rows if any(c != 0 for c in r)]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        pivot = next((i for i, r in enumerate(work) if r[col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        row = work.pop(pivot)
-        rank += 1
-        work = [
-            [a - (r[col] / row[col]) * b for a, b in zip(r, row)] if r[col] != 0 else r
-            for r in work
-        ]
-        col += 1
-    return rank
 
 
 def sample_points(
@@ -478,10 +459,19 @@ class SweepConfig:
 @dataclass
 class SweepResult:
     reports: list
-    checked: int
-    agreed: int
-    failed: int
-    truncated: bool
+    truncated: bool = False
+
+    @property
+    def checked(self) -> int:
+        return len(self.reports)
+
+    @property
+    def agreed(self) -> int:
+        return sum(1 for r in self.reports if r.agreement)
+
+    @property
+    def failed(self) -> int:
+        return self.checked - self.agreed
 
     def summary_line(self) -> str:
         line = f"checked={self.checked} agreed={self.agreed} failed={self.failed}"
@@ -562,11 +552,4 @@ def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> Sw
         batches = [_chart_reports(shape, tau, by_chart[tau], config) for tau in taus]
     reports = [r for batch in batches for r in batch]
     reports.sort(key=MultiplicityReport.sort_key)
-    agreed = sum(1 for r in reports if r.agreement)
-    return SweepResult(
-        reports=reports,
-        checked=len(reports),
-        agreed=agreed,
-        failed=len(reports) - agreed,
-        truncated=truncated,
-    )
+    return SweepResult(reports, truncated)

@@ -251,13 +251,6 @@ class Polynomial:
         return self.ring.const(other)
 
     # -- structure ---------------------------------------------------------
-    def homogeneous_components(self) -> dict:
-        """Map degree -> homogeneous part."""
-        parts: dict = {}
-        for e, c in self.terms.items():
-            parts.setdefault(mono_deg(e), {})[e] = c
-        return {d: Polynomial(self.ring, te) for d, te in sorted(parts.items())}
-
     def lowest_form(self) -> "Polynomial":
         """The homogeneous component of minimal degree."""
         if not self.terms:

@@ -306,16 +306,22 @@ def sample_quadric_points(
 
 def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
     """Reports for every index pair j <= i over grid points of the
-    intersection, in deterministic order; each chart is built once."""
+    intersection, in deterministic order; each chart is built once.
+
+    The points of (i, j) are those of (2n+1, j) whose last nonzero
+    coordinate is at most i, in the same order, and the cap keeps a
+    prefix; so the grid is walked once per j."""
     charts: dict = {}
     reports = []
     valid = [k for k in range(1, shape.ncoords + 1) if k != shape.n + 1]
+    samples = {j: sample_quadric_points(shape, shape.ncoords, j, grid, limit=cap) for j in valid}
     for i in valid:
         for j in valid:
             if j > i:
                 continue
-            for x in sample_quadric_points(shape, i, j, grid, limit=cap):
-                reports.append(_report(shape, charts, i, j, x))
+            for x in samples[j]:
+                if not any(x[i:]):
+                    reports.append(_report(shape, charts, i, j, x))
     return reports
 
 

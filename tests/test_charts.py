@@ -10,9 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richmult.charts import (
     AffinePoint,
+    _echelon,
     build_chart,
     c_action,
     cell_of_point,
@@ -31,7 +34,7 @@ from richmult.charts import (
 )
 from richmult.groebner import PolyIdeal, normal_form
 from richmult.hilbert import ideal_dimension
-from richmult.poly import Polynomial, parse_polynomial
+from richmult.poly import Polynomial, PolyRing, parse_polynomial
 from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq
 
 DEMO_SHAPE = GrassShape(3, 7)
@@ -54,6 +57,8 @@ def rep(shape, *entries):
 
 
 def rank(rows):
+    """Leftmost-column elimination over Fraction: the engine's Jacobian
+    rank before :func:`_echelon`, kept here as its reference."""
     work = [[Fraction(v) for v in row] for row in rows if any(row)]
     r = 0
     col = 0
@@ -185,6 +190,133 @@ class TestCellOfPoint:
         expected = {"1.2": "1", "1.6": "1", "3.6": "-1"}
         got = {k: v for k, v in point.to_json_dict().items() if v != "0"}
         assert got == expected
+
+
+def _reference_cell_and_point(shape, matrix):
+    """cell_of_point and point_from_matrix by the earlier code: bottom-up
+    column reduction for the cell, then the pivot-row block inverted by
+    Gauss-Jordan and multiplied in.  Each result is the cell's entries or
+    the point's coordinates, or the ValueError's message."""
+    n, d = shape.n, shape.d
+    rows = [list(r) for r in matrix]
+    if len(rows) != n or any(len(r) != d for r in rows):
+        message = f"expected an {n} x {d} matrix"
+        return message, message
+    cols = [[Fraction(rows[r][c]) for r in range(n)] for c in range(d)]
+    work = [list(col) for col in cols]
+    pivot_rows, used = [], []
+    for r in range(n - 1, -1, -1):
+        pick = next((c for c in range(d) if c not in used and work[c][r] != 0), None)
+        if pick is None:
+            continue
+        used.append(pick)
+        pivot_rows.append(r + 1)
+        for c in range(d):
+            if c != pick and work[c][r] != 0:
+                factor = work[c][r] / work[pick][r]
+                work[c] = [a - factor * b for a, b in zip(work[c], work[pick])]
+    if len(pivot_rows) != d:
+        message = "matrix does not have full column rank"
+        return message, message
+    tau = CosetRep(shape, tuple(sorted(pivot_rows)))
+    block = [[cols[c][p - 1] for c in range(d)] for p in tau.entries]
+    aug = [row + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(block)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [a * inv for a in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    inverse = [row[d:] for row in aug]
+    normalized = [
+        [sum(cols[c][r] * inverse[c][k] for c in range(d)) for k in range(d)]
+        for r in range(n)
+    ]
+    chart = build_chart(shape, tau)
+    coords = {ix: normalized[ix.q - 1][tau.entries.index(ix.p)] for ix in chart.indices}
+    return tau.entries, chart.point(coords).to_json_dict()
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+)
+
+
+@st.composite
+def rational_rows(draw):
+    """0-8 rows of 1-12 rationals, mostly zero, with zero rows and
+    repeated or rescaled rows among them."""
+    ncols = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "repeat" and rows:
+            scale = draw(RATIONALS)
+            rows.append([scale * a for a in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@st.composite
+def matrix_inputs(draw):
+    """A shape G(d, n) with n <= 8, d <= 4 and a matrix of rationals for
+    it, its columns sometimes rescaled copies of earlier ones and the
+    matrix sometimes of the wrong size."""
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(1, min(4, n - 1)))
+    columns = []
+    for _ in range(d):
+        if columns and draw(st.integers(0, 4)) == 0:
+            scale = draw(RATIONALS)
+            columns.append([scale * a for a in draw(st.sampled_from(columns))])
+        else:
+            columns.append(draw(st.lists(RATIONALS, min_size=n, max_size=n)))
+    matrix = [list(row) for row in zip(*columns)]
+    defect = draw(st.sampled_from([None] * 8 + ["row", "entry"]))
+    if defect == "row":
+        matrix.pop()
+    elif defect == "entry":
+        matrix[draw(st.integers(0, n - 1))].pop()
+    return GrassShape(d, n), matrix
+
+
+class TestEchelon:
+    @given(rational_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_matches_reference(self, rows):
+        """The basis has one vector per unit of rank; each vector is 1 at
+        its pivot, its last entry, and lies in the rows' span; the rows
+        are left as they were."""
+        before = [list(row) for row in rows]
+        basis = _echelon(rows)
+        assert rows == before
+        assert len(basis) == rank(rows)
+        width = len(rows[0]) if rows else 0
+        for p, vec in basis.items():
+            assert len(vec) == p + 1 and vec[p] == 1
+        padded = [vec + [Fraction(0)] * (width - len(vec)) for vec in basis.values()]
+        assert rank(rows + padded) == len(basis)
+
+    @given(matrix_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_cell_and_point_match_inversion_reference(self, case):
+        shape, matrix = case
+        cell, point = _reference_cell_and_point(shape, matrix)
+
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(lambda: cell_of_point(shape, matrix).entries) == cell
+        assert outcome(lambda: point_from_matrix(shape, matrix).to_json_dict()) == point
 
 
 class TestInCell:
@@ -529,6 +661,62 @@ class TestConeDetection:
             ideal = richardson_ideal(chart, w, v)
             if not ideal.is_zero_ideal():
                 assert is_cone_over_origin(ideal)
+
+
+def _reference_is_cone(ideal):
+    """Homogeneity by definition, the earlier cone check: every
+    homogeneous component of every reduced-basis element lies in the
+    ideal."""
+    if ideal.is_unit():
+        raise ValueError("unit ideal")
+    basis = ideal.groebner()
+    for g in basis:
+        parts = {}
+        for e, c in g.terms.items():
+            parts.setdefault(sum(e), {})[e] = c
+        for terms in parts.values():
+            if not normal_form(ideal.ring.from_terms(terms), basis).is_zero():
+                return False
+    return True
+
+
+@st.composite
+def small_ideals(draw):
+    """1-3 generators in 2-3 variables: forms, inhomogeneous polynomials
+    (a constant term among them), and forms disguised by adding a
+    multiple of another generator, which keeps the ideal."""
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+    def polynomial(degrees):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            deg = draw(st.sampled_from(degrees))
+            parts = draw(st.lists(st.integers(0, n - 1), min_size=deg, max_size=deg))
+            terms[tuple(parts.count(i) for i in range(n))] = draw(coeffs)
+        return ring.from_terms(terms)
+
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            gens.append(polynomial([draw(st.integers(1, 3))]))
+        else:
+            gens.append(polynomial([0, 1, 2, 3] if draw(st.integers(0, 5)) == 0 else [1, 2, 3]))
+    if len(gens) > 1 and draw(st.booleans()):
+        gens[0] = gens[0] + polynomial([0, 1]) * gens[1]
+    return PolyIdeal(ring, gens)
+
+
+class TestConeDefinition:
+    @given(small_ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_component_membership(self, ideal):
+        if ideal.is_unit():
+            with pytest.raises(ValueError, match="unit ideal"):
+                is_cone_over_origin(ideal)
+        else:
+            assert is_cone_over_origin(ideal) == _reference_is_cone(ideal)
 
 
 class TestTextFormats:

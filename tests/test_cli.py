@@ -286,6 +286,24 @@ class TestComputationFailures:
         assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
+class TestFileErrors:
+    """A point file that cannot be read is bad input: status 2 and one
+    error line, not a traceback with the disagreement status 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12"],
+        ["equations", "--d", "2", "--n", "4", "--w", "24"],
+        ["quadric", "--qn", "2", "--i", "4", "--j", "1"],
+    ])
+    def test_missing_point_file_exits_2(self, capsys, tmp_path, args):
+        missing = tmp_path / "missing.json"
+        assert main(args + ["--point", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+
+
 def test_report_fields_match_schema(tmp_path):
     """The dataclass fields are the one field list: JSON keys, CSV columns
     and the schema's required keys all follow it."""

@@ -1,6 +1,6 @@
 """Fast path vs oracle, degrees, smoothness, sampling, the sweep harness."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache
 
@@ -23,6 +23,7 @@ from richmult.engine import (
     MembershipError,
     PreconditionError,
     SweepConfig,
+    SweepResult,
     build_report,
     degree_product_check,
     enumerate_instances,
@@ -365,6 +366,12 @@ class TestSweep:
         assert result.failed == 0
         assert result.checked == len(enumerate_instances(G24))
         assert result.summary_line() == f"checked={result.checked} agreed={result.checked} failed=0"
+
+    def test_tallies_come_from_the_reports(self):
+        report = build_report(G24, rep(G24, 2, 4), rep(G24, 1, 2), rep(G24, 1, 2))
+        result = SweepResult([report, replace(report, agreement=False)])
+        assert (result.checked, result.agreed, result.failed) == (2, 1, 1)
+        assert result.summary_line() == "checked=2 agreed=1 failed=1"
 
     def test_truncation_marker(self):
         result = verify_theorem(

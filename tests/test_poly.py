@@ -93,12 +93,6 @@ class TestStructure:
         f = poly(ring, "y - x^2")
         assert f.lowest_form() == poly(ring, "y")
 
-    def test_components(self, ring):
-        f = poly(ring, "x^2 + x + 1")
-        comps = f.homogeneous_components()
-        assert sorted(comps) == [0, 1, 2]
-        assert sum(comps.values(), ring.zero()) == f
-
     def test_primitive(self, ring):
         f = poly(ring, "4*x - 6*y") * Fraction(-1, 2)
         assert str(f.primitive()) == "2*x - 3*y"

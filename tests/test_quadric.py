@@ -262,6 +262,37 @@ class TestRichardson:
         assert len(quadric_sweep(shape)) == 44
         assert len(built) == len(set(built)) <= shape.ncoords
 
+    def test_sweep_samples_each_j_once(self, monkeypatch):
+        """The grid is walked once per opposite index j (4 for n = 2), not
+        once per pair j <= i (10)."""
+        calls = []
+        sample = quadric.sample_quadric_points
+
+        def counted(shape, i, j, *args, **kwargs):
+            calls.append(j)
+            return sample(shape, i, j, *args, **kwargs)
+
+        monkeypatch.setattr(quadric, "sample_quadric_points", counted)
+        quadric_sweep(QuadricShape(2), cap=5)
+        assert calls == [1, 2, 4, 5]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cap", [1, 3, 7, 50])
+    def test_sweep_points_are_the_pairs_samples(self, monkeypatch, n, cap):
+        """Filtering the (2n+1, j) samples by last nonzero coordinate gives
+        the samples of every (i, j), in order, whatever the cap cuts."""
+        monkeypatch.setattr(quadric, "_report", lambda shape, charts, i, j, x: (i, j, x))
+        shape, grid = QuadricShape(n), (-1, 0, 1)
+        valid = [k for k in range(1, shape.ncoords + 1) if k != n + 1]
+        expected = [
+            (i, j, x)
+            for i in valid
+            for j in valid
+            if j <= i
+            for x in sample_quadric_points(shape, i, j, grid, cap)
+        ]
+        assert quadric_sweep(shape, grid, cap) == expected
+
     def test_smoothness_comes_from_the_jacobian(self, monkeypatch):
         """smooth_* is a Jacobian corank, checked against the closed forms:
         a corank that contradicts them raises."""

@@ -25,9 +25,9 @@ from .charts import (
     AffinePoint,
     build_chart,
     format_ideal,
+    intersection_ideal,
     opposite_ideal,
     point_from_matrix,
-    richardson_ideal,
     schubert_ideal,
     translate_to_origin,
 )
@@ -140,6 +140,7 @@ def cmd_equations(args) -> int:
     out.append("indices: " + " ".join(str(ix) for ix in chart.indices))
     w = parse_coset(shape, args.w) if args.w else None
     v = parse_coset(shape, args.v) if args.v else None
+    ideal = None
     if w is not None:
         _check_relation(bruhat_leq(tau, w), f"tau <= w ({format_coset(tau)} vs {args.w})")
         ideal = schubert_ideal(chart, w)
@@ -147,22 +148,18 @@ def cmd_equations(args) -> int:
         out.append(format_ideal(ideal).rstrip("\n"))
     if v is not None:
         _check_relation(bruhat_leq(v, tau), f"v <= tau ({args.v} vs {format_coset(tau)})")
-        ideal = opposite_ideal(chart, v)
-        out.append(f"opposite v={args.v} generators={len(ideal.gens)}")
-        out.append(format_ideal(ideal).rstrip("\n"))
-    if w is not None and v is not None:
-        rich = richardson_ideal(chart, w, v)
-        out.append(f"richardson generators={len(rich.gens)}")
-        out.append(format_ideal(rich).rstrip("\n"))
-        if point is not None:
-            translated = translate_to_origin(rich, point)
-            out.append("translated at point:")
-            out.append(format_ideal(translated).rstrip("\n"))
-    elif point is not None and (w is not None or v is not None):
-        ideal = schubert_ideal(chart, w) if w is not None else opposite_ideal(chart, v)
-        translated = translate_to_origin(ideal, point)
+        iv = opposite_ideal(chart, v)
+        out.append(f"opposite v={args.v} generators={len(iv.gens)}")
+        out.append(format_ideal(iv).rstrip("\n"))
+        if ideal is None:
+            ideal = iv
+        else:
+            ideal = intersection_ideal(ideal, iv)
+            out.append(f"richardson generators={len(ideal.gens)}")
+            out.append(format_ideal(ideal).rstrip("\n"))
+    if point is not None and ideal is not None:
         out.append("translated at point:")
-        out.append(format_ideal(translated).rstrip("\n"))
+        out.append(format_ideal(translate_to_origin(ideal, point)).rstrip("\n"))
 
     text = "\n".join(out) + "\n"
     if args.out:

@@ -203,8 +203,11 @@ def sample_points(
     cell_only: bool = False,
     limit: int = 200,
 ) -> list[AffinePoint]:
-    """Deterministic enumeration of grid points satisfying all generators
-    (and lying in the cell when cell_only), truncated at limit."""
+    """Deterministic enumeration of grid points satisfying all generators,
+    truncated at limit.  With cell_only only the coordinates outside the
+    chart's positive roots vary, so every point lies in the cell."""
+    if limit < 1:
+        raise ValueError("the point cap must be positive")
     grid = tuple(Fraction(g) for g in grid)
     if len(set(grid)) != len(grid):
         raise ValueError("grid values must be distinct")
@@ -220,8 +223,6 @@ def sample_points(
         for pos, val in zip(free, combo):
             coords[pos] = val
         point = AffinePoint(chart, tuple(coords))
-        if cell_only and not in_cell(chart, point):
-            continue
         if ideal.vanishes_at(point.coords):
             points.append(point)
             if len(points) >= limit:

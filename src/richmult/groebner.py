@@ -1,10 +1,17 @@
-"""Buchberger's algorithm over Q with the coprimality and chain criteria.
+"""Reduced Groebner bases over Q, normal forms and polynomial ideals.
 
-Pairs are processed from a queue ordered by the degree of the lcm of the
-leading monomials (then by the lcm itself, then by index), which makes the
-computation deterministic.  ``reduced_groebner_basis`` returns the unique
-reduced basis for the ring's order: monic, autoreduced, sorted by leading
-monomial.
+``reduced_groebner_basis`` is the one basis routine, in three stages:
+
+1. Buchberger's pair loop with the coprimality and chain criteria.  Pairs
+   are processed from a queue ordered by the degree of the lcm of the
+   leading monomials (then by the lcm itself, then by index), which makes
+   the computation deterministic.
+2. A minimal basis: the first element seen for each minimal leading
+   monomial.
+3. Each kept element reduced by the others.
+
+A minimal basis reduced this way is the unique reduced basis for the
+ring's order: monic, autoreduced, sorted by leading monomial.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Iterable, Sequence
 from .poly import (
     Polynomial,
     PolyRing,
+    minimalize_monomials,
     mono_deg,
     mono_div,
     mono_divides,
@@ -75,8 +83,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
-def buchberger(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """A (not yet reduced) Groebner basis of the ideal generated by gens."""
+def reduced_groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
+    """The unique reduced Groebner basis: monic, fully autoreduced, sorted
+    by increasing leading monomial.  The unit ideal yields [1]."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -84,7 +93,10 @@ def buchberger(gens: Sequence[Polynomial]) -> list[Polynomial]:
     key = ring.key
     G = [g.monic() for g in sorted(gens, key=lambda g: key(g.leading_exps()))]
     lms = [g.leading_exps() for g in G]
+    reducers = [(lm, g.leading_coeff(), g.terms) for lm, g in zip(lms, G)]
 
+    # Stage 1: Buchberger's pair loop.  Each pair is queued once and leaves
+    # `pending` when it is popped.
     pending: set = set()
     heap: list = []
 
@@ -99,8 +111,6 @@ def buchberger(gens: Sequence[Polynomial]) -> list[Polynomial]:
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         li, lj = lms[i], lms[j]
         lcm = mono_lcm(li, lj)
@@ -121,55 +131,26 @@ def buchberger(gens: Sequence[Polynomial]) -> list[Polynomial]:
                     break
         if skip:
             continue
-        s = s_polynomial(G[i], G[j])
-        reducers = [(g.leading_exps(), g.leading_coeff(), g.terms) for g in G]
-        r = _reduce_terms(s.terms, ring, reducers)
+        r = _reduce_terms(s_polynomial(G[i], G[j]).terms, ring, reducers)
         if r:
             h = Polynomial(ring, r).monic()
             G.append(h)
             lms.append(h.leading_exps())
+            reducers.append((lms[-1], h.leading_coeff(), h.terms))
             new = len(G) - 1
             for k in range(new):
                 push(k, new)
-    return G
 
-
-def _minimalize(G: list[Polynomial]) -> list[Polynomial]:
-    """Drop basis elements whose leading monomial is divisible by another's."""
-    out = []
-    lms = [g.leading_exps() for g in G]
-    for i, g in enumerate(G):
-        li = lms[i]
-        redundant = False
-        for j, lj in enumerate(lms):
-            if i == j:
-                continue
-            if mono_divides(lj, li) and (lj != li or j < i):
-                redundant = True
-                break
-        if redundant:
-            continue
-        out.append(g)
-    return out
-
-
-def reduced_groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """The unique reduced Groebner basis: monic, fully autoreduced, sorted
-    by increasing leading monomial.  The unit ideal yields [1]."""
-    G = buchberger(gens)
-    if not G:
-        return []
-    ring = G[0].ring
-    G = _minimalize(G)
-    G.sort(key=lambda g: ring.key(g.leading_exps()))
-    reduced = []
-    for i, g in enumerate(G):
-        others = G[:i] + G[i + 1 :]
-        r = normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: ring.key(g.leading_exps()))
-    return reduced
+    # Stage 2: a minimal basis, the first element seen for each minimal
+    # leading monomial.
+    first: dict = {}
+    for lm, g in zip(lms, G):
+        first.setdefault(lm, g)
+    G = [first[lm] for lm in sorted(minimalize_monomials(lms), key=key)]
+    # Stage 3: reduce each element by the others.  No other leading monomial
+    # divides its own, so it keeps its leading term 1: nothing vanishes and
+    # the order stands.
+    return [normal_form(g, G[:i] + G[i + 1 :]) for i, g in enumerate(G)]
 
 
 def dedupe_normalized(gens: Iterable[Polynomial]) -> list[Polynomial]:

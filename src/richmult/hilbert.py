@@ -15,17 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .groebner import PolyIdeal
-from .poly import Exps, mono_deg, mono_divides
-
-
-def minimalize_monomials(gens: Iterable[Exps]) -> list[Exps]:
-    """Minimal generating set of the monomial ideal generated by gens."""
-    gens = sorted(set(gens), key=lambda e: (mono_deg(e), e))
-    out: list[Exps] = []
-    for g in gens:
-        if not any(mono_divides(h, g) for h in out):
-            out.append(g)
-    return out
+from .poly import Exps, minimalize_monomials, mono_deg
 
 
 def _poly_mul(a: tuple, b: tuple) -> tuple:

@@ -35,6 +35,13 @@ class OracleBudgetError(RuntimeError):
     """The Hilbert-Samuel elimination would exceed the configured size."""
 
 
+# The Hilbert-Samuel oracle's column budget, and its window: the series
+# runs to k = local_dim + 1 + extra, with extra = 3, 5, 7, 9 until stable.
+_MAX_COLUMNS = 400_000
+_FIRST_EXTRA = 3
+_MAX_EXTRA = 9
+
+
 def _check_vanishes_at_origin(ideal: PolyIdeal):
     for g in ideal.gens:
         if g.constant_term() != 0:
@@ -77,7 +84,7 @@ def multiplicity_at_origin(ideal: PolyIdeal) -> int:
 
 
 def hilbert_samuel_series(
-    ideal: PolyIdeal, k_max: int, max_columns: int = 400_000
+    ideal: PolyIdeal, k_max: int, max_columns: int = _MAX_COLUMNS
 ) -> list[int]:
     """[dim k[x]/(I + m^k) for k = 1..k_max], by exact linear algebra.
 
@@ -239,27 +246,17 @@ def _restrict_to_used_variables(ideal: PolyIdeal, local_dim: int):
     return PolyIdeal(subring, gens), local_dim - free
 
 
-def hilbert_samuel_multiplicity(
-    ideal: PolyIdeal,
-    local_dim: int,
-    max_columns: int = 400_000,
-    extra: int = 3,
-    max_extra: int = 9,
-) -> int:
+def hilbert_samuel_multiplicity(ideal: PolyIdeal, local_dim: int) -> int:
     """Multiplicity at the origin via the Hilbert-Samuel function, fitted
     by finite differences; extends the window until stable."""
     if ideal.gens:
         ideal, local_dim = _restrict_to_used_variables(ideal, local_dim)
         if local_dim < 0:
             raise ValueError("local dimension below the free-variable count")
-    while True:
+    for extra in range(_FIRST_EXTRA, _MAX_EXTRA + 1, 2):
         k_max = local_dim + 1 + extra
-        series = hilbert_samuel_series(ideal, k_max, max_columns=max_columns)
+        series = hilbert_samuel_series(ideal, k_max)
         fitted = fit_leading_coefficient(series, local_dim)
         if fitted is not None:
             return fitted
-        if extra >= max_extra:
-            raise RuntimeError(
-                f"Hilbert-Samuel function not stabilized by k={k_max}: {series}"
-            )
-        extra += 2
+    raise RuntimeError(f"Hilbert-Samuel function not stabilized by k={k_max}: {series}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 GREVLEX = "grevlex"
 # Graded order on a homogenized ring: total degree first, then the
@@ -46,6 +46,16 @@ def mono_lcm(a: Exps, b: Exps) -> Exps:
 
 def mono_deg(a: Exps) -> int:
     return sum(a)
+
+
+def minimalize_monomials(gens: Iterable[Exps]) -> list[Exps]:
+    """Minimal generating set of the monomial ideal generated by gens."""
+    gens = sorted(set(gens), key=lambda e: (mono_deg(e), e))
+    out: list[Exps] = []
+    for g in gens:
+        if not any(mono_divides(h, g) for h in out):
+            out.append(g)
+    return out
 
 
 class PolyRing:

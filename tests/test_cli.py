@@ -59,6 +59,29 @@ class TestEquations:
         assert code == 0
         assert capsys.readouterr().out == DEMO_GOLDEN
 
+    @pytest.mark.parametrize("sides,builds", [
+        (["--w", "356", "--v", "125"], (1, 1)),
+        (["--w", "356"], (1, 0)),
+        (["--v", "125"], (0, 1)),
+    ])
+    def test_each_side_built_once(self, capsys, monkeypatch, demo_point_file, sides, builds):
+        """The printed sides are the ones translated and intersected."""
+        from richmult import charts, cli
+
+        calls = {"schubert_ideal": 0, "opposite_ideal": 0}
+        for name in calls:
+            def counted(*args, _build=getattr(charts, name), _name=name):
+                calls[_name] += 1
+                return _build(*args)
+
+            for module in (charts, cli):
+                monkeypatch.setattr(module, name, counted)
+        code = main(["equations", "--d", "3", "--n", "7", *sides, "--point", demo_point_file])
+        assert code == 0
+        assert (calls["schubert_ideal"], calls["opposite_ideal"]) == builds
+        if len(sides) == 4:
+            assert capsys.readouterr().out == DEMO_GOLDEN
+
     def test_maximal_w_prints_zero_generators(self, capsys):
         code = main(["equations", "--d", "2", "--n", "4", "--tau", "12", "--w", "34"])
         assert code == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from richmult.charts import (
     AffinePoint,
     build_chart,
+    in_cell,
     intersection_ideal,
     opposite_ideal,
     point_from_matrix,
@@ -38,7 +39,7 @@ from richmult.engine import (
 from richmult.groebner import PolyIdeal
 from richmult.hilbert import ideal_dimension
 from richmult.localmult import hilbert_samuel_multiplicity
-from richmult.weyl import CosetRep, GrassShape, parse_coset
+from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq, parse_coset
 
 G24 = GrassShape(2, 4)
 DEMO_SHAPE = GrassShape(3, 7)
@@ -338,6 +339,30 @@ class TestSampling:
         chart = build_chart(G24, rep(G24, 1, 2))
         with pytest.raises(ValueError):
             sample_points(PolyIdeal(chart.ring, []), chart, (Fraction(0), Fraction(0)))
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_cap_must_be_positive(self, limit):
+        shape = GrassShape(1, 3)
+        chart = build_chart(shape, rep(shape, 1))
+        with pytest.raises(ValueError, match="the point cap must be positive"):
+            sample_points(PolyIdeal(chart.ring, []), chart, (Fraction(0), Fraction(1)), limit=limit)
+
+    @pytest.mark.parametrize("shape", [G24, GrassShape(2, 5)], ids=str)
+    def test_cell_only_walk_finds_the_cell_points(self, shape):
+        """With cell_only the walk varies only the cell's coordinates, so it
+        finds the uncapped walk's points that lie in the cell, in the same
+        order, on every chart and for the zero and a Richardson ideal."""
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        cosets = all_coset_reps(shape)
+        for tau in cosets:
+            chart = build_chart(shape, tau)
+            w = next((c for c in cosets if c != tau and bruhat_leq(tau, c)), tau)
+            v = next((c for c in reversed(cosets) if c != tau and bruhat_leq(c, tau)), tau)
+            everything = len(grid) ** len(chart.indices)
+            for ideal in (PolyIdeal(chart.ring, []), richardson_ideal(chart, w, v)):
+                walk = sample_points(ideal, chart, grid, limit=everything)
+                cell = sample_points(ideal, chart, grid, cell_only=True, limit=everything)
+                assert cell and cell == [p for p in walk if in_cell(chart, p)]
 
 
 class TestReports:

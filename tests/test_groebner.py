@@ -1,16 +1,32 @@
 """Buchberger, normal forms, ideal membership."""
 
-import pytest
+import heapq
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import richmult.hilbert
+import richmult.poly
 from richmult.groebner import (
     PolyIdeal,
+    _reduce_terms,
     normal_form,
     reduced_groebner_basis,
     s_polynomial,
     interreduce,
 )
 from richmult.hilbert import ideal_dimension, ideal_hilbert_data
-from richmult.poly import PolyRing, parse_polynomial
+from richmult.poly import (
+    Polynomial,
+    PolyRing,
+    mono_deg,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    parse_polynomial,
+)
 
 
 @pytest.fixture
@@ -133,3 +149,144 @@ class TestInterreduce:
             assert after.contains(g)
         for g in reduced:
             assert before.contains(g)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the basis routine as three functions (Buchberger's loop with a
+# reducer list rebuilt per S-pair, a separate minimalization, a reduction
+# tail that drops zeros and re-sorts), kept to check the single routine.
+# ---------------------------------------------------------------------------
+
+
+def _reference_buchberger(gens):
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    ring = gens[0].ring
+    key = ring.key
+    G = [g.monic() for g in sorted(gens, key=lambda g: key(g.leading_exps()))]
+    lms = [g.leading_exps() for g in G]
+    pending, heap = set(), []
+
+    def push(i, j):
+        lcm = mono_lcm(lms[i], lms[j])
+        heapq.heappush(heap, (mono_deg(lcm), key(lcm), i, j))
+        pending.add((i, j))
+
+    for j in range(len(G)):
+        for i in range(j):
+            push(i, j)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        if (i, j) not in pending:
+            continue
+        pending.discard((i, j))
+        li, lj = lms[i], lms[j]
+        lcm = mono_lcm(li, lj)
+        if lcm == mono_mul(li, lj):
+            continue
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if mono_divides(lms[k], lcm):
+                pik = (min(i, k), max(i, k))
+                pjk = (min(j, k), max(j, k))
+                if pik not in pending and pjk not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        s = s_polynomial(G[i], G[j])
+        reducers = [(g.leading_exps(), g.leading_coeff(), g.terms) for g in G]
+        r = _reduce_terms(s.terms, ring, reducers)
+        if r:
+            h = Polynomial(ring, r).monic()
+            G.append(h)
+            lms.append(h.leading_exps())
+            for k in range(len(G) - 1):
+                push(k, len(G) - 1)
+    return G
+
+
+def _reference_minimalize(G):
+    out = []
+    lms = [g.leading_exps() for g in G]
+    for i, g in enumerate(G):
+        if not any(
+            mono_divides(lj, lms[i]) and (lj != lms[i] or j < i)
+            for j, lj in enumerate(lms)
+            if j != i
+        ):
+            out.append(g)
+    return out
+
+
+def _reference_reduced_basis(gens):
+    G = _reference_buchberger(gens)
+    if not G:
+        return []
+    ring = G[0].ring
+    G = _reference_minimalize(G)
+    G.sort(key=lambda g: ring.key(g.leading_exps()))
+    reduced = []
+    for i, g in enumerate(G):
+        r = normal_form(g, G[:i] + G[i + 1 :])
+        if not r.is_zero():
+            reduced.append(r.monic())
+    reduced.sort(key=lambda g: ring.key(g.leading_exps()))
+    return reduced
+
+
+@st.composite
+def small_generators(draw):
+    """1-3 generators in 2-3 variables of total degree <= 2, coefficients
+    p/q with |p| <= 5 and 1 <= q <= 3: homogeneous, mixed, or a rescaled
+    repeat of an earlier generator."""
+    ring = PolyRing(("x", "y", "z")[: draw(st.integers(2, 3))])
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+    def monomial(deg):
+        e = [0] * ring.nvars
+        for i in draw(st.lists(st.integers(0, ring.nvars - 1), min_size=deg, max_size=deg)):
+            e[i] += 1
+        return tuple(e)
+
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["homogeneous", "mixed", "repeat"]))
+        if kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)) * draw(coeffs.filter(bool)))
+            continue
+        degree = draw(st.integers(1, 2))
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            deg = degree if kind == "homogeneous" else draw(st.integers(0, 2))
+            terms[monomial(deg)] = draw(coeffs)
+        gens.append(ring.from_terms(terms))
+    return gens
+
+
+class TestSingleRoutine:
+    @given(small_generators())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, gens):
+        got = reduced_groebner_basis(gens)
+        assert [str(g) for g in got] == [str(g) for g in _reference_reduced_basis(gens)]
+
+    @pytest.mark.parametrize("texts,expected", [
+        (("x*y - 1", "x", "y"), ["1"]),  # unit ideal
+        ((), []),  # no generators
+        (("0",), []),
+        (("2*x^2 - 2*y", "x^2 - y", "x^2 - y"), ["x^2 - y"]),  # duplicates
+        (("x - y", "y^2 - 1/3*y"), ["x - y", "y^2 - 1/3*y"]),  # already reduced
+        (("x + y", "x", "y^2 + x"), ["y", "x"]),  # equal leading monomials
+        (("x^2 - y", "x*y - 1"), ["y^2 - x", "x*y - 1", "x^2 - y"]),  # the loop adds y^2 - x
+    ])
+    def test_fixed_cases(self, xy, texts, expected):
+        gens = polys(xy, *texts)
+        got = [str(g) for g in reduced_groebner_basis(gens)]
+        assert got == expected == [str(g) for g in _reference_reduced_basis(gens)]
+
+    def test_one_monomial_minimalization(self):
+        assert richmult.hilbert.minimalize_monomials is richmult.poly.minimalize_monomials

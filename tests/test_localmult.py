@@ -283,3 +283,19 @@ class TestOracleAgainstTangentCone:
         target = PolyIdeal(ring, [shifted])
         assert multiplicity_at_origin(target) == 1
         assert hilbert_samuel_multiplicity(target, ideal_dimension(target)) == 1
+
+    def test_window_widens_then_raises(self, xy, monkeypatch):
+        """The window runs to k = dim + 4, 6, 8, 10 and then gives up."""
+        from richmult import localmult
+
+        windows = []
+
+        def series(target, k_max, **budget):
+            windows.append(k_max)
+            return hilbert_samuel_series(target, k_max, **budget)
+
+        monkeypatch.setattr(localmult, "hilbert_samuel_series", series)
+        monkeypatch.setattr(localmult, "fit_leading_coefficient", lambda values, dim: None)
+        with pytest.raises(RuntimeError, match="not stabilized by k=11: "):
+            hilbert_samuel_multiplicity(ideal(xy, "y^2 - x^3"), 1)
+        assert windows == [5, 7, 9, 11]

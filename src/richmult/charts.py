@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .groebner import PolyIdeal, dedupe_normalized, interreduce
+from .groebner import PolyIdeal, dedupe_normalized, reduced_groebner_basis
 from .poly import Polynomial, PolyRing, parse_polynomial
 from .weyl import (
     CosetRep,
@@ -205,7 +205,7 @@ def schubert_ideal(chart: Chart, w: CosetRep) -> PolyIdeal:
         bound = d - sum(1 for e in w.entries if e <= j)
         rows = matrix[j:]
         gens.extend(_minor_generators(rows, bound + 1, chart.ring))
-    return PolyIdeal(chart.ring, interreduce(dedupe_normalized(gens)))
+    return PolyIdeal.of_basis(chart.ring, reduced_groebner_basis(dedupe_normalized(gens)))
 
 
 def opposite_ideal(chart: Chart, v: CosetRep) -> PolyIdeal:
@@ -221,7 +221,7 @@ def opposite_ideal(chart: Chart, v: CosetRep) -> PolyIdeal:
         bound = d - sum(1 for e in v.entries if e >= j)
         rows = matrix[: j - 1]
         gens.extend(_minor_generators(rows, bound + 1, chart.ring))
-    return PolyIdeal(chart.ring, interreduce(dedupe_normalized(gens)))
+    return PolyIdeal.of_basis(chart.ring, reduced_groebner_basis(dedupe_normalized(gens)))
 
 
 def richardson_ideal(chart: Chart, w: CosetRep, v: CosetRep) -> PolyIdeal:

@@ -48,8 +48,17 @@ class UsageError(ValueError):
     pass
 
 
+def _rational(value) -> Fraction:
+    """An input number as a Fraction; a value that names no rational
+    number (such as "1/0" or null) is a UsageError."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"not a rational number: {value!r}") from None
+
+
 def _parse_grid(text: str) -> tuple:
-    values = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+    values = tuple(_rational(part.strip()) for part in text.split(",") if part.strip())
     if not values:
         raise UsageError("empty grid")
     if len(set(values)) != len(values):
@@ -65,7 +74,10 @@ def _load_point(path: str, shape: GrassShape, tau_text):
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
     if isinstance(data, list):
-        point = point_from_matrix(shape, data)
+        if not all(isinstance(row, list) for row in data):
+            raise UsageError("matrix rows must be arrays")
+        rows = [[_rational(x) for x in row] for row in data]
+        point = point_from_matrix(shape, rows)
         if tau_text is not None:
             tau = parse_coset(shape, tau_text)
             if point.chart.tau != tau:
@@ -80,8 +92,8 @@ def _load_point(path: str, shape: GrassShape, tau_text):
     if tau_text is None:
         raise UsageError("--tau is required with a coordinate-map point")
     tau = parse_coset(shape, tau_text)
-    chart = build_chart(shape, tau)
-    return AffinePoint.from_json_dict(chart, data)
+    coords = {key: _rational(str(val)) for key, val in data.items()}
+    return AffinePoint.from_json_dict(build_chart(shape, tau), coords)
 
 
 def _reports_to_csv(reports) -> str:
@@ -218,7 +230,7 @@ def cmd_quadric(args) -> int:
             data = data.get("x")
         if not isinstance(data, list):
             raise UsageError('point file must hold a JSON array or {"x": [...]}')
-        reports = [quadric_report(shape, args.i, args.j, [Fraction(str(v)) for v in data])]
+        reports = [quadric_report(shape, args.i, args.j, [_rational(str(v)) for v in data])]
     result = SweepResult(reports)
     _emit(result.reports, args.format, args.out)
     print(result.summary_line())

@@ -355,7 +355,7 @@ class StratumInstance:
 
     @cached_property
     def cone_richardson_over_origin(self) -> bool:
-        return self.iwv.is_zero_ideal() or is_cone_over_origin(self.iwv)
+        return is_cone_over_origin(self.iwv)
 
     def resolve_point(self, m: Optional[AffinePoint]) -> AffinePoint:
         """m itself, or the fixed point when m is None."""

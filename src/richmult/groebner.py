@@ -8,10 +8,12 @@
    the computation deterministic.
 2. A minimal basis: the first element seen for each minimal leading
    monomial.
-3. Each kept element reduced by the others.
+3. Each kept element reduced by the ones before it.
 
 A minimal basis reduced this way is the unique reduced basis for the
-ring's order: monic, autoreduced, sorted by leading monomial.
+ring's order: monic, autoreduced, sorted by leading monomial.  It is the
+one reduction routine: ``PolyIdeal.of_basis`` builds an ideal on such a
+basis and keeps it, so the basis is never computed twice.
 """
 
 from __future__ import annotations
@@ -147,10 +149,11 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     for lm, g in zip(lms, G):
         first.setdefault(lm, g)
     G = [first[lm] for lm in sorted(minimalize_monomials(lms), key=key)]
-    # Stage 3: reduce each element by the others.  No other leading monomial
-    # divides its own, so it keeps its leading term 1: nothing vanishes and
-    # the order stands.
-    return [normal_form(g, G[:i] + G[i + 1 :]) for i, g in enumerate(G)]
+    # Stage 3: reduce each element by the ones before it.  Its terms stay
+    # at most its leading monomial, which a later, larger leading monomial
+    # cannot divide.  No earlier one divides its own, so it keeps its
+    # leading term 1: nothing vanishes and the order stands.
+    return [normal_form(g, G[:i]) for i, g in enumerate(G)]
 
 
 def dedupe_normalized(gens: Iterable[Polynomial]) -> list[Polynomial]:
@@ -163,33 +166,6 @@ def dedupe_normalized(gens: Iterable[Polynomial]) -> list[Polynomial]:
         if key not in seen:
             seen.add(key)
             out.append(g)
-    return out
-
-
-def interreduce(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """Autoreduce a generating set without completing it to a Groebner
-    basis: repeatedly replace each generator by its remainder modulo the
-    others until stable.  The ideal is unchanged; the output is
-    content-normalized and sorted by decreasing leading monomial."""
-    current = [g for g in gens if not g.is_zero()]
-    if not current:
-        return []
-    ring = current[0].ring
-    changed = True
-    while changed:
-        changed = False
-        current.sort(key=lambda g: ring.key(g.leading_exps()))
-        for i in range(len(current)):
-            others = current[:i] + current[i + 1 :]
-            r = normal_form(current[i], others)
-            if r.terms != current[i].terms:
-                changed = True
-                if r.is_zero():
-                    current = others
-                    break
-                current[i] = r
-    out = [g.primitive() for g in current]
-    out.sort(key=lambda g: ring.key(g.leading_exps()), reverse=True)
     return out
 
 
@@ -213,6 +189,17 @@ class PolyIdeal:
     @classmethod
     def unit_marker(cls, ring: PolyRing) -> "PolyIdeal":
         return cls(ring, [ring.one()])
+
+    @classmethod
+    def of_basis(cls, ring: PolyRing, basis: Sequence[Polynomial]) -> "PolyIdeal":
+        """The ideal with the reduced Groebner basis ``basis``, which must be
+        what ``reduced_groebner_basis`` returns for this ring's order.  The
+        generators are the basis elements made primitive, largest leading
+        monomial first; the basis is kept, so ``groebner()`` does no work.
+        Any other input gives an ideal whose ``groebner()`` is wrong."""
+        ideal = cls(ring, [g.primitive() for g in reversed(basis)])
+        ideal._gb = tuple(basis)
+        return ideal
 
     def is_zero_ideal(self) -> bool:
         return not self.gens

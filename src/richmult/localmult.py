@@ -5,8 +5,9 @@ homogenization route: take a reduced Groebner basis under the ring's graded
 order, homogenize it with the reserved variable t (which then generates the
 full homogenized ideal), recompute a reduced basis under an order that
 ranks the t-degree above everything else within each total degree, set
-t = 1 and keep lowest-degree forms.  The multiplicity at the origin is the
-degree of the resulting homogeneous ideal.
+t = 1 and keep lowest-degree forms.  The cone is returned as the ideal of
+their reduced basis, which it keeps (a homogeneous basis is its own cone),
+and the multiplicity at the origin is the degree read off that basis.
 
 The independent cross-check computes dim_Q k[x]/(I + m^k) by sparse exact
 Gaussian elimination on truncated multiples of the generators, and fits
@@ -22,7 +23,7 @@ from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .groebner import PolyIdeal, dedupe_normalized, interreduce, reduced_groebner_basis
+from .groebner import PolyIdeal, reduced_groebner_basis
 from .hilbert import ideal_hilbert_data
 from .poly import PolyRing, mono_deg
 
@@ -51,22 +52,19 @@ def _check_vanishes_at_origin(ideal: PolyIdeal):
 
 
 def tangent_cone(ideal: PolyIdeal) -> PolyIdeal:
-    """Homogeneous ideal of lowest-degree forms of the input ideal."""
+    """Homogeneous ideal of lowest-degree forms of the input ideal, built
+    with ``PolyIdeal.of_basis`` on its reduced basis."""
     _check_vanishes_at_origin(ideal)
     ring = ideal.ring
-    basis = list(ideal.groebner())
-    if not basis:
-        return PolyIdeal(ring, [])
+    basis = ideal.groebner()
     if any(g.is_constant() for g in basis):
         raise OriginNotOnVarietyError("unit ideal has no tangent cone")
-    if all(g.is_homogeneous() for g in basis):
-        gens = [g.primitive() for g in basis]
-        return PolyIdeal(ring, gens)
-    hring = ring.homogenized()
-    homogenized = [g.homogenize(hring) for g in basis]
-    hbasis = reduced_groebner_basis(homogenized)
-    gens = dedupe_normalized(h.dehomogenize(ring).lowest_form() for h in hbasis)
-    return PolyIdeal(ring, interreduce(gens))
+    if not all(g.is_homogeneous() for g in basis):
+        hring = ring.homogenized()
+        hbasis = reduced_groebner_basis([g.homogenize(hring) for g in basis])
+        lowest = [h.dehomogenize(ring).lowest_form() for h in hbasis]
+        basis = reduced_groebner_basis(lowest)
+    return PolyIdeal.of_basis(ring, basis)
 
 
 def multiplicity_at_origin(ideal: PolyIdeal) -> int:

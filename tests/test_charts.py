@@ -618,6 +618,10 @@ class TestConeDetection:
         ideal = PolyIdeal(ring, [parse_polynomial(ring, "x_3_1 + 2*x_4_2")])
         assert is_cone_over_origin(ideal)
 
+    def test_zero_ideal_is_cone(self):
+        chart = build_chart(GrassShape(2, 4), rep(GrassShape(2, 4), 1, 2))
+        assert is_cone_over_origin(PolyIdeal(chart.ring, [])) is True
+
     def test_unit_ideal_rejected(self):
         chart = build_chart(GrassShape(2, 4), rep(GrassShape(2, 4), 1, 2))
         with pytest.raises(ValueError):

@@ -327,6 +327,34 @@ class TestFileErrors:
         assert captured.err.count("\n") == 1
 
 
+class TestInvalidNumbers:
+    """A number that names no rational, or a matrix row that is no array,
+    is bad input: status 2 and one error line, not a traceback with the
+    disagreement status 1."""
+
+    @pytest.mark.parametrize("args, point", [
+        (["sweep", "--d", "2", "--n", "4", "--grid=1/0", "--workers", "1"], None),
+        (["quadric", "--qn", "2", "--grid=1/0"], None),
+        (["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "12"],
+         {"coords": {"3.1": "1/0"}}),
+        (["equations", "--d", "3", "--n", "7", "--w", "356"],
+         {"matrix": DEMO_MATRIX[:-1] + [[0, 0, "1/0"]]}),
+        (["equations", "--d", "3", "--n", "7", "--w", "356"],
+         {"matrix": DEMO_MATRIX[:-1] + [[0, 0, None]]}),
+        (["quadric", "--qn", "2", "--i", "4", "--j", "1"], ["1", "0", "1/0", "0", "0"]),
+        (["equations", "--d", "3", "--n", "7", "--w", "356"], {"matrix": [1, 0, 1]}),
+    ])
+    def test_exits_2(self, capsys, tmp_path, args, point):
+        if point is not None:
+            path = tmp_path / "point.json"
+            path.write_text(json.dumps(point))
+            args = args + ["--point", str(path)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_report_fields_match_schema(tmp_path):
     """The dataclass fields are the one field list: JSON keys, CSV columns
     and the schema's required keys all follow it."""

@@ -1,4 +1,4 @@
-"""Buchberger, normal forms, ideal membership."""
+"""Buchberger, normal forms, ideal membership, ideals built on a kept basis."""
 
 import heapq
 from fractions import Fraction
@@ -12,12 +12,15 @@ import richmult.poly
 from richmult.groebner import (
     PolyIdeal,
     _reduce_terms,
+    dedupe_normalized,
     normal_form,
     reduced_groebner_basis,
     s_polynomial,
-    interreduce,
 )
+from richmult import charts, groebner, localmult
+from richmult.charts import build_chart, opposite_ideal, schubert_ideal
 from richmult.hilbert import ideal_dimension, ideal_hilbert_data
+from richmult.localmult import multiplicity_at_origin, tangent_cone
 from richmult.poly import (
     Polynomial,
     PolyRing,
@@ -27,6 +30,7 @@ from richmult.poly import (
     mono_mul,
     parse_polynomial,
 )
+from richmult.weyl import GrassShape, all_coset_reps, bruhat_leq, parse_coset
 
 
 @pytest.fixture
@@ -132,23 +136,6 @@ class TestReducedBasis:
         for g in gens:
             assert normal_form(g, basis).is_zero()
         assert ideal_dimension(ideal) == 0
-
-
-class TestInterreduce:
-    def test_drops_redundant(self, xy):
-        gens = polys(xy, "x", "x^2 + y", "y")
-        reduced = interreduce(gens)
-        assert sorted(str(g) for g in reduced) == ["x", "y"]
-
-    def test_preserves_ideal(self, xy):
-        gens = polys(xy, "x^2 - y", "x^2 + x*y")
-        reduced = interreduce(gens)
-        before = PolyIdeal(xy, gens)
-        after = PolyIdeal(xy, reduced)
-        for g in gens:
-            assert after.contains(g)
-        for g in reduced:
-            assert before.contains(g)
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +277,153 @@ class TestSingleRoutine:
 
     def test_one_monomial_minimalization(self):
         assert richmult.hilbert.minimalize_monomials is richmult.poly.minimalize_monomials
+
+
+# ---------------------------------------------------------------------------
+# Reference: the autoreduction stratum ideals and tangent cones used before
+# they kept their reduced basis (a fixed-point loop over remainders modulo
+# the other generators), and the tangent cone built on it.
+# ---------------------------------------------------------------------------
+
+
+def _reference_interreduce(gens):
+    current = [g for g in gens if not g.is_zero()]
+    if not current:
+        return []
+    ring = current[0].ring
+    changed = True
+    while changed:
+        changed = False
+        current.sort(key=lambda g: ring.key(g.leading_exps()))
+        for i in range(len(current)):
+            others = current[:i] + current[i + 1 :]
+            r = normal_form(current[i], others)
+            if r.terms != current[i].terms:
+                changed = True
+                if r.is_zero():
+                    current = others
+                    break
+                current[i] = r
+    out = [g.primitive() for g in current]
+    out.sort(key=lambda g: ring.key(g.leading_exps()), reverse=True)
+    return out
+
+
+def _reference_tangent_cone(ideal):
+    ring = ideal.ring
+    basis = list(ideal.groebner())
+    if not basis:
+        return PolyIdeal(ring, [])
+    if all(g.is_homogeneous() for g in basis):
+        return PolyIdeal(ring, [g.primitive() for g in basis])
+    hring = ring.homogenized()
+    hbasis = reduced_groebner_basis([g.homogenize(hring) for g in basis])
+    gens = dedupe_normalized(h.dehomogenize(ring).lowest_form() for h in hbasis)
+    return PolyIdeal(ring, _reference_interreduce(gens))
+
+
+def _reference_multiplicity(ideal):
+    cone = _reference_tangent_cone(ideal)
+    return 1 if cone.is_zero_ideal() else ideal_hilbert_data(cone).degree
+
+
+@st.composite
+def ideals_at_origin(draw):
+    """1-3 generators without constant term in 2-3 variables, of degree
+    <= 3, coefficients p/q with |p| <= 4 and 1 <= q <= 3: forms, mixed
+    polynomials, and a first generator disguised by a multiple of the
+    second."""
+    ring = PolyRing(("x", "y", "z")[: draw(st.integers(2, 3))])
+    coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    def polynomial(degrees):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            deg = draw(st.sampled_from(degrees))
+            parts = draw(st.lists(st.integers(0, ring.nvars - 1), min_size=deg, max_size=deg))
+            terms[tuple(parts.count(i) for i in range(ring.nvars))] = draw(coeffs)
+        return ring.from_terms(terms)
+
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            gens.append(polynomial([draw(st.integers(1, 3))]))
+        else:
+            gens.append(polynomial([1, 2, 3]))
+    if len(gens) > 1 and draw(st.booleans()):
+        gens[0] = gens[0] + polynomial([0, 1]) * gens[1]
+    return PolyIdeal(ring, gens)
+
+
+def _count_basis_runs(monkeypatch):
+    """Record every reduced_groebner_basis call from the ideal, chart and
+    tangent-cone code; the list grows by one per call."""
+    calls = []
+    real = groebner.reduced_groebner_basis
+
+    def counted(gens):
+        calls.append(gens)
+        return real(gens)
+
+    for module in (groebner, charts, localmult):
+        monkeypatch.setattr(module, "reduced_groebner_basis", counted)
+    return calls
+
+
+class TestOfBasis:
+    def test_generators_primitive_largest_first(self, xy):
+        basis = reduced_groebner_basis(polys(xy, "2*x^2 - 2*y", "3*x*y - 3"))
+        ideal = PolyIdeal.of_basis(xy, basis)
+        assert [str(g) for g in ideal.gens] == ["x^2 - y", "x*y - 1", "y^2 - x"]
+        assert ideal.groebner() == tuple(basis)
+
+    def test_zero_and_unit(self, xy):
+        assert PolyIdeal.of_basis(xy, []).is_zero_ideal()
+        assert PolyIdeal.of_basis(xy, reduced_groebner_basis(polys(xy, "x", "x + 1"))).is_unit()
+
+    @given(ideals_at_origin())
+    @settings(max_examples=200, deadline=None)
+    def test_tangent_cone_matches_reference(self, ideal):
+        cone = tangent_cone(ideal)
+        expected = _reference_tangent_cone(ideal)
+        assert sorted(str(g) for g in cone.gens) == sorted(str(g) for g in expected.gens)
+        assert multiplicity_at_origin(ideal) == _reference_multiplicity(ideal)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (2, 6), (3, 6)])
+    def test_stratum_ideals_match_autoreduced_minors(self, monkeypatch, d, n):
+        """The kept basis, made primitive and largest first, is exactly
+        what autoreducing the deduplicated minors gave."""
+        calls = _count_basis_runs(monkeypatch)
+        shape = GrassShape(d, n)
+        reps = all_coset_reps(shape)
+        for tau in reps:
+            chart = build_chart(shape, tau)
+            for build, below in ((schubert_ideal, False), (opposite_ideal, True)):
+                for x in reps:
+                    if not (bruhat_leq(x, tau) if below else bruhat_leq(tau, x)):
+                        continue
+                    calls.clear()
+                    ideal = build(chart, x)
+                    (minors,) = calls
+                    expected = _reference_interreduce(minors)
+                    assert [str(g) for g in ideal.gens] == [str(g) for g in expected]
+
+    def test_stratum_ideals_run_no_second_basis(self, monkeypatch):
+        shape = GrassShape(3, 7)
+        chart = build_chart(shape, parse_coset(shape, "256"))
+        ideals = [
+            schubert_ideal(chart, parse_coset(shape, "356")),
+            opposite_ideal(chart, parse_coset(shape, "125")),
+        ]
+        calls = _count_basis_runs(monkeypatch)
+        for ideal in ideals:
+            assert len(ideal.groebner()) == len(ideal.gens) > 0
+        assert calls == []
+
+    def test_homogeneous_multiplicity_runs_no_basis(self, monkeypatch):
+        xyz = PolyRing(("x", "y", "z"))
+        ideal = PolyIdeal(xyz, polys(xyz, "x*y - z^2", "2*x^2*z"))
+        expected = _reference_multiplicity(ideal)
+        calls = _count_basis_runs(monkeypatch)
+        assert multiplicity_at_origin(ideal) == expected
+        assert calls == []

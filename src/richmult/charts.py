@@ -239,14 +239,18 @@ def intersection_ideal(iw: PolyIdeal, iv: PolyIdeal) -> PolyIdeal:
 
 def translate_to_origin(ideal: PolyIdeal, m) -> PolyIdeal:
     """Substitute x = y + m, mapping m to the origin: of the chart's
-    y-coordinates for a chart point, of the ideal's ring for a tuple."""
+    y-coordinates for a chart point, of the ideal's ring for a tuple.
+
+    The generators are the input's, shifted and made primitive.  The
+    result keeps a reduced basis exactly when the input keeps one (every
+    ideal built with ``PolyIdeal.of_basis`` does): the input's basis,
+    translated without a Buchberger run.  Translation never starts one."""
     ring, coords = ideal.ring, m
     if isinstance(m, AffinePoint):
         if ideal.ring not in (m.chart.ring, m.chart.yring):
             raise PointNotOnChartError("ideal and point live on different charts")
         ring, coords = m.chart.yring, m.coords
-    gens = [g.shift(coords, ring).primitive() for g in ideal.gens]
-    return PolyIdeal(ring, [g for g in gens if not g.is_zero()])
+    return ideal.translated(coords, ring)
 
 
 def evaluate_ideal(ideal: PolyIdeal, x: AffinePoint) -> bool:

@@ -12,9 +12,10 @@ The sweep's unit of work is a chart.  The Schubert side of an instance
 once (its ideal, dimension, degree, symbolic Jacobian, and per point its
 translated ideal, multiplicity, cone flag and Jacobian rows) and every
 :class:`StratumInstance` on the chart shares it; an instance adds only
-what needs both sides.  On a chart the intersection's generators are the
-union of the two sides' generators, so the oracle's translated ideal is
-assembled from the two translated sides rather than translated again.
+what needs both sides.  Every translated ideal keeps the translated
+reduced basis of the chart ideal it came from (``translated_basis``), so
+no point runs Buchberger: a side's through ``translate_to_origin``, the
+oracle's from the intersection's basis.
 Instances are grouped by tau and the groups run largest cell first.  Each
 group is served from one context that is dropped when the group ends,
 and ``workers > 1`` maps the groups over a process pool.
@@ -41,7 +42,7 @@ from .charts import (
     schubert_ideal,
     translate_to_origin,
 )
-from .groebner import PolyIdeal
+from .groebner import PolyIdeal, translated_basis
 from .hilbert import ideal_dimension, projective_degree
 from .localmult import multiplicity_at_origin
 from .report import MultiplicityReport
@@ -146,12 +147,9 @@ def mult_richardson_oracle(
     m: Optional[AffinePoint] = None,
 ) -> int:
     """Tangent-cone multiplicity of the intersection ideal at m, computed
-    without the product shortcut.  The translated intersection ideal is
-    the union of the two translated sides' generators, and m must lie on
-    both sides."""
+    without the product shortcut; m must lie on both sides."""
     inst = _instance(shape, w, v, tau)
-    m = inst.resolve_point(m)
-    return _mult_of(intersection_ideal(inst.side_w.at(m).moved, inst.side_v.at(m).moved))
+    return _mult_of(inst.oracle_ideal(inst.resolve_point(m)))
 
 
 def degree_product_check(
@@ -237,10 +235,10 @@ def sample_points(
 
 class SidePoint(NamedTuple):
     """One stratum side at one point: the side's ideal translated so that
-    the point is the origin (its reduced basis already computed), the
-    multiplicity there, whether the translated ideal is a cone over the
-    point, and the Jacobian rows of the side's generators evaluated at the
-    point."""
+    the point is the origin (keeping the side's reduced basis, translated
+    by ``translate_to_origin``), the multiplicity there, whether the
+    translated ideal is a cone over the point, and the Jacobian rows of
+    the side's generators evaluated at the point."""
 
     moved: PolyIdeal
     mult: int
@@ -384,6 +382,15 @@ class StratumInstance:
             )
         return point
 
+    def oracle_ideal(self, m: AffinePoint) -> PolyIdeal:
+        """The intersection ideal translated so that m is the origin, built
+        on the intersection's reduced basis translated (no Buchberger run);
+        m must lie on both sides, which their ``at`` checks."""
+        self.side_w.at(m)
+        self.side_v.at(m)
+        yring = self.context.chart.yring
+        return PolyIdeal.of_basis(yring, translated_basis(self.iwv.groebner(), m.coords, yring))
+
     def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
         """Full verification record for one point."""
         m = self.resolve_point(m)
@@ -391,9 +398,7 @@ class StratumInstance:
         at_w = self.schubert_point(m)
         at_v = self.side_v.at(m)
         mu_fast = at_w.mult * at_v.mult
-        # The translated intersection ideal is the union of the translated
-        # sides' generators; m lies on it because it lies on both sides.
-        mu_oracle = _mult_of(intersection_ideal(at_w.moved, at_v.moved))
+        mu_oracle = _mult_of(self.oracle_ideal(m))
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
         nvars = self.context.chart.ring.nvars
         # The intersection's generators are the union of the two sides'

@@ -14,6 +14,12 @@ A minimal basis reduced this way is the unique reduced basis for the
 ring's order: monic, autoreduced, sorted by leading monomial.  It is the
 one reduction routine: ``PolyIdeal.of_basis`` builds an ideal on such a
 basis and keeps it, so the basis is never computed twice.
+
+A translation x -> x + m keeps leading terms under a graded order, and
+the terms of a shifted polynomial divide its own terms, so a reduced
+basis shifts to the reduced basis of the moved ideal
+(``translated_basis``); ``PolyIdeal.translated`` gives a moved ideal that
+basis.  Buchberger runs once per chart ideal, not once per point.
 """
 
 from __future__ import annotations
@@ -156,6 +162,41 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return [normal_form(g, G[:i]) for i, g in enumerate(G)]
 
 
+def _kept_leads(basis: Sequence[Polynomial], shifted: list[Polynomial]) -> list[Polynomial]:
+    """The shifted elements of ``basis``, once each is checked to keep its
+    leading monomial."""
+    for g, h in zip(basis, shifted):
+        if h.leading_exps() != g.leading_exps():
+            raise RuntimeError(
+                f"translation moved the leading monomial of {g} to that of {h}: "
+                f"the order of {h.ring} is not graded"
+            )
+    return shifted
+
+
+def translated_basis(
+    basis: Sequence[Polynomial], offsets: Sequence, ring: PolyRing
+) -> list[Polynomial]:
+    """The reduced Groebner basis of the ideal of ``basis`` under the
+    substitution x -> x + offsets, landing in ``ring``: the basis shifted,
+    with no Buchberger run and no reduction.
+
+    ``basis`` must be what ``reduced_groebner_basis`` returns, and the
+    order (the same on both rings) must be graded, as both orders here
+    are.  A translation keeps every polynomial's top-degree form, so under
+    a graded order it keeps its leading term.  The moved ideal then has
+    the leading monomials of the ideal, and the shifted basis is a monic
+    Groebner basis of it with the same leading monomials.  Each term of a
+    shifted element divides a term of the element.  In a reduced basis no
+    tail term lies in the leading-term ideal, so none of its divisors
+    does, and neither does a proper divisor of a leading monomial (the
+    basis is minimal).  So the shifted basis is already reduced, and as
+    the reduced basis is unique it is the one Buchberger would give.  A
+    shifted element whose leading monomial moved raises ``RuntimeError``.
+    """
+    return _kept_leads(basis, [g.shift(offsets, ring) for g in basis])
+
+
 def dedupe_normalized(gens: Iterable[Polynomial]) -> list[Polynomial]:
     """The generators made primitive, each kept once, in first-seen order."""
     seen = set()
@@ -176,7 +217,7 @@ class PolyIdeal:
     (single generator 1) encodes an empty chart intersection.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_of_basis")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         self.ring = ring
@@ -185,6 +226,7 @@ class PolyIdeal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb = None
+        self._of_basis = False
 
     @classmethod
     def unit_marker(cls, ring: PolyRing) -> "PolyIdeal":
@@ -199,7 +241,22 @@ class PolyIdeal:
         Any other input gives an ideal whose ``groebner()`` is wrong."""
         ideal = cls(ring, [g.primitive() for g in reversed(basis)])
         ideal._gb = tuple(basis)
+        ideal._of_basis = True
         return ideal
+
+    def translated(self, offsets: Sequence, ring: PolyRing) -> "PolyIdeal":
+        """The ideal under x -> x + offsets, in ``ring``: each generator
+        shifted and made primitive, in order.  If this ideal keeps its
+        reduced basis, the result keeps the translated one
+        (``translated_basis``).  The generators of an ideal built with
+        ``of_basis`` are its basis up to scale, so its basis is read off
+        the shifted generators instead of being shifted a second time."""
+        moved = PolyIdeal(ring, [g.shift(offsets, ring).primitive() for g in self.gens])
+        if self._of_basis:
+            moved._gb = tuple(_kept_leads(self._gb, [g.monic() for g in reversed(moved.gens)]))
+        elif self._gb is not None:
+            moved._gb = tuple(translated_basis(self._gb, offsets, ring))
+        return moved
 
     def is_zero_ideal(self) -> bool:
         return not self.gens

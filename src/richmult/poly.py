@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import comb, gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 GREVLEX = "grevlex"
@@ -288,17 +289,32 @@ class Polynomial:
         ring = target if target is not None else self.ring
         if not ring.nvars == self.ring.nvars == len(offsets):
             raise ValueError("ring or offset arity mismatch")
-        offsets = [Fraction(o) for o in offsets]
-        out = ring.zero()
+        moving = {i: Fraction(o) for i, o in enumerate(offsets) if o}
+        if not moving:
+            return Polynomial(ring, self.terms)
+        # (i, k) -> the terms (j, binomial(k, j) * o_i^(k - j)) of (x_i + o_i)^k.
+        powers: dict = {}
+        out: dict = {}
         for e, c in self.terms.items():
             # Powers of coordinates with a zero offset stay as they are.
-            term = Polynomial(ring, {tuple(0 if offsets[i] else k for i, k in enumerate(e)): c})
-            for i, k in enumerate(e):
-                if k and offsets[i]:
-                    factor = ring.var(i) + ring.const(offsets[i])
-                    term = term * factor**k
-            out = out + term
-        return out
+            base = list(e)
+            factors = []
+            for i, o in moving.items():
+                k = e[i]
+                if k:
+                    base[i] = 0
+                    power = powers.get((i, k))
+                    if power is None:
+                        power = powers[i, k] = [(j, comb(k, j) * o ** (k - j)) for j in range(k + 1)]
+                    factors.append((i, power))
+            for picks in product(*(power for _, power in factors)):
+                exps, coeff = base[:], c
+                for (i, _), (j, a) in zip(factors, picks):
+                    exps[i] = j
+                    coeff *= a
+                exps = tuple(exps)
+                out[exps] = out.get(exps, 0) + coeff
+        return Polynomial(ring, {e: c for e, c in out.items() if c})
 
     def derivative(self, i: int) -> "Polynomial":
         res: dict = {}
@@ -333,6 +349,8 @@ class Polynomial:
         factor = Fraction(den, num)
         if self.leading_coeff() < 0:
             factor = -factor
+        if factor == 1:
+            return self
         return Polynomial(self.ring, {e: c * factor for e, c in self.terms.items()})
 
     # -- homogenization ----------------------------------------------------

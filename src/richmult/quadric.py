@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .charts import translate_to_origin
 from .engine import KernelInconsistencyError, StratumSide, _corank, _jacobian_rows, _mult_of
-from .groebner import PolyIdeal
+from .groebner import PolyIdeal, reduced_groebner_basis
 from .poly import PolyRing
 from .report import MultiplicityReport
 
@@ -231,7 +231,8 @@ def richardson_mult_quadric(shape: QuadricShape, i: int, j: int, x: Sequence) ->
 
 class QuadricChart:
     """The affine chart x_c = 1 in the other coordinates u_a, with the ideal
-    of X_i ∩ X^j on it built once per (i, j) as a :class:`StratumSide`; X_i
+    of X_i ∩ X^j on it built once per (i, j), on its reduced basis, as a
+    :class:`StratumSide`, so that its translations keep a basis; X_i
     is (i, 1) and X^j is (2n+1, j).  The ideal is the unit marker where c
     lies outside [j, i] and the chart misses the variety."""
 
@@ -248,7 +249,7 @@ class QuadricChart:
             ideal = PolyIdeal.unit_marker(self.ring)
             if j <= self.c <= i:
                 gens = [self.ring.var(pos) for pos, a in enumerate(self.indices) if a > i or a < j]
-                ideal = PolyIdeal(self.ring, gens + [self.q])
+                ideal = PolyIdeal.of_basis(self.ring, reduced_groebner_basis(gens + [self.q]))
             self._sides[i, j] = StratumSide(ideal, "quadric stratum")
         return self._sides[i, j]
 
@@ -344,7 +345,9 @@ def _report(shape: QuadricShape, charts: dict, i: int, j: int, x: Sequence) -> M
     point = {f"x{k + 1}": str(c) for k, c in enumerate(vec)}
     rows_i = _jacobian_rows(side_i.gradient, coords)
     rows_j = _jacobian_rows(side_j.gradient, coords)
-    # The intersection's generators are the two sides' (Q twice).
+    # The two sides' generators generate the intersection's ideal, and at a
+    # point of the variety any generating set's Jacobian rows span the same
+    # space, so the sides' rows stacked give the intersection's rank.
     smooth = tuple(
         _corank(rows, chart.ring.nvars, side.dimension, point) == 0
         for rows, side in ((rows_i, side_i), (rows_j, side_j), (rows_i + rows_j, side_ij))

@@ -20,12 +20,15 @@ from richmult.charts import (
     translate_to_origin,
 )
 from richmult.engine import (
+    ChartContext,
     KernelInconsistencyError,
     MembershipError,
     PreconditionError,
     SweepConfig,
+    StratumInstance,
     SweepResult,
     build_report,
+    clear_caches,
     degree_product_check,
     enumerate_instances,
     jacobian_corank,
@@ -36,7 +39,7 @@ from richmult.engine import (
     sample_points,
     verify_theorem,
 )
-from richmult.groebner import PolyIdeal
+from richmult.groebner import PolyIdeal, reduced_groebner_basis
 from richmult.hilbert import ideal_dimension
 from richmult.localmult import hilbert_samuel_multiplicity
 from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq, parse_coset
@@ -463,6 +466,56 @@ class TestSweep:
             direct = translate_to_origin(intersection_ideal(iw, iv), m)
             assert assembled.ring == direct.ring
             assert [g.terms for g in assembled.gens] == [g.terms for g in direct.gens]
+
+    def test_kept_bases_are_the_translated_ideals_bases(self):
+        """At every report point of the G(2,4) 5-value grid, the basis each
+        translated side and the oracle's ideal keep is the reduced basis
+        of the translated generators."""
+        reports = verify_theorem(G24, SweepConfig()).reports
+        assert len(reports) == 930
+        contexts, checked = {}, set()
+        for r in reports:
+            w, v, tau = (parse_coset(G24, label) for label in (r.w, r.v, r.tau))
+            context = contexts.setdefault(tau, ChartContext(G24, tau))
+            inst = StratumInstance(context, w, v)
+            m = AffinePoint.from_json_dict(context.chart, r.point)
+            moved = [inst.oracle_ideal(m)]
+            direct = [translate_to_origin(inst.iwv, m)]
+            for side in (inst.side_w, inst.side_v):
+                if (id(side), m.coords) not in checked:
+                    checked.add((id(side), m.coords))
+                    moved.append(side.at(m).moved)
+                    direct.append(moved[-1])
+            for ideal, fresh in zip(moved, direct):
+                expected = reduced_groebner_basis(fresh.gens)
+                assert [str(g) for g in ideal.groebner()] == [str(g) for g in expected]
+
+    def test_no_basis_run_on_a_translated_ideal(self, monkeypatch):
+        """In a G(2,5) sweep Buchberger runs for side builds (charts), for
+        chart intersections (an ideal's first ``groebner()``, once per
+        instance, on the chart ring) and for tangent cones, never on a
+        translated ideal."""
+        from richmult import charts, groebner, localmult
+
+        shape = GrassShape(2, 5)
+        calls = {module: [] for module in ("charts", "groebner", "localmult")}
+        real = groebner.reduced_groebner_basis
+        for module in (charts, groebner, localmult):
+            def counted(gens, _runs=calls[module.__name__.rsplit(".", 1)[1]]):
+                _runs.append(gens[0].ring.names[0] if gens else None)
+                return real(gens)
+
+            monkeypatch.setattr(module, "reduced_groebner_basis", counted)
+        clear_caches()
+        result = verify_theorem(shape, SweepConfig(grid=(Fraction(-1), Fraction(0), Fraction(1))))
+        assert result.failed == 0 and result.checked > len(enumerate_instances(shape))
+        assert len(calls["charts"]) == 100
+        assert len(calls["groebner"]) == len(enumerate_instances(shape)) == 175
+        # A zero ideal's basis is computed from no generators, so no ring.
+        assert all(
+            name is None or name.startswith("x_") for name in calls["charts"] + calls["groebner"]
+        )
+        assert calls["localmult"]
 
     def test_sweep_config_fields(self):
         """A sweep has four settings; a cap above the default reaches the

@@ -16,9 +16,10 @@ from richmult.groebner import (
     normal_form,
     reduced_groebner_basis,
     s_polynomial,
+    translated_basis,
 )
 from richmult import charts, groebner, localmult
-from richmult.charts import build_chart, opposite_ideal, schubert_ideal
+from richmult.charts import build_chart, opposite_ideal, schubert_ideal, translate_to_origin
 from richmult.hilbert import ideal_dimension, ideal_hilbert_data
 from richmult.localmult import multiplicity_at_origin, tangent_cone
 from richmult.poly import (
@@ -427,3 +428,85 @@ class TestOfBasis:
         calls = _count_basis_runs(monkeypatch)
         assert multiplicity_at_origin(ideal) == expected
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Translated bases, against Buchberger on the translated generators
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def translations(draw):
+    """1-3 generators in 2-4 variables under grevlex, of degree <= 3 with
+    1-4 terms and coefficients p/q (|p| <= 5, 1 <= q <= 3), and rational
+    offsets p/q (|p| <= 3, 1 <= q <= 3), all zero in some examples."""
+    n = draw(st.integers(2, 4))
+    ring = PolyRing(("x", "y", "z", "w")[:n])
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            parts = draw(st.lists(st.integers(0, n - 1), max_size=3))
+            terms[tuple(parts.count(i) for i in range(n))] = draw(coeffs)
+        gens.append(ring.from_terms(terms))
+    zero = [Fraction(0)] * n
+    offsets = draw(st.one_of(
+        st.just(zero),
+        st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=n, max_size=n),
+    ))
+    return ring, gens, offsets
+
+
+class TestTranslatedBasis:
+    @given(translations())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_buchberger_on_shifted_generators(self, case):
+        ring, gens, offsets = case
+        target = PolyRing(tuple(name + "1" for name in ring.names))
+        basis = reduced_groebner_basis(gens)
+        for into in (ring, target):
+            expected = reduced_groebner_basis([g.shift(offsets, into) for g in gens])
+            got = translated_basis(basis, offsets, into)
+            assert [str(g) for g in got] == [str(g) for g in expected]
+            assert [g.leading_exps() for g in got] == [g.leading_exps() for g in basis]
+
+        # The three kinds of input of a translation: built on its basis,
+        # keeping a computed basis, and keeping none.  The generators are
+        # the shifted ones made primitive either way.
+        built = PolyIdeal.of_basis(ring, basis)
+        computed = PolyIdeal(ring, gens)
+        computed.groebner()
+        expected = [str(g) for g in reduced_groebner_basis([g.shift(offsets) for g in gens])]
+        for ideal in (built, computed, PolyIdeal(ring, gens)):
+            moved = translate_to_origin(ideal, tuple(offsets))
+            assert [g.terms for g in moved.gens] == [
+                g.shift(offsets).primitive().terms for g in ideal.gens if not g.shift(offsets).is_zero()
+            ]
+            assert [str(g) for g in moved.groebner()] == expected
+
+    def test_translation_runs_no_basis(self, monkeypatch, xy):
+        """A translation keeps the basis its input keeps, and computes
+        none for an input that keeps none."""
+        gens = polys(xy, "x^2 - y", "x*y - 1")
+        ideals = [PolyIdeal.of_basis(xy, reduced_groebner_basis(gens)), PolyIdeal(xy, gens)]
+        ideals[1].groebner()
+        fresh = PolyIdeal(xy, gens)
+        calls = _count_basis_runs(monkeypatch)
+        for ideal in ideals:
+            assert len(translate_to_origin(ideal, (1, -2)).groebner()) == 3
+        assert calls == []
+        translate_to_origin(fresh, (1, -2))
+        assert calls == []
+
+    def test_moved_leading_monomial_raises(self, monkeypatch, xy):
+        """Under an order that is not graded a translation can move a
+        leading monomial; the kept basis would then be wrong, so it raises."""
+        basis = reduced_groebner_basis(polys(xy, "x^2 - y"))
+        target = PolyRing(("u", "v"))
+        # Lower degree first: the constant term of (u + 1)^2 - v leads.
+        monkeypatch.setattr(target, "_key", lambda e: (-sum(e), e))
+        with pytest.raises(RuntimeError, match="leading monomial"):
+            translated_basis(basis, (1, 0), target)
+        graded = PolyRing(("u", "v"))
+        assert [str(g) for g in translated_basis(basis, (1, 0), graded)] == ["u^2 + 2*u - v + 1"]

@@ -123,6 +123,36 @@ coeffs = st.fractions(
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
 
 
+def _reference_shift(f, offsets, ring):
+    """The term-by-term shift that ``Polynomial.shift`` replaced: each power
+    (x_i + o_i)^k multiplied out, each term added to a running sum."""
+    offsets = [Fraction(o) for o in offsets]
+    out = ring.zero()
+    for e, c in f.terms.items():
+        term = Polynomial(ring, {tuple(0 if offsets[i] else k for i, k in enumerate(e)): c})
+        for i, k in enumerate(e):
+            if k and offsets[i]:
+                term = term * (ring.var(i) + ring.const(offsets[i])) ** k
+        out = out + term
+    return out
+
+
+@given(
+    st.dictionaries(exponents, coeffs, min_size=0, max_size=6),
+    st.one_of(st.just((0, 0, 0)), st.tuples(coeffs | st.just(0), coeffs | st.just(0), coeffs)),
+)
+@settings(max_examples=200, deadline=None)
+def test_shift_matches_reference(terms, offsets):
+    """Same terms as the reference shift, into the same or a renamed ring,
+    zero offsets included."""
+    ring = PolyRing(("x", "y", "z"))
+    f = ring.from_terms(terms)
+    for into in (ring, PolyRing(("u", "v", "w"))):
+        got = f.shift(offsets, into)
+        assert got.ring == into
+        assert got.terms == _reference_shift(f, offsets, into).terms
+
+
 @given(st.dictionaries(exponents, coeffs, min_size=0, max_size=6))
 @settings(max_examples=120, deadline=None)
 def test_text_round_trip(terms):

@@ -7,7 +7,9 @@ from itertools import product
 import pytest
 
 from richmult import quadric
-from richmult.engine import KernelInconsistencyError
+from richmult.charts import translate_to_origin
+from richmult.engine import KernelInconsistencyError, clear_caches
+from richmult.groebner import reduced_groebner_basis
 from richmult.poly import PolyRing
 from richmult.quadric import (
     QuadricMembershipError,
@@ -261,6 +263,39 @@ class TestRichardson:
         shape = QuadricShape(2)
         assert len(quadric_sweep(shape)) == 44
         assert len(built) == len(set(built)) <= shape.ncoords
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kept_bases_are_the_translated_ideals_bases(self, n):
+        """At every report point the translated side keeps the reduced
+        basis of its translated generators."""
+        shape, charts = QuadricShape(n), {}
+        reports = quadric_sweep(shape)
+        assert any(sum(c != "0" for c in r.point.values()) > 1 for r in reports)
+        for r in reports:
+            vec = tuple(Fraction(r.point[f"x{k}"]) for k in range(1, shape.ncoords + 1))
+            chart, coords = quadric._on_chart(charts, shape, vec)
+            moved = translate_to_origin(chart.side(int(r.w), int(r.v)).ideal, coords)
+            expected = reduced_groebner_basis(moved.gens)
+            assert [str(g) for g in moved.groebner()] == [str(g) for g in expected]
+
+    def test_no_basis_run_on_a_translated_ideal(self, monkeypatch):
+        """In a sweep Buchberger runs for side builds and tangent cones
+        only: no ideal computes a basis on first ``groebner()``, so no
+        translated one does."""
+        from richmult import groebner, localmult
+
+        calls = {module: [] for module in ("quadric", "groebner", "localmult")}
+        real = groebner.reduced_groebner_basis
+        for module in (quadric, groebner, localmult):
+            def counted(gens, _runs=calls[module.__name__.rsplit(".", 1)[1]]):
+                _runs.append(gens)
+                return real(gens)
+
+            monkeypatch.setattr(module, "reduced_groebner_basis", counted, raising=False)
+        clear_caches()
+        assert len(quadric_sweep(QuadricShape(3))) > 0
+        assert calls["groebner"] == []
+        assert calls["quadric"] and calls["localmult"]
 
     def test_sweep_samples_each_j_once(self, monkeypatch):
         """The grid is walked once per opposite index j (4 for n = 2), not

@@ -115,7 +115,9 @@ class AffinePoint:
     def from_json_dict(cls, chart: Chart, data: dict) -> "AffinePoint":
         coords = {}
         for key, val in data.items():
-            q, p = key.split(".")
+            q, dot, p = key.partition(".")
+            if not (dot and q.isdecimal() and p.isdecimal()):
+                raise ValueError(f"coordinate key {key!r} is not of the form q.p")
             coords[RootIndex(int(q), int(p))] = Fraction(str(val))
         return chart.point(coords)
 
@@ -225,16 +227,10 @@ def opposite_ideal(chart: Chart, v: CosetRep) -> PolyIdeal:
 
 
 def richardson_ideal(chart: Chart, w: CosetRep, v: CosetRep) -> PolyIdeal:
-    """Ideal of the intersection of the two stratum varieties."""
-    return intersection_ideal(schubert_ideal(chart, w), opposite_ideal(chart, v))
-
-
-def intersection_ideal(iw: PolyIdeal, iv: PolyIdeal) -> PolyIdeal:
-    """Ideal of the intersection of the varieties of a Schubert ideal and
-    an opposite ideal built on the same chart."""
-    if iw.is_unit() or iv.is_unit():
-        return PolyIdeal.unit_marker(iw.ring)
-    return PolyIdeal(iw.ring, dedupe_normalized(list(iw.gens) + list(iv.gens)))
+    """Ideal of the intersection of the two stratum varieties: the sum of
+    the Schubert and the opposite ideal, whose bases use disjoint
+    variables."""
+    return schubert_ideal(chart, w) + opposite_ideal(chart, v)
 
 
 def translate_to_origin(ideal: PolyIdeal, m) -> PolyIdeal:
@@ -242,9 +238,9 @@ def translate_to_origin(ideal: PolyIdeal, m) -> PolyIdeal:
     y-coordinates for a chart point, of the ideal's ring for a tuple.
 
     The generators are the input's, shifted and made primitive.  The
-    result keeps a reduced basis exactly when the input keeps one (every
-    ideal built with ``PolyIdeal.of_basis`` does): the input's basis,
-    translated without a Buchberger run.  Translation never starts one."""
+    result keeps a reduced basis exactly when the input is built on one
+    (stratum ideals and their sums are): the input's basis, translated
+    without a Buchberger run.  Translation never starts one."""
     ring, coords = ideal.ring, m
     if isinstance(m, AffinePoint):
         if ideal.ring not in (m.chart.ring, m.chart.yring):

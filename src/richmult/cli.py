@@ -25,7 +25,6 @@ from .charts import (
     AffinePoint,
     build_chart,
     format_ideal,
-    intersection_ideal,
     opposite_ideal,
     point_from_matrix,
     schubert_ideal,
@@ -166,7 +165,7 @@ def cmd_equations(args) -> int:
         if ideal is None:
             ideal = iv
         else:
-            ideal = intersection_ideal(ideal, iv)
+            ideal = ideal + iv
             out.append(f"richardson generators={len(ideal.gens)}")
             out.append(format_ideal(ideal).rstrip("\n"))
     if point is not None and ideal is not None:

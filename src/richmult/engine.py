@@ -12,10 +12,14 @@ The sweep's unit of work is a chart.  The Schubert side of an instance
 once (its ideal, dimension, degree, symbolic Jacobian, and per point its
 translated ideal, multiplicity, cone flag and Jacobian rows) and every
 :class:`StratumInstance` on the chart shares it; an instance adds only
-what needs both sides.  Every translated ideal keeps the translated
-reduced basis of the chart ideal it came from (``translated_basis``), so
-no point runs Buchberger: a side's through ``translate_to_origin``, the
-oracle's from the intersection's basis.
+what needs both sides.  The chart splits: a Schubert ideal uses only the
+slice coordinates and an opposite ideal only the cell coordinates, so the
+intersection is the sum of the two sides (``PolyIdeal.__add__``) and keeps
+their merged reduced bases.  Every translated ideal keeps the translated
+basis of the ideal it came from (``PolyIdeal.translated``), and the
+oracle's ideal at a point is the sum of the two translated sides.  Apart
+from tangent cones, Buchberger runs once per side: never on an
+intersection, never at a point.
 Instances are grouped by tau and the groups run largest cell first.  Each
 group is served from one context that is dropped when the group ends,
 and ``workers > 1`` maps the groups over a process pool.
@@ -36,13 +40,12 @@ from .charts import (
     build_chart,
     evaluate_ideal,
     in_cell,
-    intersection_ideal,
     is_cone_over_origin,
     opposite_ideal,
     schubert_ideal,
     translate_to_origin,
 )
-from .groebner import PolyIdeal, translated_basis
+from .groebner import PolyIdeal
 from .hilbert import ideal_dimension, projective_degree
 from .localmult import multiplicity_at_origin
 from .report import MultiplicityReport
@@ -147,7 +150,9 @@ def mult_richardson_oracle(
     m: Optional[AffinePoint] = None,
 ) -> int:
     """Tangent-cone multiplicity of the intersection ideal at m, computed
-    without the product shortcut; m must lie on both sides."""
+    without the product shortcut: the ideal is the sum of the two sides
+    translated to m, but its tangent cone is taken in all chart variables
+    at once; m must lie on both sides."""
     inst = _instance(shape, w, v, tau)
     return _mult_of(inst.oracle_ideal(inst.resolve_point(m)))
 
@@ -236,9 +241,10 @@ def sample_points(
 class SidePoint(NamedTuple):
     """One stratum side at one point: the side's ideal translated so that
     the point is the origin (keeping the side's reduced basis, translated
-    by ``translate_to_origin``), the multiplicity there, whether the
-    translated ideal is a cone over the point, and the Jacobian rows of
-    the side's generators evaluated at the point."""
+    by ``translate_to_origin``; the oracle's ideal is the sum of the two
+    sides'), the multiplicity there, whether the translated ideal is a
+    cone over the point, and the Jacobian rows of the side's generators
+    evaluated at the point."""
 
     moved: PolyIdeal
     mult: int
@@ -319,7 +325,7 @@ class StratumInstance:
         self.v = v
         self.side_w = context.side(schubert_ideal, w, "Schubert")
         self.side_v = context.side(opposite_ideal, v, "opposite")
-        self.iwv = intersection_ideal(self.side_w.ideal, self.side_v.ideal)
+        self.iwv = self.side_w.ideal + self.side_v.ideal
 
     @cached_property
     def dimensions(self) -> tuple[int, int, int]:
@@ -383,13 +389,11 @@ class StratumInstance:
         return point
 
     def oracle_ideal(self, m: AffinePoint) -> PolyIdeal:
-        """The intersection ideal translated so that m is the origin, built
-        on the intersection's reduced basis translated (no Buchberger run);
-        m must lie on both sides, which their ``at`` checks."""
-        self.side_w.at(m)
-        self.side_v.at(m)
-        yring = self.context.chart.yring
-        return PolyIdeal.of_basis(yring, translated_basis(self.iwv.groebner(), m.coords, yring))
+        """The intersection ideal translated so that m is the origin: the
+        sum of the two sides' checked translations, which keeps their
+        merged bases (no shift and no Buchberger run here); m must lie on
+        both sides, which their ``at`` checks."""
+        return self.side_w.at(m).moved + self.side_v.at(m).moved
 
     def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
         """Full verification record for one point."""
@@ -401,9 +405,8 @@ class StratumInstance:
         mu_oracle = _mult_of(self.oracle_ideal(m))
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
         nvars = self.context.chart.ring.nvars
-        # The intersection's generators are the union of the two sides'
-        # (deduplicated, already primitive), so its Jacobian has the same
-        # rank as the two sides' rows stacked.
+        # The intersection's generators are the two sides', so its
+        # Jacobian rows are the two sides' rows stacked.
         rows_wv = at_w.jacobian_rows + at_v.jacobian_rows
         return MultiplicityReport(
             family="grassmannian",

@@ -15,11 +15,12 @@ ring's order: monic, autoreduced, sorted by leading monomial.  It is the
 one reduction routine: ``PolyIdeal.of_basis`` builds an ideal on such a
 basis and keeps it, so the basis is never computed twice.
 
-A translation x -> x + m keeps leading terms under a graded order, and
-the terms of a shifted polynomial divide its own terms, so a reduced
-basis shifts to the reduced basis of the moved ideal
-(``translated_basis``); ``PolyIdeal.translated`` gives a moved ideal that
-basis.  Buchberger runs once per chart ideal, not once per point.
+Two more ideals are built on a kept basis without a Buchberger run.  A
+sum of ideals whose bases use disjoint variables (``PolyIdeal.__add__``)
+keeps the two bases merged by leading monomial.  A translation
+x -> x + m (``PolyIdeal.translated``) keeps leading terms under a graded
+order, so the shifted basis is the moved ideal's reduced basis.
+Buchberger runs once per chart ideal: never on a sum, never at a point.
 """
 
 from __future__ import annotations
@@ -162,39 +163,9 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return [normal_form(g, G[:i]) for i, g in enumerate(G)]
 
 
-def _kept_leads(basis: Sequence[Polynomial], shifted: list[Polynomial]) -> list[Polynomial]:
-    """The shifted elements of ``basis``, once each is checked to keep its
-    leading monomial."""
-    for g, h in zip(basis, shifted):
-        if h.leading_exps() != g.leading_exps():
-            raise RuntimeError(
-                f"translation moved the leading monomial of {g} to that of {h}: "
-                f"the order of {h.ring} is not graded"
-            )
-    return shifted
-
-
-def translated_basis(
-    basis: Sequence[Polynomial], offsets: Sequence, ring: PolyRing
-) -> list[Polynomial]:
-    """The reduced Groebner basis of the ideal of ``basis`` under the
-    substitution x -> x + offsets, landing in ``ring``: the basis shifted,
-    with no Buchberger run and no reduction.
-
-    ``basis`` must be what ``reduced_groebner_basis`` returns, and the
-    order (the same on both rings) must be graded, as both orders here
-    are.  A translation keeps every polynomial's top-degree form, so under
-    a graded order it keeps its leading term.  The moved ideal then has
-    the leading monomials of the ideal, and the shifted basis is a monic
-    Groebner basis of it with the same leading monomials.  Each term of a
-    shifted element divides a term of the element.  In a reduced basis no
-    tail term lies in the leading-term ideal, so none of its divisors
-    does, and neither does a proper divisor of a leading monomial (the
-    basis is minimal).  So the shifted basis is already reduced, and as
-    the reduced basis is unique it is the one Buchberger would give.  A
-    shifted element whose leading monomial moved raises ``RuntimeError``.
-    """
-    return _kept_leads(basis, [g.shift(offsets, ring) for g in basis])
+def _support(basis: Sequence[Polynomial]) -> set:
+    """The positions of the variables that occur in the basis."""
+    return {i for g in basis for e in g.terms for i, k in enumerate(e) if k}
 
 
 def dedupe_normalized(gens: Iterable[Polynomial]) -> list[Polynomial]:
@@ -239,24 +210,71 @@ class PolyIdeal:
         generators are the basis elements made primitive, largest leading
         monomial first; the basis is kept, so ``groebner()`` does no work.
         Any other input gives an ideal whose ``groebner()`` is wrong."""
-        ideal = cls(ring, [g.primitive() for g in reversed(basis)])
-        ideal._gb = tuple(basis)
-        ideal._of_basis = True
+        return cls._on_basis(ring, [g.primitive() for g in reversed(basis)], basis)
+
+    @classmethod
+    def _on_basis(cls, ring: PolyRing, gens, basis) -> "PolyIdeal":
+        """The ideal of ``gens``, which are the reduced basis ``basis`` up to
+        scale, keeping that basis."""
+        ideal = cls(ring, gens)
+        ideal._gb, ideal._of_basis = tuple(basis), True
         return ideal
 
     def translated(self, offsets: Sequence, ring: PolyRing) -> "PolyIdeal":
         """The ideal under x -> x + offsets, in ``ring``: each generator
-        shifted and made primitive, in order.  If this ideal keeps its
-        reduced basis, the result keeps the translated one
-        (``translated_basis``).  The generators of an ideal built with
-        ``of_basis`` are its basis up to scale, so its basis is read off
-        the shifted generators instead of being shifted a second time."""
-        moved = PolyIdeal(ring, [g.shift(offsets, ring).primitive() for g in self.gens])
-        if self._of_basis:
-            moved._gb = tuple(_kept_leads(self._gb, [g.monic() for g in reversed(moved.gens)]))
-        elif self._gb is not None:
-            moved._gb = tuple(translated_basis(self._gb, offsets, ring))
-        return moved
+        shifted and made primitive, in order.  If the generators are the
+        kept reduced basis up to scale (``of_basis`` and ``+`` build such
+        ideals, and so does this), the result keeps the moved basis: the
+        shifted generators made monic, matched to the kept basis by
+        leading monomial, with no Buchberger run and no reduction.
+
+        That is the moved ideal's reduced basis when the order (the same on
+        both rings) is graded, as both orders here are.  A translation keeps
+        every polynomial's top-degree form, so under a graded order it keeps
+        its leading term: the moved ideal has the leading monomials of the
+        ideal, and the shifted basis is a monic Groebner basis of it.  Each
+        term of a shifted element divides a term of the element.  In a
+        reduced basis no tail term lies in the leading-term ideal, so none
+        of its divisors does, and neither does a proper divisor of a
+        leading monomial (the basis is minimal).  So the shifted basis is
+        reduced, and as the reduced basis is unique it is the one
+        Buchberger would give.  A shifted element whose leading monomial
+        moved raises ``RuntimeError``."""
+        gens = [g.shift(offsets, ring).primitive() for g in self.gens]
+        if not self._of_basis:
+            return PolyIdeal(ring, gens)
+        shifted = sorted((g.monic() for g in gens), key=lambda g: ring.key(g.leading_exps()))
+        for g, h in zip(self._gb, shifted):
+            if h.leading_exps() != g.leading_exps():
+                raise RuntimeError(
+                    f"translation moved the leading monomial of {g} to that of {h}: "
+                    f"the order of {ring} is not graded"
+                )
+        return PolyIdeal._on_basis(ring, gens, shifted)
+
+    def __add__(self, other: "PolyIdeal") -> "PolyIdeal":
+        """The sum of two ideals built on their reduced bases whose bases use
+        disjoint variables: the generators of this ideal, then those of
+        ``other``, keeping the two bases merged by leading monomial.  A
+        unit operand gives the unit marker; bases that share a variable
+        raise ``RuntimeError``.
+
+        The merged basis is the reduced basis of the sum.  A leading
+        monomial of one side and one of the other share no variable, so
+        they are coprime and Buchberger's first criterion closes every
+        cross pair: the union is a Groebner basis.  No leading monomial of
+        one side divides a term of the other, which has none of its
+        variables, and each side is reduced, so the union is reduced."""
+        if self.is_unit() or other.is_unit():
+            return PolyIdeal.unit_marker(self.ring)
+        if not (self._of_basis and other._of_basis):
+            raise ValueError("a sum needs ideals built on their reduced basis")
+        shared = _support(self._gb) & _support(other._gb)
+        if shared:
+            names = ", ".join(self.ring.names[i] for i in sorted(shared))
+            raise RuntimeError(f"the bases of a sum share the variables {names}")
+        basis = sorted(self._gb + other._gb, key=lambda g: self.ring.key(g.leading_exps()))
+        return PolyIdeal._on_basis(self.ring, self.gens + other.gens, basis)
 
     def is_zero_ideal(self) -> bool:
         return not self.gens

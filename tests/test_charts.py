@@ -22,7 +22,6 @@ from richmult.charts import (
     evaluate_ideal,
     format_ideal,
     in_cell,
-    intersection_ideal,
     is_cone_over_origin,
     opposite_ideal,
     parse_ideal,
@@ -32,7 +31,7 @@ from richmult.charts import (
     schubert_ideal,
     translate_to_origin,
 )
-from richmult.groebner import PolyIdeal, normal_form
+from richmult.groebner import PolyIdeal, dedupe_normalized, normal_form, reduced_groebner_basis
 from richmult.hilbert import ideal_dimension
 from richmult.poly import Polynomial, PolyRing, parse_polynomial
 from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq
@@ -432,6 +431,25 @@ class TestRichardsonIdeal:
         for part in (schubert_ideal(chart, DEMO_W), opposite_ideal(chart, DEMO_V)):
             assert {str(g) for g in part.gens} <= texts
 
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (2, 6), (3, 6)])
+    def test_sum_is_what_buchberger_gives(self, d, n):
+        """On every instance v <= tau <= w the sum of the two sides has
+        the deduplicated union of their generators, in order, and keeps
+        the reduced basis Buchberger computes from that union."""
+        shape = GrassShape(d, n)
+        reps = all_coset_reps(shape)
+        for tau in reps:
+            chart = build_chart(shape, tau)
+            sides_v = [opposite_ideal(chart, v) for v in reps if bruhat_leq(v, tau)]
+            for iw in (schubert_ideal(chart, w) for w in reps if bruhat_leq(tau, w)):
+                for iv in sides_v:
+                    union = dedupe_normalized(iw.gens + iv.gens)
+                    total = iw + iv
+                    assert [str(g) for g in total.gens] == [str(g) for g in union]
+                    assert [str(g) for g in total.groebner()] == [
+                        str(g) for g in reduced_groebner_basis(union)
+                    ]
+
     def test_tau_tau_tau_is_reduced_origin(self):
         shape = GrassShape(2, 4)
         tau = rep(shape, 1, 3)
@@ -495,7 +513,7 @@ class TestTranslation:
         and leaves their terms as they are."""
         chart = build_chart(DEMO_SHAPE, DEMO_TAU)
         iw, iv = schubert_ideal(chart, DEMO_W), opposite_ideal(chart, DEMO_V)
-        for ideal in (iw, iv, intersection_ideal(iw, iv)):
+        for ideal in (iw, iv, iw + iv):
             assert ideal.gens
             translated = translate_to_origin(ideal, chart.origin())
             assert translated.ring == chart.yring

@@ -293,6 +293,34 @@ class TestComputationFailures:
         assert err.startswith("error: KernelInconsistencyError: closed forms")
         assert err.count("\n") == 1
 
+    def test_sides_sharing_a_variable_exit_3(self, capsys, monkeypatch):
+        """A Schubert side whose kept basis uses cell coordinates cannot be
+        added to an opposite side.  The patched builder keeps each ideal
+        and appends one of its elements times the sum of the cell
+        coordinates, so the variety stays the same."""
+        from richmult import engine
+        from richmult.groebner import PolyIdeal
+
+        real = engine.schubert_ideal
+
+        def sharing(chart, w):
+            basis = list(real(chart, w).groebner())
+            cell = [
+                chart.ring.var(i) for i, ix in enumerate(chart.indices) if ix not in chart.positive
+            ]
+            if basis and cell:
+                basis.append(basis[0] * sum(cell[1:], cell[0]))
+            return PolyIdeal.of_basis(chart.ring, basis)
+
+        monkeypatch.setattr(engine, "schubert_ideal", sharing)
+        assert main(["sweep", "--d", "2", "--n", "4", "--grid=0", "--workers", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: RuntimeError: the bases of a sum share the variables x_"
+        )
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("exc", [
         OracleBudgetError("401 columns exceed the budget of 400"),
         RuntimeError("Hilbert-Samuel function not stabilized"),
@@ -353,6 +381,19 @@ class TestInvalidNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["31", "3.x"])
+def test_coordinate_key_not_q_dot_p_exits_2(capsys, tmp_path, key):
+    """A coordinate key must read q.p with two whole numbers; any other
+    key is bad input, and the error names it."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"coords": {key: "1"}}))
+    args = ["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "12"]
+    assert main(args + ["--point", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: coordinate key {key!r} is not of the form q.p\n"
 
 
 def test_report_fields_match_schema(tmp_path):

@@ -16,7 +16,6 @@ from richmult.groebner import (
     normal_form,
     reduced_groebner_basis,
     s_polynomial,
-    translated_basis,
 )
 from richmult import charts, groebner, localmult
 from richmult.charts import build_chart, opposite_ideal, schubert_ideal, translate_to_origin
@@ -465,16 +464,20 @@ class TestTranslatedBasis:
         ring, gens, offsets = case
         target = PolyRing(tuple(name + "1" for name in ring.names))
         basis = reduced_groebner_basis(gens)
-        for into in (ring, target):
+        built = PolyIdeal.of_basis(ring, basis)
+        for into, moved in (
+            (ring, translate_to_origin(built, tuple(offsets))),
+            (target, built.translated(offsets, target)),
+        ):
             expected = reduced_groebner_basis([g.shift(offsets, into) for g in gens])
-            got = translated_basis(basis, offsets, into)
+            got = moved.groebner()
             assert [str(g) for g in got] == [str(g) for g in expected]
             assert [g.leading_exps() for g in got] == [g.leading_exps() for g in basis]
 
         # The three kinds of input of a translation: built on its basis,
         # keeping a computed basis, and keeping none.  The generators are
-        # the shifted ones made primitive either way.
-        built = PolyIdeal.of_basis(ring, basis)
+        # the shifted ones made primitive either way; only the first kind
+        # gives an ideal that keeps a basis.
         computed = PolyIdeal(ring, gens)
         computed.groebner()
         expected = [str(g) for g in reduced_groebner_basis([g.shift(offsets) for g in gens])]
@@ -483,30 +486,116 @@ class TestTranslatedBasis:
             assert [g.terms for g in moved.gens] == [
                 g.shift(offsets).primitive().terms for g in ideal.gens if not g.shift(offsets).is_zero()
             ]
+            assert (moved._gb is None) == (ideal is not built)
             assert [str(g) for g in moved.groebner()] == expected
 
     def test_translation_runs_no_basis(self, monkeypatch, xy):
-        """A translation keeps the basis its input keeps, and computes
-        none for an input that keeps none."""
+        """A translation keeps the basis of an ideal built on its basis and
+        computes none; an ideal that only computed its basis gives a moved
+        ideal that keeps none."""
         gens = polys(xy, "x^2 - y", "x*y - 1")
-        ideals = [PolyIdeal.of_basis(xy, reduced_groebner_basis(gens)), PolyIdeal(xy, gens)]
-        ideals[1].groebner()
+        built = PolyIdeal.of_basis(xy, reduced_groebner_basis(gens))
+        computed = PolyIdeal(xy, gens)
+        computed.groebner()
         fresh = PolyIdeal(xy, gens)
         calls = _count_basis_runs(monkeypatch)
-        for ideal in ideals:
-            assert len(translate_to_origin(ideal, (1, -2)).groebner()) == 3
+        assert len(translate_to_origin(built, (1, -2)).groebner()) == 3
         assert calls == []
-        translate_to_origin(fresh, (1, -2))
+        moved = [translate_to_origin(ideal, (1, -2)) for ideal in (computed, fresh)]
         assert calls == []
+        assert len(moved[0].groebner()) == 3
+        assert len(calls) == 1
 
     def test_moved_leading_monomial_raises(self, monkeypatch, xy):
         """Under an order that is not graded a translation can move a
         leading monomial; the kept basis would then be wrong, so it raises."""
-        basis = reduced_groebner_basis(polys(xy, "x^2 - y"))
+        ideal = PolyIdeal.of_basis(xy, reduced_groebner_basis(polys(xy, "x^2 - y")))
         target = PolyRing(("u", "v"))
         # Lower degree first: the constant term of (u + 1)^2 - v leads.
         monkeypatch.setattr(target, "_key", lambda e: (-sum(e), e))
         with pytest.raises(RuntimeError, match="leading monomial"):
-            translated_basis(basis, (1, 0), target)
+            ideal.translated((1, 0), target)
         graded = PolyRing(("u", "v"))
-        assert [str(g) for g in translated_basis(basis, (1, 0), graded)] == ["u^2 + 2*u - v + 1"]
+        moved = ideal.translated((1, 0), graded)
+        assert [str(g) for g in moved.groebner()] == ["u^2 + 2*u - v + 1"]
+
+
+# ---------------------------------------------------------------------------
+# Sums of ideals in disjoint variables, against Buchberger on the union
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def disjoint_sides(draw):
+    """Two ideals built on their reduced bases in a 2-5-variable ring under
+    grevlex, over disjoint nonempty random subsets of the variables (a
+    variable may belong to neither side): 0-3 generators per side, of
+    degree 1-3 with 1-3 terms (a constant term among them) and
+    coefficients p/q (|p| <= 5, 1 <= q <= 3), and rational offsets p/q
+    (|p| <= 3, 1 <= q <= 3)."""
+    n = draw(st.integers(2, 5))
+    ring = PolyRing(("x", "y", "z", "w", "v")[:n])
+    order = draw(st.permutations(range(n)))
+    cut = draw(st.integers(1, n - 1))
+    end = draw(st.integers(cut + 1, n))
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    sides = []
+    for own in (order[:cut], order[cut:end]):
+        gens = []
+        for _ in range(draw(st.integers(0, 3))):
+            terms = {}
+            for size in range(draw(st.integers(1, 3))):
+                parts = draw(st.lists(st.sampled_from(own), min_size=size == 0, max_size=3))
+                terms[tuple(parts.count(i) for i in range(n))] = draw(coeffs)
+            gens.append(ring.from_terms(terms))
+        sides.append(PolyIdeal.of_basis(ring, reduced_groebner_basis(gens)))
+    offsets = draw(st.lists(
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=n, max_size=n
+    ))
+    return ring, sides[0], sides[1], tuple(offsets)
+
+
+class TestSum:
+    @given(disjoint_sides())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_buchberger_on_the_union(self, case):
+        ring, a, b, offsets = case
+        total = a + b
+        one = (ring.one(),)
+        if a.is_unit() or b.is_unit():
+            assert total.gens == one
+        else:
+            assert total.gens == a.gens + b.gens
+        expected = reduced_groebner_basis(a.gens + b.gens)
+        assert [str(g) for g in total.groebner()] == [str(g) for g in expected]
+
+        # Translating the sum is summing the translations.
+        moved = translate_to_origin(total, offsets)
+        assembled = translate_to_origin(a, offsets) + translate_to_origin(b, offsets)
+        assert [g.terms for g in moved.gens] == [g.terms for g in assembled.gens]
+        assert [str(g) for g in moved.groebner()] == [str(g) for g in assembled.groebner()]
+        assert [str(g) for g in moved.groebner()] == [
+            str(g) for g in reduced_groebner_basis(moved.gens)
+        ]
+
+        # A unit operand gives the unit marker; a shared variable raises.
+        unit = PolyIdeal.of_basis(ring, [ring.one()])
+        for side in (a, b):
+            assert (side + unit).gens == (unit + side).gens == one
+            assert (PolyIdeal.unit_marker(ring) + side).gens == one
+            if side.is_unit():
+                continue
+            for i in {i for g in side.groebner() for e in g.terms for i, k in enumerate(e) if k}:
+                other = PolyIdeal.of_basis(ring, [ring.var(i)])
+                with pytest.raises(RuntimeError, match="share the variables"):
+                    side + other
+                with pytest.raises(RuntimeError, match="share the variables"):
+                    other + side
+
+    def test_needs_ideals_built_on_their_basis(self, xy):
+        built = PolyIdeal.of_basis(xy, reduced_groebner_basis(polys(xy, "x^2 - 1")))
+        plain = PolyIdeal(xy, polys(xy, "y^2 - 1"))
+        with pytest.raises(ValueError, match="reduced basis"):
+            built + plain
+        with pytest.raises(ValueError, match="reduced basis"):
+            plain + built

@@ -13,7 +13,9 @@ The independent cross-check computes dim_Q k[x]/(I + m^k) by sparse exact
 Gaussian elimination on truncated multiples of the generators, and fits
 the leading coefficient of the eventual polynomial in k by finite
 differences.  Its columns are monomials packed into integer codes, and
-its rows are eliminated fraction-free over the integers.  It shares no
+its rows are eliminated fraction-free over the integers.  A row whose
+multiplier is a pivot column of the earlier generators' rows is skipped
+before it is built: it adds nothing to the row space.  It shares no
 code path with the tangent-cone computation beyond polynomial arithmetic.
 """
 
@@ -95,16 +97,32 @@ def hilbert_samuel_series(
     monomial of degree < k_max has every exponent below k_max, so adding
     the codes of two monomials whose product has degree < k_max never
     carries: it gives the product's code, and ``col_of`` maps it to a
-    column.  Rows hold integers: each generator is scaled by the lcm of its
-    denominators, which leaves the row space unchanged; each pivot row is
-    stored primitive with a positive lead p, and a row with lead f is
-    reduced as row * (p/g) - (f/g) * pivot with g = gcd(p, f).
+    column.  Rows hold integers: each generator's terms of degree < k_max
+    are scaled to coprime integers, which leaves the row space unchanged
+    and makes a row that was neither truncated nor reduced primitive
+    already; each pivot row is stored primitive with a positive lead p, and
+    a row with lead f is reduced as row * (p/g) - (f/g) * pivot with
+    g = gcd(p, f).
 
     Neither choice can change the result.  The set of leading positions of
     a row space does not depend on how the space is reduced, and the rank
     of the degree-< k truncation counts those positions in the degree-< k
     columns.  So the series depends only on the columns being graded by
     degree, not on their order within a degree or on the arithmetic used.
+
+    Nor can skipping rows that add nothing to the row space (the F5
+    criterion, Faugere 2002).  Before the rows of generator g are
+    eliminated, the pivot columns left by the earlier generators are
+    marked, and the row x^a * g is skipped when the column of x^a is
+    marked.  A marked column is the lowest column of some h in the span of
+    the earlier rows, which is the ideal they generate mod m^k_max; scale h
+    so that x^a has coefficient 1.  Then x^a * g = (x^a - h) * g + h * g.
+    Here h * g lies in the earlier ideal, so in the span of the earlier
+    rows, and x^a - h is a combination of monomials x^c whose columns come
+    after that of x^a.  By downward induction on the column, the rows kept
+    span the same space, so the pivot set is unchanged.  Only the earlier
+    generators' pivots may be marked: for a pivot of g's own rows, h * g is
+    not known to lie in the span of the other rows.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -140,12 +158,14 @@ def hilbert_samuel_series(
     gens = []
     for g in ideal.gens:
         scale = lcm(*(c.denominator for c in g.terms.values()))
-        gens.append(sorted(
+        terms = sorted(
             (mono_deg(e), sum(x * w for x, w in zip(e, weights)),
              c.numerator * (scale // c.denominator))
             for e, c in g.terms.items()
             if c and mono_deg(e) < k_max
-        ))
+        )
+        content = gcd(*(c for _, _, c in terms))
+        gens.append([(deg, code, c // content) for deg, code, c in terms])
     gens = [terms for terms in gens if terms]
     pivot_deg = [0] * k_max
 
@@ -162,23 +182,34 @@ def hilbert_samuel_series(
         return _series(pivot_deg, n)
 
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    # marked[j]: column j is a pivot of the earlier generators' rows, so
+    # the current generator's row with multiplier codes[j] is redundant.
+    marked, fresh = bytearray(ncols), []
     for terms in gens:
+        for col in fresh:
+            marked[col] = 1
+        fresh = []
         for j in range(comb(k_max - 1 - terms[0][0] + n, n)):
+            if marked[j]:
+                continue
             a, room = codes[j], k_max - degs[j]
             row = {col_of[a + code]: c for deg, code, c in terms if deg < room}
+            primitive = len(row) == len(terms)
             while row:
                 lead = min(row)
                 pivot = pivots.get(lead)
                 if pivot is None:
-                    content = gcd(*row.values())
+                    content = 1 if primitive else gcd(*row.values())
                     if row[lead] < 0:
                         content = -content
                     if content != 1:
                         row = {col: v // content for col, v in row.items()}
                     pivots[lead] = (row.pop(lead), row)
+                    fresh.append(lead)
                     pivot_deg[degs[lead]] += 1
                     break
                 p, rest = pivot
+                primitive = False
                 f = row.pop(lead)
                 g = gcd(p, f)
                 if g != p:

@@ -1,6 +1,7 @@
 """Tangent cones, multiplicity at the origin, the Hilbert-Samuel oracle."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -121,6 +122,32 @@ def oracle_inputs(draw):
     return PolyIdeal(ring, gens), draw(st.integers(1, 7))
 
 
+@st.composite
+def redundant_generators(draw):
+    """Generator lists with rows the elimination may skip: a generator
+    repeated, a multiple h*g of an earlier generator, and a pair f, g
+    followed by f*g + h*f.  Small generators in 2-3 variables, f and g
+    mostly not monomials, h possibly with a constant term, and a window
+    k_max wide enough for the products to reach a column."""
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    coeffs = st.builds(
+        Fraction, st.integers(-5, 5).filter(bool), st.sampled_from([1, 2, 3])
+    )
+
+    def poly(min_deg, min_size):
+        terms = {}
+        for _ in range(draw(st.integers(min_size, 3))):
+            d = draw(st.integers(min_deg, 2))
+            parts = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+            terms[tuple(parts.count(i) for i in range(n))] = draw(coeffs)
+        return ring.from_terms(terms)
+
+    f, g, h = poly(1, 2), poly(1, 2), poly(0, 1)
+    gens = draw(st.sampled_from([[f, g, f], [g, h * g], [f, g, f * g + h * f]]))
+    return PolyIdeal(ring, gens), draw(st.integers(4, 7))
+
+
 @pytest.fixture
 def xy():
     return PolyRing(("x", "y"))
@@ -214,6 +241,17 @@ class TestHilbertSamuelSeries:
     def test_matches_fraction_reference(self, case):
         target, k_max = case
         assert hilbert_samuel_series(target, k_max) == _reference_series(target, k_max)
+
+    @given(redundant_generators())
+    @settings(max_examples=100, deadline=None)
+    def test_skipped_rows_leave_series_unchanged(self, case):
+        """Rows whose multiplier is a pivot column of the earlier
+        generators are skipped; in every generator order the series must
+        still match the unpruned reference."""
+        target, k_max = case
+        for gens in permutations(target.gens):
+            permuted = PolyIdeal(target.ring, list(gens))
+            assert hilbert_samuel_series(permuted, k_max) == _reference_series(permuted, k_max)
 
     def test_column_budget_is_inclusive(self, xyz):
         target = ideal(xyz, "x*y - z^3", "y^2 + x*z")

@@ -13,13 +13,19 @@ once (its ideal, dimension, degree, symbolic Jacobian, and per point its
 translated ideal, multiplicity, cone flag and Jacobian rows) and every
 :class:`StratumInstance` on the chart shares it; an instance adds only
 what needs both sides.  The chart splits: a Schubert ideal uses only the
-slice coordinates and an opposite ideal only the cell coordinates, so the
-intersection is the sum of the two sides (``PolyIdeal.__add__``) and keeps
-their merged reduced bases.  Every translated ideal keeps the translated
-basis of the ideal it came from (``PolyIdeal.translated``), and the
-oracle's ideal at a point is the sum of the two translated sides.  Apart
-from tangent cones, Buchberger runs once per side: never on an
-intersection, never at a point.
+slice coordinates (the chart's positive roots) and an opposite ideal only
+the cell coordinates.  The context checks this certificate on the kept
+basis of every side it builds and raises ``KernelInconsistencyError`` on
+a violation.  So the intersection is the sum of the two sides
+(``PolyIdeal.__add__``) and keeps their merged reduced bases, and a cell
+point, which moves only cell coordinates, leaves the Schubert side's
+basis as it is.  Every translated ideal keeps the translated basis of the
+ideal it came from (``PolyIdeal.translated``), and the oracle's ideal at a
+point is the sum of the two translated sides.  Apart from tangent cones,
+Buchberger runs once per side: never on an intersection, never at a
+point.  Multiplicities are memoized in the context's ``mults`` table,
+keyed by the translated ideal's reduced basis; the package keeps no
+module-level state, so every context starts cold.
 Instances are grouped by tau and the groups run largest cell first.  Each
 group is served from one context that is dropped when the group ends,
 and ``workers > 1`` maps the groups over a process pool.
@@ -36,6 +42,7 @@ from typing import NamedTuple, Optional, Sequence
 from .charts import (
     AffinePoint,
     Chart,
+    PointNotOnChartError,
     _echelon,
     build_chart,
     evaluate_ideal,
@@ -45,7 +52,7 @@ from .charts import (
     schubert_ideal,
     translate_to_origin,
 )
-from .groebner import PolyIdeal
+from .groebner import PolyIdeal, _support
 from .hilbert import ideal_dimension, projective_degree
 from .localmult import multiplicity_at_origin
 from .report import MultiplicityReport
@@ -80,22 +87,13 @@ MAX_VARIABLES = 12
 MAX_GRID_VALUES = 5
 
 
-# Multiplicities keyed by the canonical reduced basis of the translated
-# ideal; the same ideal recurs across points and instances.  A pure cache:
-# safe to clear at any time, per-process under multiprocessing.
-_MULT_CACHE: dict = {}
-
-
-def clear_caches():
-    _MULT_CACHE.clear()
-
-
-def _mult_of(ideal: PolyIdeal) -> int:
-    key = ideal.canonical_key()
-    value = _MULT_CACHE.get(key)
-    if value is None:
-        value = multiplicity_at_origin(ideal)
-        _MULT_CACHE[key] = value
+def _mult_of(ideal: PolyIdeal, mults: dict) -> int:
+    """The multiplicity at the origin, memoized in a chart's ``mults`` by
+    the ideal's reduced basis: every ideal in one table lives in one ring,
+    and a ``Polynomial`` hashes and compares by its terms."""
+    key = ideal.groebner()
+    if (value := mults.get(key)) is None:
+        value = mults[key] = multiplicity_at_origin(ideal)
     return value
 
 
@@ -108,9 +106,11 @@ def mult_schubert_at(
 ) -> int:
     """Multiplicity of a cell point m on the Schubert variety of w.
 
-    Requires m in the cell of tau and tau <= w.  The result is also
-    computed at the fixed point and the two must agree (the variety is
-    translation-invariant along the cell); disagreement raises."""
+    Requires m in the cell of tau and tau <= w.  The result is the one at
+    the fixed point: the chart's split certificate
+    (``ChartContext.side``) guarantees that the Schubert ideal uses only
+    slice coordinates, which a cell point does not move, so the ideal
+    translated to m is the ideal at the fixed point."""
     # The opposite variety of the minimal coset is the whole space.
     inst = _instance(shape, w, minimal_rep(shape), tau)
     return inst.schubert_point(inst.resolve_point(m)).mult
@@ -154,7 +154,7 @@ def mult_richardson_oracle(
     translated to m, but its tangent cone is taken in all chart variables
     at once; m must lie on both sides."""
     inst = _instance(shape, w, v, tau)
-    return _mult_of(inst.oracle_ideal(inst.resolve_point(m)))
+    return _mult_of(inst.oracle_ideal(inst.resolve_point(m)), inst.context.mults)
 
 
 def degree_product_check(
@@ -257,11 +257,14 @@ class StratumSide:
     opposite variety of v or a quadric stratum.  It holds the chart ideal
     and, each computed on first use and kept, its dimension, its degree,
     its symbolic Jacobian, and per point a :class:`SidePoint`.  Nothing in
-    it depends on the other side, so every instance of the chart shares it."""
+    it depends on the other side, so every instance of the chart shares it.
+    Its multiplicities go through ``mults``, the multiplicity memo of the
+    chart that built it."""
 
-    def __init__(self, ideal: PolyIdeal, variety: str):
+    def __init__(self, ideal: PolyIdeal, variety: str, mults: dict):
         self.ideal = ideal
         self.variety = variety
+        self.mults = mults
         self._points: dict = {}
 
     @cached_property
@@ -277,7 +280,10 @@ class StratumSide:
         return _gradient(self.ideal)
 
     def at(self, m: AffinePoint) -> SidePoint:
-        """The side at m, built on first use; m must lie on the variety."""
+        """The side at m, built on first use; m must be a point of the
+        side's chart and lie on the variety."""
+        if m.chart.ring != self.ideal.ring:
+            raise PointNotOnChartError("ideal and point live on different charts")
         point = self._points.get(m.coords)
         if point is None:
             if self.ideal.is_unit() or not evaluate_ideal(self.ideal, m):
@@ -285,7 +291,7 @@ class StratumSide:
             moved = translate_to_origin(self.ideal, m)
             point = SidePoint(
                 moved=moved,
-                mult=_mult_of(moved),
+                mult=_mult_of(moved, self.mults),
                 cone_over_point=is_cone_over_origin(moved),
                 jacobian_rows=_jacobian_rows(self.gradient, m.coords),
             )
@@ -295,20 +301,37 @@ class StratumSide:
 
 class ChartContext:
     """The chart of tau with every stratum side built on it, each once per
-    w or v: the sweep's unit of work.  Sides live as long as the context."""
+    w or v: the sweep's unit of work.  Sides live as long as the context,
+    and so does ``mults``, the one multiplicity memo that its sides and the
+    oracle share (their translated ideals all live in the chart's y-ring)."""
 
     def __init__(self, shape: GrassShape, tau: CosetRep):
         self.shape = shape
         self.tau = tau
         self.chart = build_chart(shape, tau)
+        self.mults: dict = {}
         self._sides: dict = {}
 
     def side(self, build, rep: CosetRep, variety: str) -> StratumSide:
         """The side of rep whose ideal build(chart, rep) makes (the Schubert
-        or the opposite one), built on first use."""
+        or the opposite one), built on first use.
+
+        The split certificate: the kept basis of a Schubert side may use
+        only the chart's positive-root (slice) coordinates, that of an
+        opposite side none of them.  A violation raises
+        ``KernelInconsistencyError``.  The check reads the basis's terms
+        and runs no Groebner work."""
         side = self._sides.get((variety, rep))
         if side is None:
-            side = self._sides[variety, rep] = StratumSide(build(self.chart, rep), variety)
+            ideal, chart = build(self.chart, rep), self.chart
+            stray = [chart.ring.names[i] for i in sorted(_support(ideal.groebner()))
+                     if (chart.indices[i] in chart.positive) != (variety == "Schubert")]
+            if stray:
+                raise KernelInconsistencyError(
+                    f"the chart of {format_coset(self.tau)} does not split: the {variety} side "
+                    f"of {format_coset(rep)} uses the other side's coordinates {', '.join(stray)}"
+                )
+            side = self._sides[variety, rep] = StratumSide(ideal, variety, self.mults)
         return side
 
 
@@ -327,13 +350,23 @@ class StratumInstance:
         self.side_v = context.side(opposite_ideal, v, "opposite")
         self.iwv = self.side_w.ideal + self.side_v.ideal
 
+    def _require_nested(self):
+        v, tau, w = self.v, self.context.tau, self.w
+        if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
+            raise PreconditionError(
+                f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
+            )
+
     @cached_property
     def dimensions(self) -> tuple[int, int, int]:
         """Dimensions of the three varieties.  The Groebner dimensions must
         match the combinatorial ones; a mismatch would mean the minor
-        generators do not cut the expected varieties."""
+        generators do not cut the expected varieties.  Past the Bruhat
+        precondition the fixed point lies on both sides, so a unit
+        intersection is a kernel fault."""
+        self._require_nested()
         if self.iwv.is_unit():
-            raise PreconditionError("empty intersection on this chart")
+            raise KernelInconsistencyError("empty intersection although v <= tau <= w")
         lw, lv = self.w.length(), self.v.length()
         expected = (lw, self.context.shape.dim - lv, lw - lv)
         actual = (self.side_w.dimension, self.side_v.dimension, ideal_dimension(self.iwv))
@@ -348,11 +381,7 @@ class StratumInstance:
     def degrees(self) -> tuple[int, int, int, bool]:
         """Projective degrees of the three cone ideals and whether
         deg(intersection) = deg * deg."""
-        v, tau, w = self.v, self.context.tau, self.w
-        if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
-            raise PreconditionError(
-                f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
-            )
+        self._require_nested()
         deg_w, deg_v = self.side_w.degree, self.side_v.degree
         deg_wv = projective_degree(self.iwv)
         return deg_w, deg_v, deg_wv, deg_wv == deg_w * deg_v
@@ -370,9 +399,11 @@ class StratumInstance:
         return m
 
     def schubert_point(self, m: AffinePoint) -> SidePoint:
-        """The Schubert side at m, a cell point on X_w.  Its multiplicity
-        must equal the one at the fixed point (the variety is
-        translation-invariant along the cell)."""
+        """The Schubert side at m, a cell point on X_w.  Its multiplicity is
+        the one at the fixed point without a comparison: the side passed
+        the chart's split certificate, so its basis uses only slice
+        coordinates, and shifting by a cell point changes none of its
+        terms."""
         tau, chart = self.context.tau, self.context.chart
         if not bruhat_leq(tau, self.w):
             raise PreconditionError(
@@ -380,13 +411,7 @@ class StratumInstance:
             )
         if not in_cell(chart, m):
             raise MembershipError(f"point {m} is not in the cell of {format_coset(tau)}")
-        point = self.side_w.at(m)
-        fixed = self.side_w.at(chart.origin()).mult
-        if point.mult != fixed:
-            raise KernelInconsistencyError(
-                f"translation invariance violated: {point.mult} != {fixed}"
-            )
-        return point
+        return self.side_w.at(m)
 
     def oracle_ideal(self, m: AffinePoint) -> PolyIdeal:
         """The intersection ideal translated so that m is the origin: the
@@ -402,7 +427,7 @@ class StratumInstance:
         at_w = self.schubert_point(m)
         at_v = self.side_v.at(m)
         mu_fast = at_w.mult * at_v.mult
-        mu_oracle = _mult_of(self.oracle_ideal(m))
+        mu_oracle = _mult_of(self.oracle_ideal(m), self.context.mults)
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
         nvars = self.context.chart.ring.nvars
         # The intersection's generators are the two sides', so its

@@ -242,6 +242,7 @@ class QuadricChart:
         self.ring = PolyRing([f"u{a}" for a in self.indices])
         x = [self.ring.var(pos) for pos in range(len(self.indices))]
         self.q = _form(shape.n, x[: c - 1] + [self.ring.one()] + x[c - 1 :])  # x_c = 1
+        self.mults: dict = {}
         self._sides: dict = {}
 
     def side(self, i: int, j: int) -> StratumSide:
@@ -250,7 +251,7 @@ class QuadricChart:
             if j <= self.c <= i:
                 gens = [self.ring.var(pos) for pos, a in enumerate(self.indices) if a > i or a < j]
                 ideal = PolyIdeal.of_basis(self.ring, reduced_groebner_basis(gens + [self.q]))
-            self._sides[i, j] = StratumSide(ideal, "quadric stratum")
+            self._sides[i, j] = StratumSide(ideal, "quadric stratum", self.mults)
         return self._sides[i, j]
 
 
@@ -269,7 +270,7 @@ def _oracle(side: StratumSide, coords: tuple) -> int:
     """Tangent-cone multiplicity of the side's ideal at a point of its chart."""
     if not side.ideal.vanishes_at(coords):
         raise QuadricMembershipError("point is not on the variety")
-    return _mult_of(translate_to_origin(side.ideal, coords))
+    return _mult_of(translate_to_origin(side.ideal, coords), side.mults)
 
 
 def mult_oracle(

@@ -269,6 +269,27 @@ class TestQuadric:
         jsonschema.validate(json.loads(out.read_text()), schema)
 
 
+def reaching_across(build, slice_side=False):
+    """The builder ``build`` with one element appended to each kept basis:
+    its first element times the sum of the other side's coordinates (the
+    cell coordinates, or the slice ones with ``slice_side``).  The variety
+    stays the same, but the basis no longer respects the chart's split."""
+    from richmult.groebner import PolyIdeal
+
+    def reaching(chart, rep):
+        basis = list(build(chart, rep).groebner())
+        other = [
+            chart.ring.var(i)
+            for i, ix in enumerate(chart.indices)
+            if (ix in chart.positive) == slice_side
+        ]
+        if basis and other:
+            basis.append(basis[0] * sum(other[1:], other[0]))
+        return PolyIdeal.of_basis(chart.ring, basis)
+
+    return reaching
+
+
 class TestComputationFailures:
     """Kernel failures exit with status 3 and one stderr line, apart from
     disagreement (1) and bad input (2)."""
@@ -294,32 +315,98 @@ class TestComputationFailures:
         assert err.count("\n") == 1
 
     def test_sides_sharing_a_variable_exit_3(self, capsys, monkeypatch):
-        """A Schubert side whose kept basis uses cell coordinates cannot be
-        added to an opposite side.  The patched builder keeps each ideal
-        and appends one of its elements times the sum of the cell
-        coordinates, so the variety stays the same."""
+        """A Schubert side whose kept basis uses cell coordinates fails the
+        chart's split certificate when the side is built.  The patched
+        builder keeps the variety (see ``reaching_across``)."""
         from richmult import engine
-        from richmult.groebner import PolyIdeal
 
-        real = engine.schubert_ideal
-
-        def sharing(chart, w):
-            basis = list(real(chart, w).groebner())
-            cell = [
-                chart.ring.var(i) for i, ix in enumerate(chart.indices) if ix not in chart.positive
-            ]
-            if basis and cell:
-                basis.append(basis[0] * sum(cell[1:], cell[0]))
-            return PolyIdeal.of_basis(chart.ring, basis)
-
-        monkeypatch.setattr(engine, "schubert_ideal", sharing)
+        monkeypatch.setattr(engine, "schubert_ideal", reaching_across(engine.schubert_ideal))
         assert main(["sweep", "--d", "2", "--n", "4", "--grid=0", "--workers", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "error: RuntimeError: the bases of a sum share the variables x_"
+        assert captured.err == (
+            "error: KernelInconsistencyError: the chart of 24 does not split: the Schubert "
+            "side of 24 uses the other side's coordinates x_1_2, x_1_4, x_3_4\n"
         )
-        assert captured.err.count("\n") == 1
+
+    def test_sum_of_sides_sharing_a_variable_exit_3(self, capsys, monkeypatch):
+        """Without a chart context the same Schubert side reaches the sum of
+        the two sides, which refuses bases that share a variable."""
+        from richmult import cli
+
+        monkeypatch.setattr(cli, "schubert_ideal", reaching_across(cli.schubert_ideal))
+        args = ["equations", "--d", "2", "--n", "4", "--tau", "13", "--w", "24", "--v", "13"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: RuntimeError: the bases of a sum share the variables x_2_3\n"
+        )
+
+    def test_opposite_side_using_slice_coordinates_exits_3(self, capsys, monkeypatch):
+        from richmult import engine
+
+        monkeypatch.setattr(
+            engine, "opposite_ideal", reaching_across(engine.opposite_ideal, slice_side=True)
+        )
+        assert main(["sweep", "--d", "2", "--n", "4", "--grid=0", "--workers", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: KernelInconsistencyError: the chart of 24 does not split: the opposite "
+            "side of 13 uses the other side's coordinates x_3_2\n"
+        )
+
+    def test_mislabelled_slice_exits_3(self, capsys, monkeypatch):
+        """A chart whose positive roots name one cell coordinate in place of
+        a slice coordinate fails the certificate on the first side that
+        uses either."""
+        from dataclasses import replace
+
+        from richmult import engine
+
+        def mislabelled(shape, tau):
+            chart = build_chart(shape, tau)
+            cell = [ix for ix in chart.indices if ix not in chart.positive]
+            if not (cell and chart.positive):
+                return chart
+            return replace(chart, positive=(cell[0],) + chart.positive[1:])
+
+        monkeypatch.setattr(engine, "build_chart", mislabelled)
+        assert main(["sweep", "--d", "2", "--n", "4", "--grid=-1,0,1", "--workers", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: KernelInconsistencyError: the chart of 24 does not split: the Schubert "
+            "side of 24 uses the other side's coordinates x_3_2\n"
+        )
+
+    def test_unit_intersection_of_nested_triple_exits_3(self, capsys, monkeypatch):
+        """When v <= tau <= w the fixed point lies on both sides, so a unit
+        intersection is a kernel fault, not bad input.  The patched builder
+        takes rows j..n instead of j+1..n at the first essential position
+        of w, which cuts too much."""
+        from richmult import charts, engine
+        from richmult.groebner import PolyIdeal, dedupe_normalized, reduced_groebner_basis
+        from richmult.weyl import bruhat_leq, descent_positions
+
+        def widened(chart, w):
+            if not bruhat_leq(chart.tau, w):
+                return PolyIdeal.unit_marker(chart.ring)
+            matrix, d = chart.matrix(), chart.shape.d
+            gens = []
+            for k, j in enumerate(descent_positions(w)):
+                bound = d - sum(1 for e in w.entries if e <= j)
+                rows = matrix[j - 1:] if k == 0 else matrix[j:]
+                gens.extend(charts._minor_generators(rows, bound + 1, chart.ring))
+            return PolyIdeal.of_basis(chart.ring, reduced_groebner_basis(dedupe_normalized(gens)))
+
+        monkeypatch.setattr(engine, "schubert_ideal", widened)
+        assert main(["sweep", "--d", "2", "--n", "4", "--grid=-1,0,1", "--workers", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: KernelInconsistencyError: empty intersection although v <= tau <= w\n"
+        )
 
     @pytest.mark.parametrize("exc", [
         OracleBudgetError("401 columns exceed the budget of 400"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from richmult.charts import (
     AffinePoint,
+    PointNotOnChartError,
     build_chart,
     in_cell,
     opposite_ideal,
@@ -27,7 +28,6 @@ from richmult.engine import (
     StratumInstance,
     SweepResult,
     build_report,
-    clear_caches,
     degree_product_check,
     enumerate_instances,
     jacobian_corank,
@@ -506,7 +506,6 @@ class TestSweep:
                 return real(gens)
 
             monkeypatch.setattr(module, "reduced_groebner_basis", counted)
-        clear_caches()
         result = verify_theorem(shape, SweepConfig(grid=(Fraction(-1), Fraction(0), Fraction(1))))
         assert result.failed == 0 and result.checked > len(enumerate_instances(shape))
         assert len(calls["charts"]) == 100
@@ -514,6 +513,32 @@ class TestSweep:
         # A zero ideal's basis is computed from no generators, so no ring.
         assert all(name is None or name.startswith("x_") for name in calls["charts"])
         assert calls["localmult"]
+
+    def test_back_to_back_sweeps_start_cold(self, monkeypatch):
+        """Each chart context owns its multiplicity memo and the engine
+        keeps no module-level one, so a second sweep in the same process
+        takes every tangent cone again and gives the same reports."""
+        shape = GrassShape(2, 5)
+        config = SweepConfig(grid=(Fraction(-1), Fraction(0), Fraction(1)), point_cap=50)
+        calls = count_engine_calls(monkeypatch, "multiplicity_at_origin")
+        first = verify_theorem(shape, config)
+        assert calls == {"multiplicity_at_origin": 391}
+        second = verify_theorem(shape, config)
+        assert calls == {"multiplicity_at_origin": 2 * 391}
+        assert first.checked == 1856 and second.reports == first.reports
+
+    def test_side_rejects_a_point_of_another_chart(self):
+        """A side answers points of its own chart only, also once its memo
+        holds a point with the same coordinates."""
+        here = ChartContext(G24, rep(G24, 2, 4))
+        there = build_chart(G24, rep(G24, 1, 4))
+        side = here.side(schubert_ideal, rep(G24, 2, 4), "Schubert")
+        assert there.origin().coords == here.chart.origin().coords
+        with pytest.raises(PointNotOnChartError):
+            side.at(there.origin())
+        assert side.at(here.chart.origin()).mult == 1
+        with pytest.raises(PointNotOnChartError):
+            side.at(there.origin())
 
     def test_sweep_config_fields(self):
         """A sweep has four settings; a cap above the default reaches the

@@ -8,7 +8,7 @@ import pytest
 
 from richmult import quadric
 from richmult.charts import translate_to_origin
-from richmult.engine import KernelInconsistencyError, clear_caches
+from richmult.engine import KernelInconsistencyError
 from richmult.groebner import reduced_groebner_basis
 from richmult.poly import PolyRing
 from richmult.quadric import (
@@ -292,7 +292,6 @@ class TestRichardson:
                 return real(gens)
 
             monkeypatch.setattr(module, "reduced_groebner_basis", counted, raising=False)
-        clear_caches()
         assert len(quadric_sweep(QuadricShape(3))) > 0
         assert calls["groebner"] == []
         assert calls["quadric"] and calls["localmult"]

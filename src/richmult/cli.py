@@ -31,7 +31,6 @@ from .charts import (
     translate_to_origin,
 )
 from .engine import (
-    MembershipError,
     PreconditionError,
     SweepConfig,
     SweepResult,
@@ -295,7 +294,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, PreconditionError, MembershipError, ValueError, OSError) as exc:
+    # UsageError, PreconditionError and MembershipError are ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -4,7 +4,8 @@ The fast path multiplies the two one-sided multiplicities; the oracle
 computes the tangent-cone degree of the intersection ideal directly.  The
 sweep harness enumerates nested stratum triples, samples rational cell
 points from a grid, and emits one report per point with degree, cone and
-smoothness verdicts.
+smoothness verdicts.  Each input is checked once, where it enters: a
+triple by :class:`StratumInstance`, a point by :meth:`StratumSide.at`.
 
 The sweep's unit of work is a chart.  The Schubert side of an instance
 (w, v, tau) depends only on (tau, w) and the opposite side only on
@@ -46,7 +47,6 @@ from .charts import (
     _echelon,
     build_chart,
     evaluate_ideal,
-    in_cell,
     is_cone_over_origin,
     opposite_ideal,
     schubert_ideal,
@@ -104,23 +104,20 @@ def _instance(shape: GrassShape, w: CosetRep, v: CosetRep, tau: CosetRep) -> "St
 def mult_schubert_at(
     shape: GrassShape, w: CosetRep, tau: CosetRep, m: Optional[AffinePoint] = None
 ) -> int:
-    """Multiplicity of a cell point m on the Schubert variety of w.
-
-    Requires m in the cell of tau and tau <= w.  The result is the one at
-    the fixed point: the chart's split certificate
-    (``ChartContext.side``) guarantees that the Schubert ideal uses only
-    slice coordinates, which a cell point does not move, so the ideal
-    translated to m is the ideal at the fixed point."""
+    """Multiplicity of m, a point of the chart of tau, on the Schubert
+    variety of w.  At a cell point it is the one at the fixed point: by the
+    chart's split certificate the Schubert ideal uses only slice
+    coordinates, which a cell point does not move."""
     # The opposite variety of the minimal coset is the whole space.
     inst = _instance(shape, w, minimal_rep(shape), tau)
-    return inst.schubert_point(inst.resolve_point(m)).mult
+    return inst.side_w.at(inst.resolve_point(m)).mult
 
 
 def mult_opposite_at(
     shape: GrassShape, v: CosetRep, tau: CosetRep, m: Optional[AffinePoint] = None
 ) -> int:
-    """Multiplicity of m on the opposite stratum variety of v; membership
-    is checked by evaluating the generators at m."""
+    """Multiplicity of m, a point of the chart of tau, on the opposite
+    variety of v."""
     # The Schubert variety of the maximal coset is the whole space.
     inst = _instance(shape, maximal_rep(shape), v, tau)
     return inst.side_v.at(inst.resolve_point(m)).mult
@@ -135,11 +132,9 @@ def mult_richardson_fast(
 ) -> int:
     """Product of the two one-sided multiplicities (a point on both sides
     lies on the intersection)."""
-    if not bruhat_leq(v, w):
-        raise PreconditionError(f"require v <= w: {format_coset(v)} vs {format_coset(w)}")
     inst = _instance(shape, w, v, tau)
     m = inst.resolve_point(m)
-    return inst.schubert_point(m).mult * inst.side_v.at(m).mult
+    return inst.side_w.at(m).mult * inst.side_v.at(m).mult
 
 
 def mult_richardson_oracle(
@@ -165,16 +160,14 @@ def degree_product_check(
     return _instance(shape, w, v, tau).degrees
 
 
-def jacobian_corank(ideal: PolyIdeal, m: AffinePoint, dim: Optional[int] = None) -> int:
-    """Tangent-space dimension at m minus the variety's dimension (0 at a
-    smooth point of the varieties considered here).  ``dim`` is the
-    variety's dimension, computed from the ideal when not given.  The
+def jacobian_corank(ideal: PolyIdeal, m: AffinePoint) -> int:
+    """Tangent-space dimension at m minus the dimension of the ideal's
+    variety (0 at a smooth point of the varieties considered here).  The
     tangent space can never be smaller than the variety, so a negative
     value raises."""
     if not evaluate_ideal(ideal, m):
         raise MembershipError("point is not on the variety")
-    if dim is None:
-        dim = ideal_dimension(ideal)
+    dim = ideal_dimension(ideal)
     return _corank(_jacobian_rows(_gradient(ideal), m.coords), ideal.ring.nvars, dim, m)
 
 
@@ -280,13 +273,13 @@ class StratumSide:
         return _gradient(self.ideal)
 
     def at(self, m: AffinePoint) -> SidePoint:
-        """The side at m, built on first use; m must be a point of the
-        side's chart and lie on the variety."""
+        """The side at m, built on first use: the engine's only point check,
+        of the chart (also once the memo holds m) and then of membership."""
         if m.chart.ring != self.ideal.ring:
             raise PointNotOnChartError("ideal and point live on different charts")
         point = self._points.get(m.coords)
         if point is None:
-            if self.ideal.is_unit() or not evaluate_ideal(self.ideal, m):
+            if not evaluate_ideal(self.ideal, m):
                 raise MembershipError(f"point is not on the {self.variety} variety")
             moved = translate_to_origin(self.ideal, m)
             point = SidePoint(
@@ -340,9 +333,15 @@ class StratumInstance:
     sides, which it takes from the chart's context: the intersection
     ideal and, each computed on first use and kept, the dimension check
     against Bruhat lengths, the degree identity and the cone flag of the
-    intersection."""
+    intersection.  It is the engine's only Bruhat check: unless v <= tau <= w
+    it raises ``PreconditionError`` before it builds any side."""
 
     def __init__(self, context: ChartContext, w: CosetRep, v: CosetRep):
+        tau = context.tau
+        if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
+            raise PreconditionError(
+                f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
+            )
         self.context = context
         self.w = w
         self.v = v
@@ -350,21 +349,13 @@ class StratumInstance:
         self.side_v = context.side(opposite_ideal, v, "opposite")
         self.iwv = self.side_w.ideal + self.side_v.ideal
 
-    def _require_nested(self):
-        v, tau, w = self.v, self.context.tau, self.w
-        if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
-            raise PreconditionError(
-                f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
-            )
-
     @cached_property
     def dimensions(self) -> tuple[int, int, int]:
         """Dimensions of the three varieties.  The Groebner dimensions must
         match the combinatorial ones; a mismatch would mean the minor
-        generators do not cut the expected varieties.  Past the Bruhat
-        precondition the fixed point lies on both sides, so a unit
-        intersection is a kernel fault."""
-        self._require_nested()
+        generators do not cut the expected varieties.  The instance's gate
+        puts the fixed point on both sides, so a unit intersection is a
+        kernel fault."""
         if self.iwv.is_unit():
             raise KernelInconsistencyError("empty intersection although v <= tau <= w")
         lw, lv = self.w.length(), self.v.length()
@@ -381,7 +372,6 @@ class StratumInstance:
     def degrees(self) -> tuple[int, int, int, bool]:
         """Projective degrees of the three cone ideals and whether
         deg(intersection) = deg * deg."""
-        self._require_nested()
         deg_w, deg_v = self.side_w.degree, self.side_v.degree
         deg_wv = projective_degree(self.iwv)
         return deg_w, deg_v, deg_wv, deg_wv == deg_w * deg_v
@@ -391,27 +381,8 @@ class StratumInstance:
         return is_cone_over_origin(self.iwv)
 
     def resolve_point(self, m: Optional[AffinePoint]) -> AffinePoint:
-        """m itself, or the fixed point when m is None."""
-        if m is None:
-            return self.context.chart.origin()
-        if m.chart != self.context.chart:
-            raise MembershipError("point lies on a different chart")
-        return m
-
-    def schubert_point(self, m: AffinePoint) -> SidePoint:
-        """The Schubert side at m, a cell point on X_w.  Its multiplicity is
-        the one at the fixed point without a comparison: the side passed
-        the chart's split certificate, so its basis uses only slice
-        coordinates, and shifting by a cell point changes none of its
-        terms."""
-        tau, chart = self.context.tau, self.context.chart
-        if not bruhat_leq(tau, self.w):
-            raise PreconditionError(
-                f"require tau <= w: {format_coset(tau)} vs {format_coset(self.w)}"
-            )
-        if not in_cell(chart, m):
-            raise MembershipError(f"point {m} is not in the cell of {format_coset(tau)}")
-        return self.side_w.at(m)
+        """m itself, or the fixed point when m is None; the sides check m."""
+        return self.context.chart.origin() if m is None else m
 
     def oracle_ideal(self, m: AffinePoint) -> PolyIdeal:
         """The intersection ideal translated so that m is the origin: the
@@ -424,8 +395,7 @@ class StratumInstance:
         """Full verification record for one point."""
         m = self.resolve_point(m)
         dim_w, dim_v, dim_wv = self.dimensions
-        at_w = self.schubert_point(m)
-        at_v = self.side_v.at(m)
+        at_w, at_v = self.side_w.at(m), self.side_v.at(m)
         mu_fast = at_w.mult * at_v.mult
         mu_oracle = _mult_of(self.oracle_ideal(m), self.context.mults)
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
@@ -571,10 +541,11 @@ def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> Sw
     # starts its longest tasks first instead of ending on them.
     taus = sorted(by_chart, key=lambda tau: tau.length(), reverse=True)
 
-    if config.workers > 1:
+    # A forked pool starts all its workers at once: no more than there are charts.
+    workers = min(config.workers, len(taus))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(
                 _chart_reports,
                 itertools.repeat(shape),

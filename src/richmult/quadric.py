@@ -48,6 +48,14 @@ def check_schubert_index(shape: QuadricShape, i: int):
         raise ValueError(f"index must lie in [1, {shape.ncoords}] minus {shape.n + 1}")
 
 
+def check_index_pair(shape: QuadricShape, i: int, j: int):
+    """i and j both name strata, and j <= i (else X_i and X^j are disjoint)."""
+    check_schubert_index(shape, i)
+    check_schubert_index(shape, j)
+    if j > i:
+        raise ValueError("need j <= i for a nonempty intersection")
+
+
 def _coords(shape: QuadricShape, x: Sequence) -> tuple[Fraction, ...]:
     vec = tuple(Fraction(v) for v in x)
     if len(vec) != shape.ncoords:
@@ -181,10 +189,7 @@ def verify_b_matrix(shape: QuadricShape, i: int, x: Sequence) -> bool:
 def verify_disjoint_sing(shape: QuadricShape, i: int, j: int, grid=None) -> bool:
     """Singular loci of X_i and X^j never meet when j <= i: checked by
     index arithmetic and, if a grid is supplied, by exhaustive search."""
-    check_schubert_index(shape, i)
-    check_schubert_index(shape, j)
-    if j > i:
-        raise ValueError("need j <= i for a nonempty intersection")
+    check_index_pair(shape, i, j)
     sing_i = singular_locus_index(shape, i)
     sing_j = singular_locus_opposite_index(shape, j)
     if sing_i is not None and sing_j is not None:
@@ -212,8 +217,7 @@ def _grid_points(shape: QuadricShape, grid):
 def richardson_mult_quadric(shape: QuadricShape, i: int, j: int, x: Sequence) -> int:
     """Product of the two closed forms; always at most 2 because the two
     singular loci are disjoint."""
-    if j > i:
-        raise ValueError("need j <= i")
+    check_index_pair(shape, i, j)
     if not (schubert_member(shape, i, x) and opposite_member(shape, j, x)):
         raise QuadricMembershipError("point is not on the intersection")
     mu = mult_schubert_quadric(shape, i, x) * mult_opposite_quadric(shape, j, x)
@@ -278,8 +282,10 @@ def mult_oracle(
 ) -> int:
     """Tangent-cone multiplicity at the point of the chart ideal of X_i, of
     X^j, of their intersection, or of the quadric when neither is given."""
+    i, j = shape.ncoords if i is None else i, 1 if j is None else j
+    check_index_pair(shape, i, j)
     chart, coords = _on_chart({}, shape, _coords(shape, x))
-    return _oracle(chart.side(shape.ncoords if i is None else i, 1 if j is None else j), coords)
+    return _oracle(chart.side(i, j), coords)
 
 
 def sample_quadric_points(
@@ -288,10 +294,7 @@ def sample_quadric_points(
     """Deterministic projective representatives on the intersection of X_i
     and X^j: support inside [j, i], last nonzero coordinate scaled to 1,
     earlier window coordinates from the grid, Q = 0."""
-    check_schubert_index(shape, i)
-    check_schubert_index(shape, j)
-    if j > i:
-        raise ValueError("need j <= i")
+    check_index_pair(shape, i, j)
     if limit < 1:
         raise ValueError("the point cap must be positive")
     out: list[tuple] = []
@@ -330,12 +333,12 @@ def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
 def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> MultiplicityReport:
     """MultiplicityReport for a point of the intersection X_i and X^j,
     cross-checking the closed forms against the oracle and the Jacobian."""
+    check_index_pair(shape, i, j)
     return _report(shape, {}, i, j, x)
 
 
 def _report(shape: QuadricShape, charts: dict, i: int, j: int, x: Sequence) -> MultiplicityReport:
-    check_schubert_index(shape, i)
-    check_schubert_index(shape, j)
+    """The report of a checked index pair (i, j), its chart from ``charts``."""
     vec = _coords(shape, x)
     chart, coords = _on_chart(charts, shape, vec)
     side_i, side_j, side_ij = chart.side(i, 1), chart.side(shape.ncoords, j), chart.side(i, j)

@@ -142,6 +142,25 @@ class TestMult:
         code = main(["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12"])
         assert code == 2
 
+    def test_point_off_the_cell_of_tau(self, capsys, tmp_path):
+        """A coordinate-map point may be any point of the --tau chart on
+        both sides, in the cell or not."""
+        point = tmp_path / "off.json"
+        point.write_text(json.dumps({"coords": {"2.1": "1"}}))
+        code = main([
+            "mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12",
+            "--tau", "13", "--point", str(point),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(
+            "mu_w=1 mu_v=1 fast=1 oracle=1 agreement=True\n"
+        )
+
+    def test_triple_not_nested_exits_2(self, capsys):
+        code = main(["mult", "--d", "2", "--n", "4", "--w", "34", "--v", "24", "--tau", "13"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: require v <= tau <= w: 24, 13, 34\n"
+
 
 class TestSweep:
     def test_summary_and_exit(self, capsys, tmp_path):
@@ -250,6 +269,15 @@ class TestQuadric:
         assert main(["quadric", "--qn", "2"] + args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_pair_out_of_order_exits_2(self, capsys, tmp_path):
+        point = tmp_path / "x.json"
+        point.write_text(json.dumps(["1", "0", "0", "0", "0"]))
+        code = main(["quadric", "--qn", "2", "--i", "1", "--j", "5", "--point", str(point)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need j <= i for a nonempty intersection\n"
+        assert captured.out == ""
 
     def test_small_sweep(self, capsys, tmp_path):
         out = tmp_path / "q.json"

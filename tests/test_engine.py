@@ -93,12 +93,107 @@ class TestSchubertMultiplicity:
         with pytest.raises(PreconditionError):
             mult_schubert_at(G24, rep(G24, 1, 3), rep(G24, 2, 4))
 
-    def test_cell_membership_enforced(self):
-        tau = rep(G24, 1, 3)
+    def test_off_cell_points_taken_and_membership_enforced(self):
+        """A point of the chart off the cell is answered when it lies on
+        X_w, with the series value; one off X_w is refused."""
+        w, tau = rep(G24, 2, 4), rep(G24, 1, 3)
         chart = build_chart(G24, tau)
         off_cell = chart.point({(2, 1): 1})
+        assert not in_cell(chart, off_cell)
+        ideal = translate_to_origin(schubert_ideal(chart, w), off_cell)
+        expected = hilbert_samuel_multiplicity(ideal, ideal_dimension(ideal))
+        assert mult_schubert_at(G24, w, tau, off_cell) == expected == 1
         with pytest.raises(MembershipError):
-            mult_schubert_at(G24, rep(G24, 2, 4), tau, off_cell)
+            mult_schubert_at(G24, w, tau, chart.point({(4, 1): 1}))
+
+
+# v = 24 is not below tau = 13; the Schubert side alone (tau <= w) is fine.
+NOT_NESTED = (rep(G24, 3, 4), rep(G24, 2, 4), rep(G24, 1, 3))
+ENTRY_POINTS = {
+    "build_report": lambda w, v, tau: build_report(G24, w, v, tau),
+    "degree_product_check": lambda w, v, tau: degree_product_check(G24, w, v, tau),
+    "mult_opposite_at": lambda w, v, tau: mult_opposite_at(G24, v, tau),
+    "mult_richardson_fast": lambda w, v, tau: mult_richardson_fast(G24, w, v, tau),
+    "mult_richardson_oracle": lambda w, v, tau: mult_richardson_oracle(G24, w, v, tau),
+    "StratumInstance": lambda w, v, tau: StratumInstance(ChartContext(G24, tau), w, v),
+}
+
+
+class TestGates:
+    """A stratum triple is checked where the instance is built, a point
+    where a side takes it."""
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_triple_not_nested_fails_before_any_side(self, monkeypatch, name):
+        builds = count_side_builds(monkeypatch)
+        with pytest.raises(PreconditionError, match="require v <= tau <= w: 24, 13, 34"):
+            ENTRY_POINTS[name](*NOT_NESTED)
+        assert builds == {"schubert_ideal": 0, "opposite_ideal": 0}
+
+    def test_schubert_query_names_the_triple(self, monkeypatch):
+        builds = count_side_builds(monkeypatch)
+        with pytest.raises(PreconditionError, match="require v <= tau <= w: 12, 24, 13"):
+            mult_schubert_at(G24, rep(G24, 1, 3), rep(G24, 2, 4))
+        assert builds == {"schubert_ideal": 0, "opposite_ideal": 0}
+
+    @pytest.mark.parametrize("call", [mult_richardson_fast, mult_richardson_oracle])
+    def test_point_of_another_chart_refused_by_the_side(self, call):
+        there = build_chart(G24, rep(G24, 1, 4)).origin()
+        with pytest.raises(PointNotOnChartError):
+            call(G24, rep(G24, 3, 4), rep(G24, 1, 2), rep(G24, 2, 4), there)
+
+
+def off_cell_points(inst: StratumInstance) -> list:
+    """The points off the cell with coordinates in -1, 0, 1 on the
+    instance's intersection."""
+    chart = inst.context.chart
+    grid = (Fraction(-1), Fraction(0), Fraction(1))
+    walk = sample_points(inst.iwv, chart, grid, limit=3 ** len(chart.indices))
+    return [m for m in walk if not in_cell(chart, m)]
+
+
+@cache
+def g24_off_cell_points() -> tuple:
+    """(instance, point) for every off-cell point of every G(2,4)
+    instance, served from one context per tau."""
+    contexts: dict = {}
+    out = []
+    for w, v, tau in enumerate_instances(G24):
+        inst = StratumInstance(contexts.setdefault(tau, ChartContext(G24, tau)), w, v)
+        out.extend((inst, m) for m in off_cell_points(inst))
+    return tuple(out)
+
+
+class TestOffCellPoints:
+    """The fast path, the oracle and the report take every point of the
+    chart on the variety, in the cell or not, and agree there."""
+
+    def test_reports_agree_at_every_off_cell_point(self):
+        points = g24_off_cell_points()
+        assert len(points) == 628
+        for inst, m in points:
+            assert inst.report(m).agreement
+
+    def test_fast_oracle_and_series_agree(self):
+        """At a sample of the G(2,4) points, and at the six off-cell points
+        of G(2,5) where X_35 is singular on the chart of 13 (every
+        off-cell point of G(2,4) is smooth on both sides)."""
+        g25 = GrassShape(2, 5)
+        w, v, tau = (parse_coset(g25, t) for t in ("35", "12", "13"))
+        inst = StratumInstance(ChartContext(g25, tau), w, v)
+        singular = [(inst, m) for m in off_cell_points(inst) if inst.side_w.at(m).mult == 2]
+        assert len(singular) == 6
+        for inst, m in singular + list(g24_off_cell_points()[::37]):
+            shape, w, v, tau = inst.context.shape, inst.w, inst.v, inst.context.tau
+            fast = mult_richardson_fast(shape, w, v, tau, m)
+            assert fast == mult_richardson_oracle(shape, w, v, tau, m)
+            report = inst.report(m)
+            chart = inst.context.chart
+            for ideal, mu in ((schubert_ideal(chart, w), report.mu_w),
+                              (opposite_ideal(chart, v), report.mu_v),
+                              (richardson_ideal(chart, w, v), fast)):
+                moved = translate_to_origin(ideal, m)
+                assert hilbert_samuel_multiplicity(moved, ideal_dimension(moved)) == mu
 
 
 class TestOppositeMultiplicity:
@@ -539,6 +634,35 @@ class TestSweep:
         assert side.at(here.chart.origin()).mult == 1
         with pytest.raises(PointNotOnChartError):
             side.at(there.origin())
+
+    def test_pool_has_no_more_workers_than_charts(self, monkeypatch):
+        """A sweep opens its pool with at most one worker per chart (G(2,4)
+        has 6), and none for a single chart."""
+        import concurrent.futures
+
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        config = SweepConfig(grid=(Fraction(0),), workers=8)
+        pooled = verify_theorem(G24, config)
+        assert opened == [6]
+        assert pooled.reports == verify_theorem(G24, replace(config, workers=1)).reports
+        assert verify_theorem(G24, replace(config, max_instances=1)).checked == 1
+        assert verify_theorem(G24, replace(config, max_instances=0)).checked == 0
+        assert opened == [6]
 
     def test_sweep_config_fields(self):
         """A sweep has four settings; a cap above the default reaches the

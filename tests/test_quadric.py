@@ -15,6 +15,7 @@ from richmult.quadric import (
     QuadricMembershipError,
     QuadricShape,
     b_matrix,
+    check_index_pair,
     check_schubert_index,
     mult_opposite_quadric,
     mult_oracle,
@@ -232,6 +233,35 @@ class TestDisjointSingularLoci:
             verify_disjoint_sing(shape, 2, 4)
 
 
+class TestIndexPair:
+    """Every entry point that takes a pair (i, j) checks it once, with
+    ``check_index_pair``: both indices name strata, and j <= i."""
+
+    def test_valid_pairs(self):
+        shape = QuadricShape(2)
+        for i, j in [(1, 1), (5, 1), (4, 2), (5, 5)]:
+            assert check_index_pair(shape, i, j) is None
+
+    @pytest.mark.parametrize("indices", [{"i": 3}, {"i": 9}, {"j": 0}, {"i": 2, "j": 3}])
+    def test_oracle_rejects_indices_naming_no_stratum(self, indices):
+        shape = QuadricShape(2)
+        with pytest.raises(ValueError, match="index must lie in"):
+            mult_oracle(shape, unit(shape, 1), **indices)
+
+    @pytest.mark.parametrize("call", [
+        lambda shape, x: mult_oracle(shape, x, i=1, j=5),
+        lambda shape, x: quadric_report(shape, 1, 5, x),
+        lambda shape, x: richardson_mult_quadric(shape, 1, 5, x),
+        lambda shape, x: verify_disjoint_sing(shape, 1, 5),
+        lambda shape, x: sample_quadric_points(shape, 1, 5, (-1, 0, 1)),
+    ], ids=["mult_oracle", "quadric_report", "richardson_mult_quadric",
+            "verify_disjoint_sing", "sample_quadric_points"])
+    def test_pair_out_of_order_rejected(self, call):
+        shape = QuadricShape(2)
+        with pytest.raises(ValueError, match="need j <= i"):
+            call(shape, unit(shape, 1))
+
+
 class TestRichardson:
     def test_smooth_times_smooth(self):
         shape = QuadricShape(2)
@@ -341,7 +371,7 @@ class TestRichardson:
         shape = QuadricShape(2)
         with pytest.raises(ValueError):
             quadric_report(shape, 3, 1, unit(shape, 1))
-        with pytest.raises(QuadricMembershipError):
+        with pytest.raises(ValueError, match="need j <= i"):
             quadric_report(shape, 2, 4, unit(shape, 1))
         with pytest.raises(QuadricMembershipError):
             quadric_report(shape, 4, 2, unit(shape, 1))

@@ -27,6 +27,13 @@ Buchberger runs once per side: never on an intersection, never at a
 point.  Multiplicities are memoized in the context's ``mults`` table,
 keyed by the translated ideal's reduced basis; the package keeps no
 module-level state, so every context starts cold.
+
+The split also saves per-point work.  A side keys its points by their
+coordinates at the variables its generators use, so a Schubert side
+answers every cell point from its fixed-point entry.  And a cell point
+lies on every X_w with w >= tau (its slice coordinates are zero), so the
+cell points of X_w^v are those of X^v: the sweep walks the grid once per
+(tau, v) and shares the points across every w of that v.
 Instances are grouped by tau and the groups run largest cell first.  Each
 group is served from one context that is dropped when the group ends,
 and ``workers > 1`` maps the groups over a process pool.
@@ -53,7 +60,7 @@ from .charts import (
     translate_to_origin,
 )
 from .groebner import PolyIdeal, _support
-from .hilbert import ideal_dimension, projective_degree
+from .hilbert import HilbertData, ideal_dimension, ideal_hilbert_data, require_cone
 from .localmult import multiplicity_at_origin
 from .report import MultiplicityReport
 from .weyl import (
@@ -248,11 +255,17 @@ class SidePoint(NamedTuple):
 class StratumSide:
     """One stratum variety on one chart: the Schubert variety of w, the
     opposite variety of v or a quadric stratum.  It holds the chart ideal
-    and, each computed on first use and kept, its dimension, its degree,
-    its symbolic Jacobian, and per point a :class:`SidePoint`.  Nothing in
-    it depends on the other side, so every instance of the chart shares it.
-    Its multiplicities go through ``mults``, the multiplicity memo of the
-    chart that built it."""
+    and, each computed on first use and kept, its Hilbert data (one
+    numerator for its dimension and degree), its symbolic Jacobian, and
+    per point a :class:`SidePoint`.  Nothing in it depends on the other
+    side, so every instance of the chart shares it.  Its multiplicities go
+    through ``mults``, the multiplicity memo of the chart that built it.
+
+    Points are keyed by their coordinates at ``support``, the variables
+    the generators use: the translated ideal, the multiplicity, the cone
+    flag and the Jacobian rows depend on nothing else.  By the chart's
+    split a Schubert side's support is slice coordinates only, which are
+    zero at every cell point, so one entry serves them all."""
 
     def __init__(self, ideal: PolyIdeal, variety: str, mults: dict):
         self.ideal = ideal
@@ -261,12 +274,22 @@ class StratumSide:
         self._points: dict = {}
 
     @cached_property
+    def support(self) -> list[int]:
+        """Positions of the chart variables the side's generators use."""
+        return sorted(_support(self.ideal.gens))
+
+    @cached_property
+    def hilbert(self) -> HilbertData:
+        return ideal_hilbert_data(self.ideal)
+
+    @cached_property
     def dimension(self) -> int:
-        return ideal_dimension(self.ideal)
+        return self.hilbert.dimension
 
     @cached_property
     def degree(self) -> int:
-        return projective_degree(self.ideal)
+        require_cone(self.ideal)
+        return self.hilbert.degree
 
     @cached_property
     def gradient(self) -> list[list]:
@@ -274,10 +297,13 @@ class StratumSide:
 
     def at(self, m: AffinePoint) -> SidePoint:
         """The side at m, built on first use: the engine's only point check,
-        of the chart (also once the memo holds m) and then of membership."""
+        of the chart (on every call) and then of membership (once per
+        support key; points with one key are on the variety together or
+        off it together)."""
         if m.chart.ring != self.ideal.ring:
             raise PointNotOnChartError("ideal and point live on different charts")
-        point = self._points.get(m.coords)
+        key = tuple(m.coords[i] for i in self.support)
+        point = self._points.get(key)
         if point is None:
             if not evaluate_ideal(self.ideal, m):
                 raise MembershipError(f"point is not on the {self.variety} variety")
@@ -288,7 +314,7 @@ class StratumSide:
                 cone_over_point=is_cone_over_origin(moved),
                 jacobian_rows=_jacobian_rows(self.gradient, m.coords),
             )
-            self._points[m.coords] = point
+            self._points[key] = point
         return point
 
 
@@ -331,10 +357,11 @@ class ChartContext:
 class StratumInstance:
     """What verifying one stratum triple (w, v, tau) needs beyond its two
     sides, which it takes from the chart's context: the intersection
-    ideal and, each computed on first use and kept, the dimension check
-    against Bruhat lengths, the degree identity and the cone flag of the
-    intersection.  It is the engine's only Bruhat check: unless v <= tau <= w
-    it raises ``PreconditionError`` before it builds any side."""
+    ideal and, each computed on first use and kept, its Hilbert data, the
+    dimension check against Bruhat lengths, the degree identity and the
+    cone flag of the intersection.  It is the engine's only Bruhat check:
+    unless v <= tau <= w it raises ``PreconditionError`` before it builds
+    any side."""
 
     def __init__(self, context: ChartContext, w: CosetRep, v: CosetRep):
         tau = context.tau
@@ -350,6 +377,10 @@ class StratumInstance:
         self.iwv = self.side_w.ideal + self.side_v.ideal
 
     @cached_property
+    def hilbert(self) -> HilbertData:
+        return ideal_hilbert_data(self.iwv)
+
+    @cached_property
     def dimensions(self) -> tuple[int, int, int]:
         """Dimensions of the three varieties.  The Groebner dimensions must
         match the combinatorial ones; a mismatch would mean the minor
@@ -360,7 +391,7 @@ class StratumInstance:
             raise KernelInconsistencyError("empty intersection although v <= tau <= w")
         lw, lv = self.w.length(), self.v.length()
         expected = (lw, self.context.shape.dim - lv, lw - lv)
-        actual = (self.side_w.dimension, self.side_v.dimension, ideal_dimension(self.iwv))
+        actual = (self.side_w.dimension, self.side_v.dimension, self.hilbert.dimension)
         for dim, exp, label in zip(actual, expected, ("w", "v", "wv")):
             if dim != exp:
                 raise KernelInconsistencyError(
@@ -373,7 +404,8 @@ class StratumInstance:
         """Projective degrees of the three cone ideals and whether
         deg(intersection) = deg * deg."""
         deg_w, deg_v = self.side_w.degree, self.side_v.degree
-        deg_wv = projective_degree(self.iwv)
+        require_cone(self.iwv)
+        deg_wv = self.hilbert.degree
         return deg_w, deg_v, deg_wv, deg_wv == deg_w * deg_v
 
     @cached_property
@@ -507,16 +539,23 @@ def _chart_reports(
 ) -> list[MultiplicityReport]:
     """Reports at the fixed point and the sampled cell points of every
     (w, v) on the chart of tau, all served from one context, which is
-    dropped on return."""
+    dropped on return.  The grid is walked once per v, on the opposite
+    side's ideal: a cell point has zero slice coordinates, so it lies on
+    every X_w with w >= tau, and X_w^v and X^v have the same cell points,
+    found in the same order."""
     context = ChartContext(shape, tau)
     origin = context.chart.origin()
+    walks: dict = {}
     reports = []
     for w, v in pairs:
         inst = StratumInstance(context, w, v)
-        sampled = sample_points(
-            inst.iwv, context.chart, config.grid, cell_only=True, limit=config.point_cap
-        )
-        points = [origin] + [p for p in sampled if not p.is_origin()]
+        points = walks.get(v)
+        if points is None:
+            sampled = sample_points(
+                inst.side_v.ideal, context.chart, config.grid, cell_only=True,
+                limit=config.point_cap,
+            )
+            points = walks[v] = [origin] + [p for p in sampled if not p.is_origin()]
         reports.extend(inst.report(m) for m in points)
     return reports
 

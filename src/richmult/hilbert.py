@@ -141,12 +141,18 @@ def ideal_dimension(ideal: PolyIdeal) -> int:
     return ideal_hilbert_data(ideal).dimension
 
 
-def projective_degree(ideal: PolyIdeal) -> int:
-    """Degree of the projectivization of the cone cut out by a homogeneous
-    ideal (for dimension 0: the vector-space length of the quotient)."""
+def require_cone(ideal: PolyIdeal) -> None:
+    """Raise ``ValueError`` unless the ideal has a projective degree: its
+    generators are homogeneous and it is not the unit ideal."""
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise ValueError(f"non-homogeneous generator: {g}")
     if ideal.is_unit():
         raise ValueError("unit ideal has no degree")
+
+
+def projective_degree(ideal: PolyIdeal) -> int:
+    """Degree of the projectivization of the cone cut out by a homogeneous
+    ideal (for dimension 0: the vector-space length of the quotient)."""
+    require_cone(ideal)
     return ideal_hilbert_data(ideal).degree

@@ -1,5 +1,6 @@
 """Command-line interface: golden output, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -183,6 +184,21 @@ class TestSweep:
             ]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("grid, digest", [
+        ("-1,0,1", "0344796bbccecc4ac67602fe2a3a5af69e8235714a551232e5f39e668737667d"),
+        ("-2,-1,0,1,2", "63ffc8eda4aaab5197b2879aa05c80cf50e9c4c49fa72b6b008b07b51d1cf9fb"),
+    ])
+    def test_grid_sweep_bytes_are_pinned(self, capsys, tmp_path, grid, digest):
+        """The G(2,4) grid sweeps, with several cell points per instance,
+        write the bytes recorded before the sweep shared its grid walks and
+        side points: any change to the per-point memo or the walk shows."""
+        out = tmp_path / "sweep.json"
+        assert main([
+            "sweep", "--d", "2", "--n", "4", f"--grid={grid}", "--workers", "1",
+            "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_workers_keep_the_callers_budget(self, capsys):
         """A cap above the default budget is accepted by the worker pool as
         it is by the serial path."""
@@ -325,9 +341,14 @@ class TestComputationFailures:
     MULT = ["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "12"]
 
     def test_dimension_mismatch_exits_3(self, capsys, monkeypatch):
+        from dataclasses import replace
+
         from richmult import engine
 
-        monkeypatch.setattr(engine, "ideal_dimension", lambda ideal: -1)
+        real = engine.ideal_hilbert_data
+        monkeypatch.setattr(
+            engine, "ideal_hilbert_data", lambda ideal: replace(real(ideal), dimension=-1)
+        )
         assert main(self.MULT) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: KernelInconsistencyError: dimension")

@@ -20,12 +20,14 @@ from richmult.charts import (
     translate_to_origin,
 )
 from richmult.engine import (
+    DEFAULT_GRID,
     ChartContext,
     KernelInconsistencyError,
     MembershipError,
     PreconditionError,
     SweepConfig,
     StratumInstance,
+    StratumSide,
     SweepResult,
     build_report,
     degree_product_check,
@@ -60,9 +62,9 @@ def count_engine_calls(monkeypatch, *names) -> dict:
 
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _call=getattr(engine, name), _name=name):
+        def counted(*args, _call=getattr(engine, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _call(*args)
+            return _call(*args, **kwargs)
 
         monkeypatch.setattr(engine, name, counted)
     return calls
@@ -482,6 +484,57 @@ class TestReports:
         assert MultiplicityReport.from_dict(report.to_dict()) == report
 
 
+class TestSupportKeyedPoints:
+    """A side keys its points by their coordinates at the variables its
+    generators use."""
+
+    def instance(self):
+        """(35, 13, 34): the opposite side is singular at the fixed point
+        and its support moves at the cell points."""
+        shape = GrassShape(2, 5)
+        context = ChartContext(shape, rep(shape, 3, 4))
+        return StratumInstance(context, rep(shape, 3, 5), rep(shape, 1, 3))
+
+    def cell_points(self, inst):
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        points = sample_points(inst.iwv, inst.context.chart, grid, cell_only=True)
+        assert len(points) == 33 and sum(m.is_origin() for m in points) == 1
+        return points
+
+    def test_schubert_side_serves_cell_points_from_one_entry(self):
+        inst = self.instance()
+        points = self.cell_points(inst)
+        first = inst.side_w.at(inst.context.chart.origin())
+        assert all(inst.side_w.at(m) is first for m in points)
+        assert len({id(inst.side_v.at(m)) for m in points}) == 33
+
+    def test_fields_equal_a_fresh_side(self):
+        inst = self.instance()
+        for m in self.cell_points(inst):
+            for side in (inst.side_w, inst.side_v):
+                kept = side.at(m)
+                fresh = StratumSide(side.ideal, side.variety, {}).at(m)
+                assert [g.terms for g in kept.moved.gens] == [g.terms for g in fresh.moved.gens]
+                assert kept.moved.groebner() == fresh.moved.groebner()
+                assert kept.mult == fresh.mult
+                assert kept.cone_over_point == fresh.cone_over_point
+                assert kept.jacobian_rows == fresh.jacobian_rows
+
+    def test_point_moved_in_the_support_is_checked(self):
+        """Once the memo holds the origin, a point that differs from it in a
+        support coordinate has its own key and its own membership check."""
+        inst = self.instance()
+        side, chart = inst.side_w, inst.context.chart
+        assert side.at(chart.origin()).mult == 1
+        assert side.support and all(chart.indices[i] in chart.positive for i in side.support)
+        coords = list(chart.origin().coords)
+        coords[side.support[0]] = Fraction(1)
+        moved = AffinePoint(chart, tuple(coords))
+        assert not side.ideal.vanishes_at(moved.coords)
+        with pytest.raises(MembershipError, match="Schubert"):
+            side.at(moved)
+
+
 class TestSweep:
     def test_fixed_points_all_agree(self):
         result = verify_theorem(G24, SweepConfig(grid=(Fraction(0),), point_cap=1))
@@ -612,15 +665,41 @@ class TestSweep:
     def test_back_to_back_sweeps_start_cold(self, monkeypatch):
         """Each chart context owns its multiplicity memo and the engine
         keeps no module-level one, so a second sweep in the same process
-        takes every tangent cone again and gives the same reports."""
+        takes every tangent cone again and gives the same reports.  Each
+        sweep walks the grid once per (tau, v) and translates each side
+        once per support key."""
         shape = GrassShape(2, 5)
         config = SweepConfig(grid=(Fraction(-1), Fraction(0), Fraction(1)), point_cap=50)
-        calls = count_engine_calls(monkeypatch, "multiplicity_at_origin")
+        calls = count_engine_calls(
+            monkeypatch, "multiplicity_at_origin", "sample_points", "translate_to_origin"
+        )
         first = verify_theorem(shape, config)
-        assert calls == {"multiplicity_at_origin": 391}
+        opposite_sides = len({(tau, v) for w, v, tau in enumerate_instances(shape)})
+        once = {
+            "multiplicity_at_origin": 391, "sample_points": opposite_sides,
+            "translate_to_origin": 236,
+        }
+        assert opposite_sides == 50 and calls == once
         second = verify_theorem(shape, config)
-        assert calls == {"multiplicity_at_origin": 2 * 391}
+        assert calls == {name: 2 * count for name, count in once.items()}
         assert first.checked == 1856 and second.reports == first.reports
+
+    @pytest.mark.parametrize("shape, grid, cap", [
+        (G24, (-1, 0, 1), 200),
+        (G24, DEFAULT_GRID, 200),
+        (GrassShape(2, 5), (-1, 0, 1), 50),
+    ], ids=["G(2,4) 3-value", "G(2,4) 5-value", "G(2,5) 3-value cap 50"])
+    def test_shared_walk_is_the_instance_walk(self, shape, grid, cap):
+        """On every instance the cell-only walk of the opposite side finds
+        the points the walk of the intersection finds, in the same order:
+        the sweep walks once per (tau, v) and shares them across w."""
+        grid = tuple(Fraction(g) for g in grid)
+        contexts = {}
+        for w, v, tau in enumerate_instances(shape):
+            context = contexts.setdefault(tau, ChartContext(shape, tau))
+            inst = StratumInstance(context, w, v)
+            walk = sample_points(inst.side_v.ideal, context.chart, grid, cell_only=True, limit=cap)
+            assert walk == sample_points(inst.iwv, context.chart, grid, cell_only=True, limit=cap)
 
     def test_side_rejects_a_point_of_another_chart(self):
         """A side answers points of its own chart only, also once its memo

@@ -2,10 +2,17 @@
 
 A chart is an n x d matrix whose rows at the pivot positions form the
 identity and whose remaining entries are the chart coordinates x_q_p.
-Stratum ideals are generated by minors expressing rank conditions on
-top/bottom row blocks; rank conditions are emitted only at the essential
-column positions and the generator sets are autoreduced, which reproduces
-the familiar small generating sets.
+Schubert ideals are generated by minors expressing rank conditions on
+bottom row blocks; rank conditions are emitted only at the essential
+column positions, and the reduced basis replaces the minors.
+
+Opposite ideals are not built from minors.  The longest element w0
+reverses the rows, so X^v = w0·X_{w0·v}: the opposite ideal of v on the
+chart of tau is the Schubert ideal of w0·v on the chart of w0·tau with
+each coordinate (q, p) renamed to (n+1-q, n+1-p) (:func:`w0_relabel`).
+The renaming keeps the reduced basis whenever a leading-term certificate
+holds (``PolyIdeal.permuted``), so the Buchberger run is the Schubert
+ideal's.
 
 One exact elimination, :func:`_echelon`, serves every rank question: a
 matrix point's cell is the set of pivots of its columns' echelon basis,
@@ -28,9 +35,9 @@ from .weyl import (
     RootIndex,
     bruhat_leq,
     chart_index_set,
-    codescent_positions,
     descent_positions,
     positive_root_indices,
+    w0_dual,
 )
 
 
@@ -128,17 +135,19 @@ class AffinePoint:
         return "{" + inside + "}" if inside else "origin"
 
 
+def _coordinate_names(prefix: str, indices) -> tuple[str, ...]:
+    return tuple(f"{prefix}_{ix.q}_{ix.p}" for ix in indices)
+
+
 def build_chart(shape: GrassShape, tau: CosetRep) -> Chart:
     indices = chart_index_set(shape, tau)
-    names_x = tuple(f"x_{ix.q}_{ix.p}" for ix in indices)
-    names_y = tuple(f"y_{ix.q}_{ix.p}" for ix in indices)
     return Chart(
         shape=shape,
         tau=tau,
         indices=indices,
         positive=positive_root_indices(shape, tau),
-        ring=PolyRing(names_x),
-        yring=PolyRing(names_y),
+        ring=PolyRing(_coordinate_names("x", indices)),
+        yring=PolyRing(_coordinate_names("y", indices)),
     )
 
 
@@ -210,20 +219,34 @@ def schubert_ideal(chart: Chart, w: CosetRep) -> PolyIdeal:
     return PolyIdeal.of_basis(chart.ring, reduced_groebner_basis(dedupe_normalized(gens)))
 
 
+def w0_relabel(chart: Chart, ideal: PolyIdeal) -> PolyIdeal:
+    """An ideal of the chart of w0·tau carried to ``chart``, the chart of
+    tau, by renaming each coordinate (q, p) to (n+1-q, n+1-p).
+
+    Reversing the rows and the columns of the chart matrix of w0·tau and
+    renaming its coordinates so gives the chart matrix of tau, so a rank
+    condition on rows j+1..n there is one on rows 1..n-j here.  The
+    renaming is a variable permutation; the result keeps the reduced
+    basis of ``chart``'s order (``PolyIdeal.permuted``, certified or
+    recomputed).  The renaming reverses the order of the coordinates, so
+    coordinate j here is coordinate N-1-j of the chart of w0·tau."""
+    n = chart.shape.n
+    dual = [RootIndex(n + 1 - ix.q, n + 1 - ix.p) for ix in reversed(chart.indices)]
+    if ideal.ring.names != _coordinate_names("x", dual):
+        raise PointNotOnChartError("the ideal does not live on the chart of w0·tau")
+    return ideal.permuted(range(len(dual) - 1, -1, -1), chart.ring)
+
+
 def opposite_ideal(chart: Chart, v: CosetRep) -> PolyIdeal:
     """Ideal of the opposite Schubert variety indexed by v on the chart:
-    for each essential position j of v, rows 1..j-1 have rank at most
-    d - #{k : v_k >= j}."""
-    if not bruhat_leq(v, chart.tau):
-        return PolyIdeal.unit_marker(chart.ring)
-    matrix = chart.matrix()
-    d = chart.shape.d
-    gens: list[Polynomial] = []
-    for j in codescent_positions(v):
-        bound = d - sum(1 for e in v.entries if e >= j)
-        rows = matrix[: j - 1]
-        gens.extend(_minor_generators(rows, bound + 1, chart.ring))
-    return PolyIdeal.of_basis(chart.ring, reduced_groebner_basis(dedupe_normalized(gens)))
+    the Schubert ideal of w0·v on the chart of w0·tau, relabelled by
+    :func:`w0_relabel`.  It is the ideal of the rank conditions that for
+    each essential position j of v rows 1..j-1 have rank at most
+    d - #{k : v_k >= j}.  The unit-ideal marker is returned when the
+    chart's cell misses the variety (v not <= tau, exactly when
+    w0·tau not <= w0·v)."""
+    dual = build_chart(chart.shape, w0_dual(chart.tau))
+    return w0_relabel(chart, schubert_ideal(dual, w0_dual(v)))
 
 
 def richardson_ideal(chart: Chart, w: CosetRep, v: CosetRep) -> PolyIdeal:

@@ -7,26 +7,34 @@ points from a grid, and emits one report per point with degree, cone and
 smoothness verdicts.  Each input is checked once, where it enters: a
 triple by :class:`StratumInstance`, a point by :meth:`StratumSide.at`.
 
-The sweep's unit of work is a chart.  The Schubert side of an instance
-(w, v, tau) depends only on (tau, w) and the opposite side only on
-(tau, v), so a :class:`ChartContext` builds each :class:`StratumSide`
-once (its ideal, dimension, degree, symbolic Jacobian, and per point its
-translated ideal, multiplicity, cone flag and Jacobian rows) and every
+The sweep's unit of work is a w0-orbit {tau, w0·tau} of charts, one
+chart when tau = w0·tau.  The Schubert side of an instance (w, v, tau)
+depends only on (tau, w) and the opposite side only on (tau, v), so a
+:class:`ChartContext` builds each :class:`StratumSide` once (its ideal,
+dimension, degree, symbolic Jacobian, and per point its translated ideal,
+multiplicity, cone flag and Jacobian rows) and every
 :class:`StratumInstance` on the chart shares it; an instance adds only
-what needs both sides.  The chart splits: a Schubert ideal uses only the
-slice coordinates (the chart's positive roots) and an opposite ideal only
-the cell coordinates.  The context checks this certificate on the kept
-basis of every side it builds and raises ``KernelInconsistencyError`` on
-a violation.  So the intersection is the sum of the two sides
-(``PolyIdeal.__add__``) and keeps their merged reduced bases, and a cell
-point, which moves only cell coordinates, leaves the Schubert side's
-basis as it is.  Every translated ideal keeps the translated basis of the
-ideal it came from (``PolyIdeal.translated``), and the oracle's ideal at a
-point is the sum of the two translated sides.  Apart from tangent cones,
-Buchberger runs once per side: never on an intersection, never at a
-point.  Multiplicities are memoized in the context's ``mults`` table,
-keyed by the translated ideal's reduced basis; the package keeps no
-module-level state, so every context starts cold.
+what needs both sides.  Only Schubert ideals are built: X^v = w0·X_{w0·v},
+so the opposite side of v on the chart of tau is the Schubert ideal of
+w0·v on the chart of w0·tau, relabelled (``w0_relabel``).  The two
+contexts of an orbit share one table of Schubert ideals, so each is built
+once and used twice: as a Schubert side on its own chart and, relabelled,
+as an opposite side on the other.  The chart splits: a Schubert ideal
+uses only the slice coordinates (the chart's positive roots) and an
+opposite ideal only the cell coordinates.  The context checks this
+certificate on the kept basis of every side it uses, relabelled or not,
+and raises ``KernelInconsistencyError`` on a violation.  So the
+intersection is the sum of the two sides (``PolyIdeal.__add__``) and
+keeps their merged reduced bases, and a cell point, which moves only cell
+coordinates, leaves the Schubert side's basis as it is.  Every translated
+ideal keeps the translated basis of the ideal it came from
+(``PolyIdeal.translated``), and the oracle's ideal at a point is the sum
+of the two translated sides.  Apart from tangent cones, Buchberger runs
+once per Schubert side: never on an opposite side whose relabelled basis
+passes its leading-term certificate (``PolyIdeal.permuted``), never on an
+intersection, never at a point.  Multiplicities are memoized in the
+context's ``mults`` table, keyed by the translated ideal's reduced basis;
+the package keeps no module-level state, so every context starts cold.
 
 The split also saves per-point work.  A side keys its points by their
 coordinates at the variables its generators use, so a Schubert side
@@ -34,9 +42,10 @@ answers every cell point from its fixed-point entry.  And a cell point
 lies on every X_w with w >= tau (its slice coordinates are zero), so the
 cell points of X_w^v are those of X^v: the sweep walks the grid once per
 (tau, v) and shares the points across every w of that v.
-Instances are grouped by tau and the groups run largest cell first.  Each
-group is served from one context that is dropped when the group ends,
-and ``workers > 1`` maps the groups over a process pool.
+Instances are grouped by tau, the charts by w0-orbit, and the orbits run
+largest cell first.  Each orbit is served from its contexts, which are
+dropped when the orbit ends, and ``workers > 1`` maps the orbits over a
+process pool.
 """
 
 from __future__ import annotations
@@ -55,9 +64,9 @@ from .charts import (
     build_chart,
     evaluate_ideal,
     is_cone_over_origin,
-    opposite_ideal,
     schubert_ideal,
     translate_to_origin,
+    w0_relabel,
 )
 from .groebner import PolyIdeal, _support
 from .hilbert import HilbertData, ideal_dimension, ideal_hilbert_data, require_cone
@@ -71,6 +80,7 @@ from .weyl import (
     format_coset,
     maximal_rep,
     minimal_rep,
+    w0_dual,
 )
 
 DEFAULT_GRID = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
@@ -320,29 +330,58 @@ class StratumSide:
 
 class ChartContext:
     """The chart of tau with every stratum side built on it, each once per
-    w or v: the sweep's unit of work.  Sides live as long as the context,
-    and so does ``mults``, the one multiplicity memo that its sides and the
-    oracle share (their translated ideals all live in the chart's y-ring)."""
+    w or v: the sweep's unit of work, with the context of w0·tau.  Sides
+    live as long as the context, and so does ``mults``, the one
+    multiplicity memo that its sides and the oracle share (their
+    translated ideals all live in the chart's y-ring).
 
-    def __init__(self, shape: GrassShape, tau: CosetRep):
+    Only Schubert ideals are built.  The opposite side of v is the
+    Schubert ideal of w0·v on ``dual_chart``, the chart of w0·tau,
+    relabelled onto this chart (``w0_relabel``).  The Schubert ideals of
+    both charts sit in one table, keyed by (chart, w), which the context
+    of w0·tau shares when it is built with ``dual`` set to this one: each
+    Schubert ideal is then built once and serves twice, as a Schubert side
+    on its own chart and, relabelled, as an opposite side on the other.
+    When tau = w0·tau the two charts are one."""
+
+    def __init__(self, shape: GrassShape, tau: CosetRep, dual: Optional["ChartContext"] = None):
         self.shape = shape
         self.tau = tau
-        self.chart = build_chart(shape, tau)
+        if dual is None:
+            self.chart = build_chart(shape, tau)
+            dual_tau = w0_dual(tau)
+            self.dual_chart = self.chart if dual_tau == tau else build_chart(shape, dual_tau)
+            self._schubert: dict = {}
+        else:
+            if dual.dual_chart.tau != tau:
+                raise ValueError(f"{format_coset(dual.tau)} is not w0·{format_coset(tau)}")
+            self.chart, self.dual_chart = dual.dual_chart, dual.chart
+            self._schubert = dual._schubert
         self.mults: dict = {}
         self._sides: dict = {}
 
-    def side(self, build, rep: CosetRep, variety: str) -> StratumSide:
-        """The side of rep whose ideal build(chart, rep) makes (the Schubert
-        or the opposite one), built on first use.
+    def _schubert_ideal(self, chart: Chart, w: CosetRep) -> PolyIdeal:
+        ideal = self._schubert.get((chart.tau, w))
+        if ideal is None:
+            ideal = self._schubert[chart.tau, w] = schubert_ideal(chart, w)
+        return ideal
+
+    def side(self, rep: CosetRep, variety: str) -> StratumSide:
+        """The side of rep, "Schubert" or "opposite", built on first use.
 
         The split certificate: the kept basis of a Schubert side may use
         only the chart's positive-root (slice) coordinates, that of an
-        opposite side none of them.  A violation raises
+        opposite side none of them.  It checks every side as it will be
+        used, a relabelled opposite side too, and a violation raises
         ``KernelInconsistencyError``.  The check reads the basis's terms
         and runs no Groebner work."""
         side = self._sides.get((variety, rep))
         if side is None:
-            ideal, chart = build(self.chart, rep), self.chart
+            chart = self.chart
+            if variety == "Schubert":
+                ideal = self._schubert_ideal(chart, rep)
+            else:
+                ideal = w0_relabel(chart, self._schubert_ideal(self.dual_chart, w0_dual(rep)))
             stray = [chart.ring.names[i] for i in sorted(_support(ideal.groebner()))
                      if (chart.indices[i] in chart.positive) != (variety == "Schubert")]
             if stray:
@@ -372,8 +411,8 @@ class StratumInstance:
         self.context = context
         self.w = w
         self.v = v
-        self.side_w = context.side(schubert_ideal, w, "Schubert")
-        self.side_v = context.side(opposite_ideal, v, "opposite")
+        self.side_w = context.side(w, "Schubert")
+        self.side_v = context.side(v, "opposite")
         self.iwv = self.side_w.ideal + self.side_v.ideal
 
     @cached_property
@@ -532,18 +571,13 @@ def enumerate_instances(shape: GrassShape) -> list[tuple[CosetRep, CosetRep, Cos
 
 
 def _chart_reports(
-    shape: GrassShape,
-    tau: CosetRep,
-    pairs: list[tuple[CosetRep, CosetRep]],
-    config: SweepConfig,
+    context: ChartContext, pairs: list[tuple[CosetRep, CosetRep]], config: SweepConfig
 ) -> list[MultiplicityReport]:
     """Reports at the fixed point and the sampled cell points of every
-    (w, v) on the chart of tau, all served from one context, which is
-    dropped on return.  The grid is walked once per v, on the opposite
-    side's ideal: a cell point has zero slice coordinates, so it lies on
-    every X_w with w >= tau, and X_w^v and X^v have the same cell points,
-    found in the same order."""
-    context = ChartContext(shape, tau)
+    (w, v) on the context's chart.  The grid is walked once per v, on the
+    opposite side's ideal: a cell point has zero slice coordinates, so it
+    lies on every X_w with w >= tau, and X_w^v and X^v have the same cell
+    points, found in the same order."""
     origin = context.chart.origin()
     walks: dict = {}
     reports = []
@@ -557,6 +591,23 @@ def _chart_reports(
             )
             points = walks[v] = [origin] + [p for p in sampled if not p.is_origin()]
         reports.extend(inst.report(m) for m in points)
+    return reports
+
+
+def _orbit_reports(
+    shape: GrassShape,
+    charts: list[tuple[CosetRep, list[tuple[CosetRep, CosetRep]]]],
+    config: SweepConfig,
+) -> list[MultiplicityReport]:
+    """Reports of one w0-orbit: ``charts`` holds (tau, pairs) for tau and,
+    when it has pairs too and differs, for w0·tau.  The second context
+    shares the first's Schubert ideals, so each is built once for both
+    charts; all of it is dropped on return."""
+    reports: list = []
+    context = None
+    for tau, pairs in charts:
+        context = ChartContext(shape, tau, dual=context)
+        reports.extend(_chart_reports(context, pairs, config))
     return reports
 
 
@@ -576,24 +627,24 @@ def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> Sw
     by_chart: dict = {}
     for w, v, tau in instances:
         by_chart.setdefault(tau, []).append((w, v))
-    # Largest cells first, where the sampled points are: a pool then
-    # starts its longest tasks first instead of ending on them.
-    taus = sorted(by_chart, key=lambda tau: tau.length(), reverse=True)
+    # One task per w0-orbit {tau, w0·tau}, the larger cell first.  Largest
+    # cells first, where the sampled points are: a pool then starts its
+    # longest tasks first instead of ending on them.
+    orbits: dict = {}
+    for tau in sorted(by_chart, key=lambda tau: tau.length(), reverse=True):
+        orbits.setdefault(min(tau.entries, w0_dual(tau).entries), []).append((tau, by_chart[tau]))
+    tasks = list(orbits.values())
 
-    # A forked pool starts all its workers at once: no more than there are charts.
-    workers = min(config.workers, len(taus))
+    # A forked pool starts all its workers at once: no more than there are tasks.
+    workers = min(config.workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(
-                _chart_reports,
-                itertools.repeat(shape),
-                taus,
-                [by_chart[tau] for tau in taus],
-                itertools.repeat(config),
+                _orbit_reports, itertools.repeat(shape), tasks, itertools.repeat(config)
             ))
     else:
-        batches = [_chart_reports(shape, tau, by_chart[tau], config) for tau in taus]
+        batches = [_orbit_reports(shape, charts, config) for charts in tasks]
     reports = [r for batch in batches for r in batch]
     reports.sort(key=MultiplicityReport.sort_key)
     return SweepResult(reports, truncated)

@@ -19,13 +19,18 @@ Two more ideals are built on a kept basis without a Buchberger run.  A
 sum of ideals whose bases use disjoint variables (``PolyIdeal.__add__``)
 keeps the two bases merged by leading monomial.  A translation
 x -> x + m (``PolyIdeal.translated``) keeps leading terms under a graded
-order, so the shifted basis is the moved ideal's reduced basis.
-Buchberger runs once per chart ideal: never on a sum, never at a point.
+order, so the shifted basis is the moved ideal's reduced basis.  A
+variable permutation (``PolyIdeal.permuted``) keeps a basis whose leading
+terms it keeps, which a cheap certificate checks and Buchberger replaces
+when it fails.  Buchberger runs once per Schubert chart ideal: never on a
+sum, never at a point, and on a permuted ideal only when the certificate
+fails.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -251,6 +256,50 @@ class PolyIdeal:
                     f"the order of {ring} is not graded"
                 )
         return PolyIdeal._on_basis(ring, gens, shifted)
+
+    def permuted(self, source: Sequence[int], ring: PolyRing) -> "PolyIdeal":
+        """The ideal under the variable permutation sigma that puts variable
+        ``source[j]`` of this ring at position j of ``ring``, a ring of the
+        same arity: each generator carried over, in order.  If the ideal
+        keeps its reduced basis G (``of_basis``, ``+`` and ``translated``
+        build such ideals), the result keeps the reduced basis of ``ring``'s
+        order: sigma(G) when a leading-term certificate holds, else the one
+        ``reduced_groebner_basis`` computes from sigma(G).
+
+        The certificate: for every g in G, the leading monomial of sigma(g)
+        under ``ring``'s order is sigma of the leading monomial of g.  Then
+        the permuted ideal's initial ideal contains sigma(in(I)).  Both
+        orders are graded, so the two initial ideals count the same number
+        of monomials in each degree (the dimension of the ideal's part of
+        degree at most k, which sigma keeps).  The certified one contains
+        the other, so the two are equal, and sigma(G) is a Groebner basis.
+        A variable permutation preserves divisibility, so sigma(G) is
+        reduced as G is, and monic as G is; sorted by leading monomial it
+        is the reduced basis.  The check reads each element's terms once
+        and runs no Groebner work; an element that fails it sends the whole
+        basis to Buchberger, never trusted.  On a certified basis the
+        generators are this ideal's, carried over without re-normalising:
+        sigma keeps the content, and it keeps the sign of the leading
+        coefficient because it keeps the leading term."""
+        if sorted(source) != list(range(self.ring.nvars)) or ring.nvars != self.ring.nvars:
+            raise ValueError("source is not a permutation of the ring's variables")
+        pick = itemgetter(*source) if len(source) > 1 else tuple
+
+        def carry(g: Polynomial) -> Polynomial:
+            return Polynomial(ring, {pick(e): c for e, c in g.terms.items()})
+
+        if not self._of_basis:
+            return PolyIdeal(ring, [carry(g) for g in self.gens])
+        scaled = {g.leading_exps(): g for g in self.gens}
+        pairs = []
+        for g in self._gb:
+            h, lead = carry(g), g.leading_exps()
+            if h.leading_exps() != pick(lead):
+                return PolyIdeal.of_basis(ring, reduced_groebner_basis([carry(b) for b in self._gb]))
+            gen = scaled[lead]
+            pairs.append((ring.key(h.leading_exps()), h, h if gen is g else carry(gen)))
+        pairs.sort(key=lambda pair: pair[0])
+        return PolyIdeal._on_basis(ring, [s for _, _, s in reversed(pairs)], [h for _, h, _ in pairs])
 
     def __add__(self, other: "PolyIdeal") -> "PolyIdeal":
         """The sum of two ideals built on their reduced bases whose bases use

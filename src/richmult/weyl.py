@@ -3,8 +3,10 @@
 Strata of G(d,n) are indexed by strictly increasing d-tuples in [1, n]
 (minimal coset representatives).  This module provides the Bruhat order on
 those tuples, the chart index set labelling the coordinates of the affine
-open set around a torus-fixed point, and the subset of indices whose
-vanishing cuts out the Schubert cell inside that chart.
+open set around a torus-fixed point, the subset of indices whose
+vanishing cuts out the Schubert cell inside that chart, and the action of
+the longest element w0, which swaps each chart with the chart of w0·tau
+and Schubert varieties with opposite ones.
 """
 
 from __future__ import annotations
@@ -178,12 +180,13 @@ def descent_positions(w: CosetRep) -> list[int]:
     return out
 
 
-def codescent_positions(v: CosetRep) -> list[int]:
-    """Mirror image of :func:`descent_positions` for opposite Schubert
-    varieties: j = v_k with v_{k-1} < v_k - 1, or k = 1."""
-    entries = v.entries
-    out = []
-    for k, e in enumerate(entries):
-        if k == 0 or entries[k - 1] < e - 1:
-            out.append(e)
-    return out
+def w0_dual(rep: CosetRep) -> CosetRep:
+    """The label of w0·rep, where w0 reverses [1, n]: the sorted entries
+    n+1-e.  It reverses the Bruhat order (a <= b exactly when
+    w0_dual(b) <= w0_dual(a)) and is its own inverse.
+
+    >>> w0_dual(CosetRep(GrassShape(3, 7), (1, 2, 5)))
+    CosetRep(shape=GrassShape(d=3, n=7), entries=(3, 6, 7))
+    """
+    n = rep.shape.n
+    return CosetRep(rep.shape, tuple(n + 1 - e for e in reversed(rep.entries)))

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from richmult.charts import (
     AffinePoint,
+    PointNotOnChartError,
     _echelon,
+    _minor_generators,
     build_chart,
     c_action,
     cell_of_point,
@@ -30,11 +32,12 @@ from richmult.charts import (
     scale_action,
     schubert_ideal,
     translate_to_origin,
+    w0_relabel,
 )
 from richmult.groebner import PolyIdeal, dedupe_normalized, normal_form, reduced_groebner_basis
 from richmult.hilbert import ideal_dimension
 from richmult.poly import Polynomial, PolyRing, parse_polynomial
-from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq
+from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq, w0_dual
 
 DEMO_SHAPE = GrassShape(3, 7)
 DEMO_TAU = CosetRep(DEMO_SHAPE, (2, 5, 6))
@@ -421,6 +424,106 @@ class TestOppositeIdeal:
             assert evaluate_ideal(ideal, point) == opposite_member_oracle(
                 shape, v, matrix_of_point(point)
             ), combo
+
+
+def direct_opposite_ideal(chart, v):
+    """The opposite ideal built from minors on the chart itself: for each
+    essential position j of v (j = v_k with k = 1 or v_{k-1} < v_k - 1),
+    the minors of size d - #{k : v_k >= j} + 1 of rows 1..j-1.  This was
+    ``opposite_ideal`` before it became a relabelled Schubert ideal; it is
+    kept here as its reference."""
+    if not bruhat_leq(v, chart.tau):
+        return PolyIdeal.unit_marker(chart.ring)
+    matrix, d, entries = chart.matrix(), chart.shape.d, v.entries
+    gens = []
+    for k, j in enumerate(entries):
+        if k and entries[k - 1] >= j - 1:
+            continue
+        bound = d - sum(1 for e in entries if e >= j)
+        gens.extend(_minor_generators(matrix[: j - 1], bound + 1, chart.ring))
+    return PolyIdeal.of_basis(chart.ring, reduced_groebner_basis(dedupe_normalized(gens)))
+
+
+def relabelling_mismatches(shape):
+    """The (tau, v) of the shape on which ``opposite_ideal`` and the direct
+    minor builder differ in generators (terms, in order) or kept basis."""
+    reps = all_coset_reps(shape)
+    bad = []
+    for tau in reps:
+        chart = build_chart(shape, tau)
+        for v in reps:
+            got, want = opposite_ideal(chart, v), direct_opposite_ideal(chart, v)
+            if [g.terms for g in got.gens] != [g.terms for g in want.gens] or [
+                g.terms for g in got.groebner()
+            ] != [g.terms for g in want.groebner()]:
+                bad.append((tau, v))
+    return bad
+
+
+def explicit_point_mismatches(shape):
+    """A check that builds no minor.  For rho <= tau the matrix whose column
+    k is e_{rho_k} + e_{tau_k} (e_{tau_k} alone when the two agree) spans a
+    point of the cell of tau in the opposite cell of rho, so the opposite
+    side of v vanishes there exactly when v <= rho.  Returns the
+    (tau, rho, v) where it does not."""
+    reps = all_coset_reps(shape)
+    bad = []
+    for tau in reps:
+        chart = build_chart(shape, tau)
+        sides = {v: opposite_ideal(chart, v) for v in reps if bruhat_leq(v, tau)}
+        for rho in sides:
+            matrix = [[0] * shape.d for _ in range(shape.n)]
+            for k, (r, t) in enumerate(zip(rho.entries, tau.entries)):
+                matrix[r - 1][k] = matrix[t - 1][k] = 1
+            point = point_from_matrix(shape, matrix)
+            assert point.chart == chart
+            for v, ideal in sides.items():
+                if evaluate_ideal(ideal, point) != bruhat_leq(v, rho):
+                    bad.append((tau, rho, v))
+    return bad
+
+
+def transposed_relabelling(real):
+    """``w0_relabel`` with the chart's first two coordinates swapped."""
+
+    def relabel(chart, ideal):
+        source = list(range(chart.ring.nvars))
+        source[0], source[1] = source[1], source[0]
+        return real(chart, ideal).permuted(source, chart.ring)
+
+    return relabel
+
+
+class TestW0Relabelling:
+    """Opposite ideals are Schubert ideals of the chart of w0·tau, relabelled;
+    checked against the direct minor builder and, without minors, against
+    explicit points of every opposite cell."""
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 6), (3, 7)])
+    def test_equals_direct_builder(self, d, n):
+        assert relabelling_mismatches(GrassShape(d, n)) == []
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 6)])
+    def test_vanishes_at_explicit_points_exactly_below_rho(self, d, n):
+        assert explicit_point_mismatches(GrassShape(d, n)) == []
+
+    def test_transposed_coordinate_pair_is_caught(self, monkeypatch):
+        """A relabelling with one transposed coordinate pair fails both the
+        reference comparison and the explicit points."""
+        from richmult import charts
+
+        monkeypatch.setattr(charts, "w0_relabel", transposed_relabelling(charts.w0_relabel))
+        shape = GrassShape(2, 4)
+        assert relabelling_mismatches(shape)
+        assert explicit_point_mismatches(shape)
+
+    def test_rejects_an_ideal_of_another_chart(self):
+        shape = GrassShape(2, 4)
+        chart = build_chart(shape, rep(shape, 1, 3))
+        with pytest.raises(PointNotOnChartError, match="w0"):
+            w0_relabel(chart, schubert_ideal(chart, rep(shape, 2, 4)))
+        dual = build_chart(shape, w0_dual(chart.tau))
+        assert w0_relabel(chart, schubert_ideal(dual, rep(shape, 2, 4))).ring == chart.ring
 
 
 class TestRichardsonIdeal:

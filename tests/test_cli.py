@@ -61,27 +61,46 @@ class TestEquations:
         assert capsys.readouterr().out == DEMO_GOLDEN
 
     @pytest.mark.parametrize("sides,builds", [
-        (["--w", "356", "--v", "125"], (1, 1)),
+        (["--w", "356", "--v", "125"], (2, 1)),
         (["--w", "356"], (1, 0)),
-        (["--v", "125"], (0, 1)),
+        (["--v", "125"], (1, 1)),
     ])
     def test_each_side_built_once(self, capsys, monkeypatch, demo_point_file, sides, builds):
-        """The printed sides are the ones translated and intersected."""
+        """The printed sides are the ones translated and intersected: each
+        side is one Schubert ideal built, and an opposite side is one
+        relabelled too."""
         from richmult import charts, cli
 
-        calls = {"schubert_ideal": 0, "opposite_ideal": 0}
+        calls = {"schubert_ideal": 0, "w0_relabel": 0}
         for name in calls:
             def counted(*args, _build=getattr(charts, name), _name=name):
                 calls[_name] += 1
                 return _build(*args)
 
             for module in (charts, cli):
-                monkeypatch.setattr(module, name, counted)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         code = main(["equations", "--d", "3", "--n", "7", *sides, "--point", demo_point_file])
         assert code == 0
-        assert (calls["schubert_ideal"], calls["opposite_ideal"]) == builds
+        assert (calls["schubert_ideal"], calls["w0_relabel"]) == builds
         if len(sides) == 4:
             assert capsys.readouterr().out == DEMO_GOLDEN
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--d", "3", "--n", "7", "--v", "125", "--point", None],
+         "482b777b42cccf9dbf0d925686c192c86e69ff443721e8ba69e9562b8cf15a04"),
+        (["--d", "2", "--n", "5", "--tau", "24", "--v", "13"],
+         "a6d02268a5b2e3406d08f3f70b354ce710ab0ad44cb8b428894cec53fd8af639"),
+        (["--d", "2", "--n", "5", "--tau", "45", "--v", "13"],
+         "0d8ddbb7a2131454c5a25ad086b74ae57b90ac258096e917e2e604b4e0b09741"),
+    ], ids=["G(3,7) demo point", "G(2,5) tau 24", "G(2,5) tau 45"])
+    def test_opposite_equations_are_pinned(self, capsys, demo_point_file, args, digest):
+        """The printed opposite sides, and their translation to the demo
+        point, are the bytes recorded when they were built from minors on
+        the chart itself."""
+        args = [demo_point_file if a is None else a for a in args]
+        assert main(["equations", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_maximal_w_prints_zero_generators(self, capsys):
         code = main(["equations", "--d", "2", "--n", "4", "--tau", "12", "--w", "34"])
@@ -199,6 +218,24 @@ class TestSweep:
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args, digest", [
+        (["--d", "2", "--n", "5", "--grid=-1,0,1", "--cap", "50"],
+         "0d681475d15682b30bf4aa8ff311bd6e7c3e315fcce93b8745bfa395ab223c9f"),
+        (["--d", "3", "--n", "6", "--grid=0", "--cap", "1"],
+         "cc7786b83a3c9246d042ac5e9cb440d0d911c02ba43b4e4bd930a8f0d36a3e4a"),
+    ], ids=["G(2,5) grid cap 50", "G(3,6) fixed points"])
+    def test_pooled_sweep_bytes_are_pinned(self, capsys, tmp_path, args, digest):
+        """Two workers, each taking whole w0-orbits of charts, write the
+        bytes one worker writes, which are those recorded before opposite
+        sides became relabelled Schubert sides."""
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep{workers}.json"
+            assert main(["sweep", *args, "--workers", workers, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert hashlib.sha256(written[1]).hexdigest() == digest
+
     def test_workers_keep_the_callers_budget(self, capsys):
         """A cap above the default budget is accepted by the worker pool as
         it is by the serial path."""
@@ -314,14 +351,15 @@ class TestQuadric:
 
 
 def reaching_across(build, slice_side=False):
-    """The builder ``build`` with one element appended to each kept basis:
-    its first element times the sum of the other side's coordinates (the
-    cell coordinates, or the slice ones with ``slice_side``).  The variety
-    stays the same, but the basis no longer respects the chart's split."""
+    """The builder ``build``, called as build(chart, rep_or_ideal), with one
+    element appended to each kept basis: its first element times the sum
+    of the other side's coordinates (the cell coordinates, or the slice
+    ones with ``slice_side``).  The variety stays the same, but the basis
+    no longer respects the chart's split."""
     from richmult.groebner import PolyIdeal
 
-    def reaching(chart, rep):
-        basis = list(build(chart, rep).groebner())
+    def reaching(chart, arg):
+        basis = list(build(chart, arg).groebner())
         other = [
             chart.ring.var(i)
             for i, ix in enumerate(chart.indices)
@@ -392,10 +430,13 @@ class TestComputationFailures:
         )
 
     def test_opposite_side_using_slice_coordinates_exits_3(self, capsys, monkeypatch):
+        """An opposite side is a relabelled Schubert ideal; a relabelling
+        whose kept basis uses slice coordinates fails the chart's split
+        certificate when the side is built."""
         from richmult import engine
 
         monkeypatch.setattr(
-            engine, "opposite_ideal", reaching_across(engine.opposite_ideal, slice_side=True)
+            engine, "w0_relabel", reaching_across(engine.w0_relabel, slice_side=True)
         )
         assert main(["sweep", "--d", "2", "--n", "4", "--grid=0", "--workers", "1"]) == 3
         captured = capsys.readouterr()

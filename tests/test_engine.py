@@ -18,6 +18,7 @@ from richmult.charts import (
     richardson_ideal,
     schubert_ideal,
     translate_to_origin,
+    w0_relabel,
 )
 from richmult.engine import (
     DEFAULT_GRID,
@@ -43,7 +44,9 @@ from richmult.engine import (
 from richmult.groebner import PolyIdeal, reduced_groebner_basis
 from richmult.hilbert import ideal_dimension
 from richmult.localmult import hilbert_samuel_multiplicity
-from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq, parse_coset
+from richmult.weyl import (
+    CosetRep, GrassShape, all_coset_reps, bruhat_leq, parse_coset, w0_dual,
+)
 
 G24 = GrassShape(2, 4)
 DEMO_SHAPE = GrassShape(3, 7)
@@ -71,8 +74,10 @@ def count_engine_calls(monkeypatch, *names) -> dict:
 
 
 def count_side_builds(monkeypatch) -> dict:
-    """Count the stratum ideal builds the engine makes from now on."""
-    return count_engine_calls(monkeypatch, "schubert_ideal", "opposite_ideal")
+    """Count the stratum ideal builds the engine makes from now on: the
+    Schubert ideals it builds and the ones it relabels into opposite
+    sides."""
+    return count_engine_calls(monkeypatch, "schubert_ideal", "w0_relabel")
 
 
 class TestSchubertMultiplicity:
@@ -130,13 +135,13 @@ class TestGates:
         builds = count_side_builds(monkeypatch)
         with pytest.raises(PreconditionError, match="require v <= tau <= w: 24, 13, 34"):
             ENTRY_POINTS[name](*NOT_NESTED)
-        assert builds == {"schubert_ideal": 0, "opposite_ideal": 0}
+        assert builds == {"schubert_ideal": 0, "w0_relabel": 0}
 
     def test_schubert_query_names_the_triple(self, monkeypatch):
         builds = count_side_builds(monkeypatch)
         with pytest.raises(PreconditionError, match="require v <= tau <= w: 12, 24, 13"):
             mult_schubert_at(G24, rep(G24, 1, 3), rep(G24, 2, 4))
-        assert builds == {"schubert_ideal": 0, "opposite_ideal": 0}
+        assert builds == {"schubert_ideal": 0, "w0_relabel": 0}
 
     @pytest.mark.parametrize("call", [mult_richardson_fast, mult_richardson_oracle])
     def test_point_of_another_chart_refused_by_the_side(self, call):
@@ -557,7 +562,10 @@ class TestSweep:
 
     def test_instance_ideals_built_once(self, monkeypatch):
         """The stratum ideals of one (w, v, tau) are built once for all of
-        its points, and the hoisted reports equal per-point ones."""
+        its points: the Schubert ideals of w on the chart of tau and of
+        w0·v on the chart of w0·tau, and the one relabelling that makes
+        the latter the opposite side.  The hoisted reports equal
+        per-point ones."""
         from richmult import engine
 
         shape = GrassShape(2, 5)
@@ -571,23 +579,39 @@ class TestSweep:
         assert len(points) == 9
 
         builds = count_side_builds(monkeypatch)
-        reports = engine._chart_reports(shape, tau, [(w, v)], SweepConfig(grid=grid))
-        assert builds == {"schubert_ideal": 1, "opposite_ideal": 1}
+        reports = engine._orbit_reports(shape, [(tau, [(w, v)])], SweepConfig(grid=grid))
+        assert builds == {"schubert_ideal": 2, "w0_relabel": 1}
         assert reports == [build_report(shape, w, v, tau, m) for m in points]
 
     def test_sides_built_once_per_chart(self, monkeypatch):
-        """Over a whole sweep each Schubert ideal is built once per
-        (tau, w) and each opposite ideal once per (tau, v), not once per
-        instance."""
+        """Over a whole sweep each Schubert ideal is built once per (tau, w),
+        and each opposite side is the relabelled Schubert ideal of
+        (w0·tau, w0·v), relabelled once per (tau, v) and never built: the
+        two charts of a w0-orbit share their Schubert ideals.  So
+        Buchberger runs once per Bruhat pair tau <= w, and no relabelled
+        basis needs a run of its own."""
+        from richmult import charts, groebner
+
         shape = GrassShape(2, 5)
         instances = enumerate_instances(shape)
         builds = count_side_builds(monkeypatch)
+        runs = {"charts": 0, "groebner": 0}
+        real = groebner.reduced_groebner_basis
+        for module in (charts, groebner):
+            def counted(gens, _name=module.__name__.rsplit(".", 1)[1]):
+                runs[_name] += 1
+                return real(gens)
+
+            monkeypatch.setattr(module, "reduced_groebner_basis", counted)
         result = verify_theorem(shape, SweepConfig(grid=(Fraction(0),), point_cap=1))
         assert result.failed == 0 and result.checked == len(instances) == 175
+        schubert_pairs = {(tau, w) for w, v, tau in instances}
+        assert schubert_pairs == {(w0_dual(tau), w0_dual(v)) for w, v, tau in instances}
         assert builds == {
-            "schubert_ideal": len({(tau, w) for w, v, tau in instances}),
-            "opposite_ideal": len({(tau, v) for w, v, tau in instances}),
-        } == {"schubert_ideal": 50, "opposite_ideal": 50}
+            "schubert_ideal": len(schubert_pairs),
+            "w0_relabel": len({(tau, v) for w, v, tau in instances}),
+        } == {"schubert_ideal": 50, "w0_relabel": 50}
+        assert runs == {"charts": 50, "groebner": 0}
 
     def test_sides_translated_once_per_point(self, monkeypatch):
         """Over a whole sweep each side is translated once per point; the
@@ -640,8 +664,8 @@ class TestSweep:
                 assert [str(g) for g in ideal.groebner()] == [str(g) for g in expected]
 
     def test_no_basis_run_on_a_translated_ideal(self, monkeypatch):
-        """In a G(2,5) sweep Buchberger runs for side builds (charts) and
-        for tangent cones, never on an intersection (no ideal's
+        """In a G(2,5) sweep Buchberger runs for Schubert side builds
+        (charts, once per Bruhat pair) and for tangent cones, never on an intersection (no ideal's
         ``groebner()`` computes a basis) and never on a translated ideal."""
         from richmult import charts, groebner, localmult
 
@@ -656,7 +680,7 @@ class TestSweep:
             monkeypatch.setattr(module, "reduced_groebner_basis", counted)
         result = verify_theorem(shape, SweepConfig(grid=(Fraction(-1), Fraction(0), Fraction(1))))
         assert result.failed == 0 and result.checked > len(enumerate_instances(shape))
-        assert len(calls["charts"]) == 100
+        assert len(calls["charts"]) == 50
         assert len(calls["groebner"]) == 0
         # A zero ideal's basis is computed from no generators, so no ring.
         assert all(name is None or name.startswith("x_") for name in calls["charts"])
@@ -701,12 +725,30 @@ class TestSweep:
             walk = sample_points(inst.side_v.ideal, context.chart, grid, cell_only=True, limit=cap)
             assert walk == sample_points(inst.iwv, context.chart, grid, cell_only=True, limit=cap)
 
+    def test_orbit_contexts_share_schubert_ideals(self, monkeypatch):
+        """The context of w0·tau built with ``dual`` takes the charts of its
+        partner and its Schubert ideals: after the chart of 13 has its
+        opposite sides, the chart of 24 = w0·13 builds no Schubert ideal
+        for the w those used.  A partner of another tau is refused."""
+        first = ChartContext(G24, rep(G24, 1, 3))
+        opposite = {v: first.side(v, "opposite") for v in (rep(G24, 1, 2), rep(G24, 1, 3))}
+        builds = count_side_builds(monkeypatch)
+        second = ChartContext(G24, rep(G24, 2, 4), dual=first)
+        assert (second.chart, second.dual_chart) == (first.dual_chart, first.chart)
+        for v, side in opposite.items():
+            assert second.side(w0_dual(v), "Schubert").ideal.gens == (
+                w0_relabel(second.chart, side.ideal).gens
+            )
+        assert builds == {"schubert_ideal": 0, "w0_relabel": 0}
+        with pytest.raises(ValueError, match="14 is not w0·13"):
+            ChartContext(G24, rep(G24, 1, 3), dual=ChartContext(G24, rep(G24, 1, 4)))
+
     def test_side_rejects_a_point_of_another_chart(self):
         """A side answers points of its own chart only, also once its memo
         holds a point with the same coordinates."""
         here = ChartContext(G24, rep(G24, 2, 4))
         there = build_chart(G24, rep(G24, 1, 4))
-        side = here.side(schubert_ideal, rep(G24, 2, 4), "Schubert")
+        side = here.side(rep(G24, 2, 4), "Schubert")
         assert there.origin().coords == here.chart.origin().coords
         with pytest.raises(PointNotOnChartError):
             side.at(there.origin())
@@ -715,8 +757,9 @@ class TestSweep:
             side.at(there.origin())
 
     def test_pool_has_no_more_workers_than_charts(self, monkeypatch):
-        """A sweep opens its pool with at most one worker per chart (G(2,4)
-        has 6), and none for a single chart."""
+        """A sweep opens its pool with at most one worker per task, a
+        w0-orbit of charts (G(2,4) has 6 charts in 4 orbits), and none for
+        a single chart."""
         import concurrent.futures
 
         opened = []
@@ -737,11 +780,11 @@ class TestSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = SweepConfig(grid=(Fraction(0),), workers=8)
         pooled = verify_theorem(G24, config)
-        assert opened == [6]
+        assert opened == [4]
         assert pooled.reports == verify_theorem(G24, replace(config, workers=1)).reports
         assert verify_theorem(G24, replace(config, max_instances=1)).checked == 1
         assert verify_theorem(G24, replace(config, max_instances=0)).checked == 0
-        assert opened == [6]
+        assert opened == [4]
 
     def test_sweep_config_fields(self):
         """A sweep has four settings; a cap above the default reaches the

@@ -1,6 +1,7 @@
 """Buchberger, normal forms, ideal membership, ideals built on a kept basis."""
 
 import heapq
+import re
 from fractions import Fraction
 
 import pytest
@@ -392,10 +393,21 @@ class TestOfBasis:
     @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (2, 6), (3, 6)])
     def test_stratum_ideals_match_autoreduced_minors(self, monkeypatch, d, n):
         """The kept basis, made primitive and largest first, is exactly
-        what autoreducing the deduplicated minors gave."""
+        what autoreducing the deduplicated minors gave.  An opposite ideal
+        runs one basis, on the minors of the Schubert ideal of w0·v on the
+        chart of w0·tau; its generators are those autoreduced minors with
+        each x_q_p renamed x_{n+1-q}_{n+1-p}, ordered in this chart's
+        ring."""
         calls = _count_basis_runs(monkeypatch)
         shape = GrassShape(d, n)
         reps = all_coset_reps(shape)
+
+        def renamed(g, chart):
+            text = re.sub(
+                r"x_(\d+)_(\d+)", lambda m: f"x_{n + 1 - int(m[1])}_{n + 1 - int(m[2])}", str(g)
+            )
+            return parse_polynomial(chart.ring, text)
+
         for tau in reps:
             chart = build_chart(shape, tau)
             for build, below in ((schubert_ideal, False), (opposite_ideal, True)):
@@ -406,6 +418,11 @@ class TestOfBasis:
                     ideal = build(chart, x)
                     (minors,) = calls
                     expected = _reference_interreduce(minors)
+                    if below:
+                        expected = sorted(
+                            (renamed(g, chart) for g in expected),
+                            key=lambda g: chart.ring.key(g.leading_exps()), reverse=True,
+                        )
                     assert [str(g) for g in ideal.gens] == [str(g) for g in expected]
 
     def test_stratum_ideals_run_no_second_basis(self, monkeypatch):
@@ -599,3 +616,79 @@ class TestSum:
             built + plain
         with pytest.raises(ValueError, match="reduced basis"):
             plain + built
+
+
+# ---------------------------------------------------------------------------
+# Permuted bases: the leading-term certificate, or Buchberger when it fails
+# ---------------------------------------------------------------------------
+
+
+def _carried(g, source, ring):
+    """g with variable source[j] moved to position j of ring."""
+    return Polynomial(ring, {tuple(e[i] for i in source): c for e, c in g.terms.items()})
+
+
+@st.composite
+def permutations(draw):
+    """The generators of ``translations`` and a permutation of their ring's
+    variables, into a ring with other names."""
+    ring, gens, _ = draw(translations())
+    source = draw(st.permutations(range(ring.nvars)))
+    return ring, gens, list(source)
+
+
+class TestPermutedBasis:
+    def test_failed_certificate_falls_back_to_buchberger(self, monkeypatch):
+        """In grevlex x > y > z the leading monomial of x*y - z^2 is x*y.
+        Swapping x and z gives z*y - x^2, led by x^2, not by the swapped
+        x*y: the certificate fails and Buchberger computes the basis."""
+        xyz = PolyRing(("x", "y", "z"))
+        ideal = PolyIdeal.of_basis(xyz, reduced_groebner_basis(polys(xyz, "x*y - z^2")))
+        calls = _count_basis_runs(monkeypatch)
+        swapped = ideal.permuted([2, 1, 0], xyz)
+        assert len(calls) == 1
+        expected = reduced_groebner_basis(polys(xyz, "z*y - x^2"))
+        assert [str(g) for g in swapped.groebner()] == [str(g) for g in expected] == ["x^2 - y*z"]
+        assert [str(g) for g in swapped.gens] == ["x^2 - y*z"]
+
+    def test_certified_basis_runs_no_buchberger(self, monkeypatch):
+        """Swapping x and y keeps the leading term of x^2*y - z, so the
+        swapped basis is kept as it is."""
+        xyz = PolyRing(("x", "y", "z"))
+        ideal = PolyIdeal.of_basis(xyz, reduced_groebner_basis(polys(xyz, "2*x^2*y - 2*z")))
+        calls = _count_basis_runs(monkeypatch)
+        swapped = ideal.permuted([1, 0, 2], xyz)
+        assert calls == []
+        assert [str(g) for g in swapped.gens] == ["x*y^2 - z"]
+        assert [str(g) for g in swapped.groebner()] == [
+            str(g) for g in reduced_groebner_basis(swapped.gens)
+        ]
+
+    def test_rejects_a_non_permutation(self, xy):
+        ideal = PolyIdeal(xy, polys(xy, "x - y"))
+        with pytest.raises(ValueError, match="not a permutation"):
+            ideal.permuted([0, 0], xy)
+        with pytest.raises(ValueError, match="not a permutation"):
+            ideal.permuted([1, 0], PolyRing(("x", "y", "z")))
+
+    @given(permutations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_buchberger_on_permuted_generators(self, case):
+        """Certified or recomputed, the permuted ideal keeps the reduced
+        basis of the permuted generators and the generators of
+        ``of_basis`` on it; an ideal that keeps no basis gets its
+        generators carried over, in order."""
+        ring, gens, source = case
+        target = PolyRing(tuple(name + "1" for name in ring.names))
+        carried = [_carried(g, source, target) for g in gens]
+        expected = reduced_groebner_basis(carried)
+        built = PolyIdeal.of_basis(ring, reduced_groebner_basis(gens))
+        permuted = built.permuted(source, target)
+        assert permuted.ring == target
+        assert [str(g) for g in permuted.groebner()] == [str(g) for g in expected]
+        assert [g.terms for g in permuted.gens] == [
+            g.terms for g in PolyIdeal.of_basis(target, expected).gens
+        ]
+        plain = PolyIdeal(ring, gens).permuted(source, target)
+        assert plain._gb is None
+        assert [g.terms for g in plain.gens] == [g.terms for g in carried if not g.is_zero()]

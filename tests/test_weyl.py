@@ -18,6 +18,7 @@ from richmult.weyl import (
     parse_coset,
     parse_root_index,
     positive_root_indices,
+    w0_dual,
 )
 
 
@@ -147,3 +148,26 @@ class TestSerialization:
     def test_root_index(self):
         assert str(RootIndex(7, 5)) == "7.5"
         assert parse_root_index("7.5") == RootIndex(7, 5)
+
+
+class TestLongestElement:
+    def test_demo_label(self):
+        assert w0_dual(rep(3, 7, 1, 2, 5)) == rep(3, 7, 3, 6, 7)
+        assert w0_dual(minimal_rep(GrassShape(2, 5))) == maximal_rep(GrassShape(2, 5))
+
+    @pytest.mark.parametrize("d,n", [(1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
+    def test_involution_reversing_bruhat_order(self, d, n):
+        """w0 is its own inverse, reverses the Bruhat order, takes length l
+        to d(n-d) - l, and maps the chart index set of tau onto that of
+        w0·tau by (q, p) -> (n+1-q, n+1-p), reversing its order."""
+        shape = GrassShape(d, n)
+        reps = all_coset_reps(shape)
+        for a in reps:
+            dual = w0_dual(a)
+            assert w0_dual(dual) == a
+            assert dual.length() == shape.dim - a.length()
+            assert chart_index_set(shape, dual) == tuple(
+                RootIndex(n + 1 - ix.q, n + 1 - ix.p) for ix in reversed(chart_index_set(shape, a))
+            )
+            for b in reps:
+                assert bruhat_leq(a, b) == bruhat_leq(w0_dual(b), dual)

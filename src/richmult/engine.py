@@ -41,7 +41,11 @@ coordinates at the variables its generators use, so a Schubert side
 answers every cell point from its fixed-point entry.  And a cell point
 lies on every X_w with w >= tau (its slice coordinates are zero), so the
 cell points of X_w^v are those of X^v: the sweep walks the grid once per
-(tau, v) and shares the points across every w of that v.
+(tau, v) and shares the points across every w of that v.  The walk
+(:func:`sample_points`) is depth first over the free coordinates and
+checks each generator as soon as its last free variable is set, so a
+prefix off the variety is dropped with all its completions; the points
+and their order are those of the full product of the grid.
 Instances are grouped by tau, the charts by w0-orbit, and the orbits run
 largest cell first.  Each orbit is served from its contexts, which are
 dropped when the orbit ends, and ``workers > 1`` maps the orbits over a
@@ -216,9 +220,22 @@ def sample_points(
     cell_only: bool = False,
     limit: int = 200,
 ) -> list[AffinePoint]:
-    """Deterministic enumeration of grid points satisfying all generators,
-    truncated at limit.  With cell_only only the coordinates outside the
-    chart's positive roots vary, so every point lies in the cell."""
+    """The grid points on which every generator vanishes, truncated at
+    limit.  With cell_only only the coordinates outside the chart's
+    positive roots vary (the others stay zero), so every point lies in the
+    cell.
+
+    The points come in ``itertools.product(grid, repeat=len(free))`` order:
+    the free coordinates in chart order, the first varying slowest, each
+    through the grid in grid order.  They are found depth first, one free
+    coordinate per level.  A generator is checked at the level where its
+    last free variable gets its value, and a prefix on which one is
+    nonzero is dropped with every completion: the generator reads no
+    later coordinate, so it stays nonzero on all of them.  A generator
+    with no free variable is checked once, before the walk.  So each
+    generator is evaluated once per prefix that reaches its level, not
+    once per candidate, and the walk skips only non-points: it returns
+    the product walk's points in the product walk's order."""
     if limit < 1:
         raise ValueError("the point cap must be positive")
     grid = tuple(Fraction(g) for g in grid)
@@ -229,17 +246,30 @@ def sample_points(
         free = [i for i, ix in enumerate(chart.indices) if ix not in chart.positive]
     else:
         free = list(range(N))
-    points = []
-    zero = Fraction(0)
-    for combo in itertools.product(grid, repeat=len(free)):
-        coords = [zero] * N
-        for pos, val in zip(free, combo):
-            coords[pos] = val
-        point = AffinePoint(chart, tuple(coords))
-        if ideal.vanishes_at(point.coords):
-            points.append(point)
-            if len(points) >= limit:
-                break
+    level_of = {pos: level for level, pos in enumerate(free)}
+    checks: list[list] = [[] for _ in free]
+    coords = [Fraction(0)] * N
+    for g in ideal.gens:
+        levels = [level_of[i] for i in _support([g]) if i in level_of]
+        if levels:
+            checks[max(levels)].append(g)
+        elif g.evaluate(coords):
+            return []
+    points: list[AffinePoint] = []
+
+    def walk(level: int) -> bool:
+        """Extend the prefix set below ``level``; True once at the limit."""
+        if level == len(free):
+            points.append(AffinePoint(chart, tuple(coords)))
+            return len(points) >= limit
+        pos, gens = free[level], checks[level]
+        for value in grid:
+            coords[pos] = value
+            if all(g.evaluate(coords) == 0 for g in gens) and walk(level + 1):
+                return True
+        return False
+
+    walk(0)
     return points
 
 

@@ -15,8 +15,10 @@ the leading coefficient of the eventual polynomial in k by finite
 differences.  Its columns are monomials packed into integer codes, and
 its rows are eliminated fraction-free over the integers.  A row whose
 multiplier is a pivot column of the earlier generators' rows is skipped
-before it is built: it adds nothing to the row space.  It shares no
-code path with the tangent-cone computation beyond polynomial arithmetic.
+before it is built: it adds nothing to the row space.  An ideal of one
+generator, or of monomials, needs no elimination: its pivots are counted
+in closed form.  It shares no code path with the tangent-cone computation
+beyond polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -123,6 +125,10 @@ def hilbert_samuel_series(
     span the same space, so the pivot set is unchanged.  Only the earlier
     generators' pivots may be marked: for a pivot of g's own rows, h * g is
     not known to lie in the span of the other rows.
+
+    Two kinds of ideal are counted without elimination: one generator,
+    whose rows are independent (comment below), and monomials, whose rows
+    are unit vectors.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -136,23 +142,7 @@ def hilbert_samuel_series(
         raise OracleBudgetError(
             f"{ncols} columns exceed the budget of {max_columns}"
         )
-    # Codes of the monomials of degree < k_max, degree by degree, so those
-    # of degree <= D are the first comb(D + n, n).  A monomial is extended
-    # only by variables from its highest one on, which reaches each once.
     weights = [k_max**i for i in range(n)]
-    codes, degs, tops = [0], [0], [0]
-    start = 0
-    for d in range(1, k_max):
-        end = len(codes)
-        for j in range(start, end):
-            code = codes[j]
-            for i in range(tops[j], n):
-                codes.append(code + weights[i])
-                tops.append(i)
-        degs += [d] * (len(codes) - end)
-        start = end
-    col_of = {code: col for col, code in enumerate(codes)}
-
     # Each generator as integer terms (degree, code, coefficient) of degree
     # < k_max, lowest degree first; higher terms never reach a column.
     gens = []
@@ -168,6 +158,34 @@ def hilbert_samuel_series(
         gens.append([(deg, code, c // content) for deg, code, c in terms])
     gens = [terms for terms in gens if terms]
     pivot_deg = [0] * k_max
+
+    if len(gens) == 1:
+        # One generator g of lowest degree d: k[x] is a domain, so a
+        # nonzero h * g has lowest form h_low * g_d of degree deg(h_low) + d.
+        # The rows x^a * g with deg(a) < k - d are thus independent mod
+        # m^k, and the rank in degree < k is the number of such x^a: the
+        # pivots of degree d + e are the comb(e + n - 1, n - 1) monomials of
+        # degree e, and no row needs building.
+        d = gens[0][0][0]
+        for e in range(k_max - d):
+            pivot_deg[d + e] = comb(e + n - 1, n - 1)
+        return _series(pivot_deg, n)
+
+    # Codes of the monomials of degree < k_max, degree by degree, so those
+    # of degree <= D are the first comb(D + n, n).  A monomial is extended
+    # only by variables from its highest one on, which reaches each once.
+    codes, degs, tops = [0], [0], [0]
+    start = 0
+    for d in range(1, k_max):
+        end = len(codes)
+        for j in range(start, end):
+            code = codes[j]
+            for i in range(tops[j], n):
+                codes.append(code + weights[i])
+                tops.append(i)
+        degs += [d] * (len(codes) - end)
+        start = end
+    col_of = {code: col for col, code in enumerate(codes)}
 
     if all(len(terms) == 1 for terms in gens):
         # Monomial ideal: the rows are unit vectors, so the rank in degree

@@ -1,5 +1,6 @@
 """Fast path vs oracle, degrees, smoothness, sampling, the sweep harness."""
 
+import itertools
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache
@@ -45,8 +46,10 @@ from richmult.groebner import PolyIdeal, reduced_groebner_basis
 from richmult.hilbert import ideal_dimension
 from richmult.localmult import hilbert_samuel_multiplicity
 from richmult.weyl import (
-    CosetRep, GrassShape, all_coset_reps, bruhat_leq, parse_coset, w0_dual,
+    CosetRep, GrassShape, all_coset_reps, bruhat_leq, maximal_rep, minimal_rep, parse_coset,
+    w0_dual,
 )
+from richmult.poly import Polynomial
 
 G24 = GrassShape(2, 4)
 DEMO_SHAPE = GrassShape(3, 7)
@@ -71,6 +74,67 @@ def count_engine_calls(monkeypatch, *names) -> dict:
 
         monkeypatch.setattr(engine, name, counted)
     return calls
+
+
+def product_walk(
+    ideal: PolyIdeal,
+    chart,
+    grid,
+    cell_only: bool = False,
+    limit: int = 200,
+) -> list[AffinePoint]:
+    """The grid walk as it was before it pruned: every candidate of
+    ``itertools.product(grid, repeat=len(free))``, each checked against
+    every generator, truncated at limit.  ``sample_points`` must return
+    exactly its list."""
+    if limit < 1:
+        raise ValueError("the point cap must be positive")
+    grid = tuple(Fraction(g) for g in grid)
+    if len(set(grid)) != len(grid):
+        raise ValueError("grid values must be distinct")
+    N = len(chart.indices)
+    if cell_only:
+        free = [i for i, ix in enumerate(chart.indices) if ix not in chart.positive]
+    else:
+        free = list(range(N))
+    points = []
+    zero = Fraction(0)
+    for combo in itertools.product(grid, repeat=len(free)):
+        coords = [zero] * N
+        for pos, val in zip(free, combo):
+            coords[pos] = val
+        point = AffinePoint(chart, tuple(coords))
+        if ideal.vanishes_at(point.coords):
+            points.append(point)
+            if len(points) >= limit:
+                break
+    return points
+
+
+@cache
+def walk_cases(shape: GrassShape) -> list:
+    """(chart, ideal) for every distinct opposite-side ideal of the shape on
+    every chart, and on G(2,4) and G(2,5) every Richardson ideal too."""
+    cosets = all_coset_reps(shape)
+    cases = {}
+    for tau in cosets:
+        chart = build_chart(shape, tau)
+        for v in (c for c in cosets if bruhat_leq(c, tau)):
+            ideals = [opposite_ideal(chart, v)]
+            if shape.n <= 5:
+                ideals += [richardson_ideal(chart, w, v) for w in cosets if bruhat_leq(tau, w)]
+            for ideal in ideals:
+                cases.setdefault((tau, ideal.gens), (chart, ideal))
+    return list(cases.values())
+
+
+WALK_GRIDS = {
+    "-1,0,1": (-1, 0, 1),
+    "1,0,-1": (1, 0, -1),
+    "0": (0,),
+    "1/2,-1,0": (Fraction(1, 2), -1, 0),
+    "-2,-1,0,1,2": (-2, -1, 0, 1, 2),
+}
 
 
 def count_side_builds(monkeypatch) -> dict:
@@ -467,6 +531,97 @@ class TestSampling:
                 walk = sample_points(ideal, chart, grid, limit=everything)
                 cell = sample_points(ideal, chart, grid, cell_only=True, limit=everything)
                 assert cell and cell == [p for p in walk if in_cell(chart, p)]
+
+
+    @pytest.mark.parametrize("grid", list(WALK_GRIDS.values()), ids=list(WALK_GRIDS))
+    @pytest.mark.parametrize("shape", [G24, GrassShape(2, 5), GrassShape(3, 6)], ids=str)
+    def test_walk_is_the_product_walk(self, shape, grid):
+        """The pruned walk returns the product walk's list, points and
+        order, on every case of ``walk_cases``, in both modes and at the
+        limits 1, 5, 50 and all.  The product walk truncated at a limit is
+        its full list cut there.  Walks of more than 3**6 candidates are
+        left out: a full G(3,6) walk of the product reference on a 3-value
+        grid takes about 16 s per grid over the 175 opposite sides."""
+        grid = tuple(Fraction(g) for g in grid)
+        walked = 0
+        for chart, ideal in walk_cases(shape):
+            for cell_only in (False, True):
+                free = len(chart.indices) - (len(chart.positive) if cell_only else 0)
+                everything = len(grid) ** free
+                if everything > 3**6:
+                    continue
+                reference = product_walk(ideal, chart, grid, cell_only, limit=everything)
+                for limit in (1, 5, 50, everything):
+                    walk = sample_points(ideal, chart, grid, cell_only=cell_only, limit=limit)
+                    assert walk == reference[:limit], (chart.tau, ideal, cell_only, limit)
+                walked += 1
+        assert walked
+
+    def test_walk_edge_cases(self):
+        """No free coordinate (the cell of the minimal coset is its fixed
+        point), the zero ideal, a constant generator, and generators with
+        no free variable, nonzero and zero on the cell: the pruned walk
+        returns the product walk's list in both modes."""
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        low = build_chart(G24, minimal_rep(G24))
+        mid = build_chart(G24, rep(G24, 1, 3))
+        slice_var = mid.ring.var(
+            next(i for i, ix in enumerate(mid.indices) if ix in mid.positive)
+        )
+        cell_var = mid.ring.var(
+            next(i for i, ix in enumerate(mid.indices) if ix not in mid.positive)
+        )
+        zero, unit = PolyIdeal(low.ring, []), PolyIdeal.unit_marker(mid.ring)
+        off_cell = PolyIdeal(low.ring, [low.ring.var(0) * low.ring.var(1) - 1])
+        slice_nonzero = PolyIdeal(mid.ring, [cell_var * (cell_var - 1), slice_var - 1])
+        slice_zero = PolyIdeal(mid.ring, [slice_var, cell_var * (cell_var + 1)])
+        cases = [
+            (low, zero), (low, off_cell), (mid, PolyIdeal(mid.ring, [])), (mid, unit),
+            (mid, slice_nonzero), (mid, slice_zero),
+        ]
+        assert all(ix in low.positive for ix in low.indices)
+        for chart, ideal in cases:
+            for cell_only in (False, True):
+                for limit in (1, 5, 50, 3 ** len(chart.indices)):
+                    walk = sample_points(ideal, chart, grid, cell_only=cell_only, limit=limit)
+                    assert walk == product_walk(ideal, chart, grid, cell_only, limit)
+        assert sample_points(zero, low, grid, cell_only=True) == [low.origin()]
+        assert sample_points(off_cell, low, grid, cell_only=True) == []
+        assert sample_points(unit, mid, grid) == []
+        assert sample_points(slice_nonzero, mid, grid, cell_only=True) == []
+
+    @pytest.mark.parametrize("v, found", [("4678", 3), ("5678", 1)])
+    def test_walk_reaches_the_g48_top_chart(self, v, found):
+        """The cell of the top chart of G(4,8) has 16 coordinates, so the
+        product walk would try 3**16 (about 4.3e7) candidates here; the
+        pruned walk drops each prefix off the opposite side at once."""
+        shape = GrassShape(4, 8)
+        chart = build_chart(shape, maximal_rep(shape))
+        ideal = opposite_ideal(chart, parse_coset(shape, v))
+        assert not chart.positive and len(chart.indices) == 16
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        points = sample_points(ideal, chart, grid, cell_only=True, limit=5)
+        assert len(points) == found
+        assert all(ideal.vanishes_at(p.coords) for p in points)
+
+    def test_walk_evaluates_per_prefix(self, monkeypatch):
+        """An uncapped walk of the G(3,6) opposite side of 246 on the top
+        chart evaluates a generator 216 times; the product walk makes
+        31,662 calls there, at least one per each of the 3**9 candidates."""
+        shape = GrassShape(3, 6)
+        chart = build_chart(shape, maximal_rep(shape))
+        ideal = opposite_ideal(chart, parse_coset(shape, "246"))
+        calls = [0]
+        evaluate = Polynomial.evaluate
+
+        def counted(self, values):
+            calls[0] += 1
+            return evaluate(self, values)
+
+        monkeypatch.setattr(Polynomial, "evaluate", counted)
+        grid = (Fraction(-1), Fraction(0), Fraction(1))
+        points = sample_points(ideal, chart, grid, cell_only=True, limit=3**9)
+        assert len(points) == 33 and calls[0] == 216
 
 
 class TestReports:

@@ -242,6 +242,15 @@ class TestHilbertSamuelSeries:
         target, k_max = case
         assert hilbert_samuel_series(target, k_max) == _reference_series(target, k_max)
 
+    @given(oracle_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_single_generator_closed_form(self, case):
+        """One generator's pivots are counted in closed form; the series
+        must equal the eliminated reference's."""
+        target, k_max = case
+        single = PolyIdeal(target.ring, target.gens[:1])
+        assert hilbert_samuel_series(single, k_max) == _reference_series(single, k_max)
+
     @given(redundant_generators())
     @settings(max_examples=100, deadline=None)
     def test_skipped_rows_leave_series_unchanged(self, case):

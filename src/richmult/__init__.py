@@ -34,24 +34,25 @@ from .charts import (
     translate_to_origin,
 )
 from .engine import (
+    ChartContext,
+    StratumInstance,
     SweepConfig,
     SweepResult,
     build_report,
-    degree_product_check,
     jacobian_corank,
-    mult_opposite_at,
-    mult_richardson_fast,
-    mult_richardson_oracle,
-    mult_schubert_at,
     sample_points,
     verify_theorem,
 )
 from .quadric import (
+    QuadricIndex,
     QuadricShape,
     b_matrix,
     mult_opposite_quadric,
+    mult_oracle,
     mult_schubert_quadric,
     q_eval,
+    quadric_report,
+    quadric_sweep,
     richardson_mult_quadric,
     singular_locus_index,
     verify_disjoint_sing,

@@ -47,7 +47,8 @@ class PointNotOnChartError(ValueError):
 
 @dataclass(frozen=True)
 class Chart:
-    """The affine neighbourhood of the fixed point indexed by tau."""
+    """The affine neighbourhood of the fixed point indexed by tau.  A
+    quadric's chart (``quadric.build_chart``) has the same fields."""
 
     shape: GrassShape
     tau: CosetRep
@@ -221,7 +222,8 @@ def schubert_ideal(chart: Chart, w: CosetRep) -> PolyIdeal:
 
 def w0_relabel(chart: Chart, ideal: PolyIdeal) -> PolyIdeal:
     """An ideal of the chart of w0·tau carried to ``chart``, the chart of
-    tau, by renaming each coordinate (q, p) to (n+1-q, n+1-p).
+    tau, by renaming each coordinate (q, p) to (N+1-q, N+1-p): w0 reverses
+    the N = ``shape.ncoords`` ambient coordinates, on a quadric too.
 
     Reversing the rows and the columns of the chart matrix of w0·tau and
     renaming its coordinates so gives the chart matrix of tau, so a rank
@@ -230,8 +232,8 @@ def w0_relabel(chart: Chart, ideal: PolyIdeal) -> PolyIdeal:
     basis of ``chart``'s order (``PolyIdeal.permuted``, certified or
     recomputed).  The renaming reverses the order of the coordinates, so
     coordinate j here is coordinate N-1-j of the chart of w0·tau."""
-    n = chart.shape.n
-    dual = [RootIndex(n + 1 - ix.q, n + 1 - ix.p) for ix in reversed(chart.indices)]
+    top = chart.shape.ncoords + 1
+    dual = [RootIndex(top - ix.q, top - ix.p) for ix in reversed(chart.indices)]
     if ideal.ring.names != _coordinate_names("x", dual):
         raise PointNotOnChartError("the ideal does not live on the chart of w0·tau")
     return ideal.permuted(range(len(dual) - 1, -1, -1), chart.ring)

@@ -1,33 +1,30 @@
 """Multiplicities of points on stratum varieties: fast path and oracle.
 
 The fast path multiplies the two one-sided multiplicities; the oracle
-computes the tangent-cone degree of the intersection ideal directly.  The
-sweep harness enumerates nested stratum triples, samples rational cell
-points from a grid, and emits one report per point with degree, cone and
-smoothness verdicts.  Each input is checked once, where it enters: a
-triple by :class:`StratumInstance`, a point by :meth:`StratumSide.at`.
+computes the tangent-cone degree of the intersection ideal directly.  One
+engine serves both families, Grassmannians G(d,n) and the odd quadric.  A
+shape's family supplies ``build_chart``, ``schubert_ideal``,
+``w0_relabel``, ``w0_dual`` and ``bruhat_leq``, read through module
+globals at each call (``_family``); the quadric's are in ``quadric``,
+which builds its reports from the instances here.  Each input is checked
+once, where it enters: a triple by :class:`StratumInstance`, a point by
+:meth:`StratumSide.at`.
 
-The sweep's unit of work is a w0-orbit {tau, w0·tau} of charts, one
-chart when tau = w0·tau.  The Schubert side of an instance (w, v, tau)
-depends only on (tau, w) and the opposite side only on (tau, v), so a
-:class:`ChartContext` builds each :class:`StratumSide` once (its ideal,
-dimension, degree, symbolic Jacobian, and per point its translated ideal,
-multiplicity, cone flag and Jacobian rows) and every
-:class:`StratumInstance` on the chart shares it; an instance adds only
-what needs both sides.  Only Schubert ideals are built: X^v = w0·X_{w0·v},
-so the opposite side of v on the chart of tau is the Schubert ideal of
-w0·v on the chart of w0·tau, relabelled (``w0_relabel``).  The two
-contexts of an orbit share one table of Schubert ideals, so each is built
-once and used twice: as a Schubert side on its own chart and, relabelled,
-as an opposite side on the other.  The chart splits: a Schubert ideal
-uses only the slice coordinates (the chart's positive roots) and an
-opposite ideal only the cell coordinates.  The context checks this
-certificate on the kept basis of every side it uses, relabelled or not,
-and raises ``KernelInconsistencyError`` on a violation.  So the
-intersection is the sum of the two sides (``PolyIdeal.__add__``) and
-keeps their merged reduced bases, and a cell point, which moves only cell
-coordinates, leaves the Schubert side's basis as it is.  Every translated
-ideal keeps the translated basis of the ideal it came from
+A :class:`ChartContext` holds the chart of tau and builds each
+:class:`StratumSide` once (its ideal, dimension, degree, symbolic
+Jacobian, and per point its translated ideal, multiplicity, cone flag and
+Jacobian rows); every :class:`StratumInstance` on the chart shares it and
+adds only what needs both sides.  Only Schubert ideals are built:
+X^v = w0·X_{w0·v}, so the opposite side of v on the chart of tau is the
+Schubert ideal of w0·v on the chart of w0·tau, relabelled.  The two
+contexts of a w0-orbit {tau, w0·tau} share one table of Schubert ideals,
+each built once and used twice.  The chart splits: a Schubert ideal uses
+only the slice coordinates (the chart's positive roots) and an opposite
+ideal only the cell coordinates.  The context checks this certificate on
+the kept basis of every side, relabelled or not, and raises
+``KernelInconsistencyError`` on a violation.  So the intersection is the
+sum of the two sides (``PolyIdeal.__add__``) with their merged reduced
+bases, every translated ideal keeps the translated basis of its source
 (``PolyIdeal.translated``), and the oracle's ideal at a point is the sum
 of the two translated sides.  Apart from tangent cones, Buchberger runs
 once per Schubert side: never on an opposite side whose relabelled basis
@@ -39,27 +36,25 @@ the package keeps no module-level state, so every context starts cold.
 The split also saves per-point work.  A side keys its points by their
 coordinates at the variables its generators use, so a Schubert side
 answers every cell point from its fixed-point entry.  And a cell point
-lies on every X_w with w >= tau (its slice coordinates are zero), so the
-cell points of X_w^v are those of X^v: the sweep walks the grid once per
-(tau, v) and shares the points across every w of that v.  The walk
-(:func:`sample_points`) is depth first over the free coordinates and
-checks each generator as soon as its last free variable is set, so a
-prefix off the variety is dropped with all its completions; the points
-and their order are those of the full product of the grid.
-Instances are grouped by tau, the charts by w0-orbit, and the orbits run
-largest cell first.  Each orbit is served from its contexts, which are
-dropped when the orbit ends, and ``workers > 1`` maps the orbits over a
-process pool.
+lies on every X_w with w >= tau, so the cell points of X_w^v are those of
+X^v: the Grassmannian sweep walks the grid once per (tau, v), depth first
+(:func:`sample_points` drops a prefix off the variety with all its
+completions), and shares the points across every w of that v.  It groups
+the instances by tau and the charts by w0-orbit, runs the orbits largest
+cell first, drops an orbit's contexts when it ends, and with
+``workers > 1`` maps the orbits over a process pool.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
+# The Grassmannian's family functions are read through this module (_family).
 from .charts import (
     AffinePoint,
     Chart,
@@ -82,8 +77,6 @@ from .weyl import (
     all_coset_reps,
     bruhat_leq,
     format_coset,
-    maximal_rep,
-    minimal_rep,
     w0_dual,
 )
 
@@ -118,67 +111,13 @@ def _mult_of(ideal: PolyIdeal, mults: dict) -> int:
     return value
 
 
-def _instance(shape: GrassShape, w: CosetRep, v: CosetRep, tau: CosetRep) -> "StratumInstance":
-    return StratumInstance(ChartContext(shape, tau), w, v)
-
-
-def mult_schubert_at(
-    shape: GrassShape, w: CosetRep, tau: CosetRep, m: Optional[AffinePoint] = None
-) -> int:
-    """Multiplicity of m, a point of the chart of tau, on the Schubert
-    variety of w.  At a cell point it is the one at the fixed point: by the
-    chart's split certificate the Schubert ideal uses only slice
-    coordinates, which a cell point does not move."""
-    # The opposite variety of the minimal coset is the whole space.
-    inst = _instance(shape, w, minimal_rep(shape), tau)
-    return inst.side_w.at(inst.resolve_point(m)).mult
-
-
-def mult_opposite_at(
-    shape: GrassShape, v: CosetRep, tau: CosetRep, m: Optional[AffinePoint] = None
-) -> int:
-    """Multiplicity of m, a point of the chart of tau, on the opposite
-    variety of v."""
-    # The Schubert variety of the maximal coset is the whole space.
-    inst = _instance(shape, maximal_rep(shape), v, tau)
-    return inst.side_v.at(inst.resolve_point(m)).mult
-
-
-def mult_richardson_fast(
-    shape: GrassShape,
-    w: CosetRep,
-    v: CosetRep,
-    tau: CosetRep,
-    m: Optional[AffinePoint] = None,
-) -> int:
-    """Product of the two one-sided multiplicities (a point on both sides
-    lies on the intersection)."""
-    inst = _instance(shape, w, v, tau)
-    m = inst.resolve_point(m)
-    return inst.side_w.at(m).mult * inst.side_v.at(m).mult
-
-
-def mult_richardson_oracle(
-    shape: GrassShape,
-    w: CosetRep,
-    v: CosetRep,
-    tau: CosetRep,
-    m: Optional[AffinePoint] = None,
-) -> int:
-    """Tangent-cone multiplicity of the intersection ideal at m, computed
-    without the product shortcut: the ideal is the sum of the two sides
-    translated to m, but its tangent cone is taken in all chart variables
-    at once; m must lie on both sides."""
-    inst = _instance(shape, w, v, tau)
-    return _mult_of(inst.oracle_ideal(inst.resolve_point(m)), inst.context.mults)
-
-
-def degree_product_check(
-    shape: GrassShape, w: CosetRep, v: CosetRep, tau: CosetRep
-) -> tuple[int, int, int, bool]:
-    """Projective degrees of the three cone ideals on the chart and whether
-    deg(intersection) = deg * deg."""
-    return _instance(shape, w, v, tau).degrees
+def _family(shape):
+    """The module whose globals hold the family functions of a shape
+    (``build_chart``, ``schubert_ideal``, ``w0_relabel``, ``w0_dual`` and
+    ``bruhat_leq``), read on every call: this one, which binds the
+    Grassmannian's from ``charts`` and ``weyl``, or the module that
+    defines the shape, such as ``quadric``."""
+    return sys.modules[__name__ if isinstance(shape, GrassShape) else type(shape).__module__]
 
 
 def jacobian_corank(ideal: PolyIdeal, m: AffinePoint) -> int:
@@ -293,8 +232,8 @@ class SidePoint(NamedTuple):
 
 
 class StratumSide:
-    """One stratum variety on one chart: the Schubert variety of w, the
-    opposite variety of v or a quadric stratum.  It holds the chart ideal
+    """One stratum variety on one chart, of either family: the Schubert
+    variety of w or the opposite variety of v.  It holds the chart ideal
     and, each computed on first use and kept, its Hilbert data (one
     numerator for its dimension and degree), its symbolic Jacobian, and
     per point a :class:`SidePoint`.  Nothing in it depends on the other
@@ -363,7 +302,8 @@ class ChartContext:
     w or v: the sweep's unit of work, with the context of w0·tau.  Sides
     live as long as the context, and so does ``mults``, the one
     multiplicity memo that its sides and the oracle share (their
-    translated ideals all live in the chart's y-ring).
+    translated ideals all live in the chart's y-ring).  The shape's
+    ``family`` module supplies the chart and the ideals.
 
     Only Schubert ideals are built.  The opposite side of v is the
     Schubert ideal of w0·v on ``dual_chart``, the chart of w0·tau,
@@ -377,14 +317,15 @@ class ChartContext:
     def __init__(self, shape: GrassShape, tau: CosetRep, dual: Optional["ChartContext"] = None):
         self.shape = shape
         self.tau = tau
+        self.family = family = _family(shape)
         if dual is None:
-            self.chart = build_chart(shape, tau)
-            dual_tau = w0_dual(tau)
-            self.dual_chart = self.chart if dual_tau == tau else build_chart(shape, dual_tau)
+            self.chart = family.build_chart(shape, tau)
+            dual_tau = family.w0_dual(tau)
+            self.dual_chart = self.chart if dual_tau == tau else family.build_chart(shape, dual_tau)
             self._schubert: dict = {}
         else:
             if dual.dual_chart.tau != tau:
-                raise ValueError(f"{format_coset(dual.tau)} is not w0·{format_coset(tau)}")
+                raise ValueError(f"{dual.tau} is not w0·{tau}")
             self.chart, self.dual_chart = dual.dual_chart, dual.chart
             self._schubert = dual._schubert
         self.mults: dict = {}
@@ -393,7 +334,7 @@ class ChartContext:
     def _schubert_ideal(self, chart: Chart, w: CosetRep) -> PolyIdeal:
         ideal = self._schubert.get((chart.tau, w))
         if ideal is None:
-            ideal = self._schubert[chart.tau, w] = schubert_ideal(chart, w)
+            ideal = self._schubert[chart.tau, w] = self.family.schubert_ideal(chart, w)
         return ideal
 
     def side(self, rep: CosetRep, variety: str) -> StratumSide:
@@ -407,17 +348,18 @@ class ChartContext:
         and runs no Groebner work."""
         side = self._sides.get((variety, rep))
         if side is None:
-            chart = self.chart
+            chart, family = self.chart, self.family
             if variety == "Schubert":
                 ideal = self._schubert_ideal(chart, rep)
             else:
-                ideal = w0_relabel(chart, self._schubert_ideal(self.dual_chart, w0_dual(rep)))
+                dual_side = self._schubert_ideal(self.dual_chart, family.w0_dual(rep))
+                ideal = family.w0_relabel(chart, dual_side)
             stray = [chart.ring.names[i] for i in sorted(_support(ideal.groebner()))
                      if (chart.indices[i] in chart.positive) != (variety == "Schubert")]
             if stray:
                 raise KernelInconsistencyError(
-                    f"the chart of {format_coset(self.tau)} does not split: the {variety} side "
-                    f"of {format_coset(rep)} uses the other side's coordinates {', '.join(stray)}"
+                    f"the chart of {self.tau} does not split: the {variety} side "
+                    f"of {rep} uses the other side's coordinates {', '.join(stray)}"
                 )
             side = self._sides[variety, rep] = StratumSide(ideal, variety, self.mults)
         return side
@@ -433,11 +375,9 @@ class StratumInstance:
     any side."""
 
     def __init__(self, context: ChartContext, w: CosetRep, v: CosetRep):
-        tau = context.tau
-        if not (bruhat_leq(v, tau) and bruhat_leq(tau, w)):
-            raise PreconditionError(
-                f"require v <= tau <= w: {format_coset(v)}, {format_coset(tau)}, {format_coset(w)}"
-            )
+        tau, leq = context.tau, context.family.bruhat_leq
+        if not (leq(v, tau) and leq(tau, w)):
+            raise PreconditionError(f"require v <= tau <= w: {v}, {tau}, {w}")
         self.context = context
         self.w = w
         self.v = v
@@ -493,7 +433,7 @@ class StratumInstance:
         return self.side_w.at(m).moved + self.side_v.at(m).moved
 
     def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
-        """Full verification record for one point."""
+        """The Grassmannian's report for one point (``quadric._report`` the quadric's)."""
         m = self.resolve_point(m)
         dim_w, dim_v, dim_wv = self.dimensions
         at_w, at_v = self.side_w.at(m), self.side_v.at(m)
@@ -538,7 +478,7 @@ def build_report(
     m: Optional[AffinePoint] = None,
 ) -> MultiplicityReport:
     """Full verification record for one point of one stratum triple."""
-    return _instance(shape, w, v, tau).report(m)
+    return StratumInstance(ChartContext(shape, tau), w, v).report(m)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ The quadric lives in P^{2n} with the form Q(x) = x_{n+1}^2 +
 2*sum_{a=1}^{n} x_a x_{2n+2-a}.  Stratum varieties are coordinate-window
 slices X_i (top coordinates zero) and X^j (bottom coordinates zero); their
 point multiplicities have a two-case closed form which this module
-implements.  Each report checks it on the point's affine chart, built once
-per sweep, against the tangent-cone oracle and against smoothness from the
-Jacobian corank (each stratum is a reduced quadric in a linear space,
-smooth exactly where its multiplicity is 1).
+implements.  The quadric is also an engine family: its T-fixed charts,
+Schubert ideals and order are defined here, and a report is the engine's
+:class:`StratumInstance` on the chart of the point's last nonzero
+coordinate.  Each report checks the closed forms against the sides'
+tangent-cone multiplicities, the oracle, and smoothness from the Jacobian
+corank (each stratum is a reduced quadric in a linear space, smooth
+exactly where its multiplicity is 1).
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .charts import translate_to_origin
-from .engine import KernelInconsistencyError, StratumSide, _corank, _jacobian_rows, _mult_of
+# w0_relabel serves the quadric's charts too: the engine reads it here.
+from .charts import AffinePoint, Chart, _coordinate_names, w0_relabel
+from .engine import ChartContext, KernelInconsistencyError, StratumInstance, _corank, _mult_of
 from .groebner import PolyIdeal, reduced_groebner_basis
 from .poly import PolyRing
 from .report import MultiplicityReport
+from .weyl import RootIndex
 
 
 class QuadricMembershipError(ValueError):
@@ -41,6 +46,11 @@ class QuadricShape:
     @property
     def ncoords(self) -> int:
         return 2 * self.n + 1
+
+    @property
+    def dim(self) -> int:
+        """Dimension 2n - 1 of the quadric, i.e. of every chart."""
+        return 2 * self.n - 1
 
 
 def check_schubert_index(shape: QuadricShape, i: int):
@@ -77,20 +87,20 @@ def _form(n: int, vec: Sequence):
 
 def schubert_member(shape: QuadricShape, i: int, x: Sequence) -> bool:
     """x in X_i: coordinates above i vanish and Q(x) = 0."""
-    check_schubert_index(shape, i)
-    vec = _coords(shape, x)
-    if all(v == 0 for v in vec):
-        raise ValueError("projective point cannot be zero")
-    return all(vec[a] == 0 for a in range(i, shape.ncoords)) and _form(shape.n, vec) == 0
+    return _member(shape, i, x, range(i, shape.ncoords))
 
 
 def opposite_member(shape: QuadricShape, j: int, x: Sequence) -> bool:
     """x in X^j: coordinates below j vanish and Q(x) = 0."""
-    check_schubert_index(shape, j)
+    return _member(shape, j, x, range(j - 1))
+
+
+def _member(shape: QuadricShape, k: int, x: Sequence, zero: range) -> bool:
+    check_schubert_index(shape, k)
     vec = _coords(shape, x)
-    if all(v == 0 for v in vec):
+    if not any(vec):
         raise ValueError("projective point cannot be zero")
-    return all(vec[a] == 0 for a in range(j - 1)) and _form(shape.n, vec) == 0
+    return not any(vec[a] for a in zero) and _form(shape.n, vec) == 0
 
 
 def mult_schubert_quadric(shape: QuadricShape, i: int, x: Sequence) -> int:
@@ -153,13 +163,9 @@ def b_matrix(shape: QuadricShape, i: int, x: Sequence) -> list[list[Fraction]]:
     mirror = 2 * shape.n + 2 - i
     columns = []
     for j in range(1, N + 1):
-        if j == i:
-            col = list(vec)
-        elif j <= mirror:
-            col = [Fraction(int(r == j)) for r in range(1, N + 1)]
-        else:
-            col = [Fraction(int(r == j)) for r in range(1, N + 1)]
-            col[mirror - 1] -= vec[2 * shape.n + 2 - j - 1]
+        col = list(vec) if j == i else [Fraction(int(r == j)) for r in range(1, N + 1)]
+        if j != i and j > mirror:
+            col[mirror - 1] -= vec[2 * shape.n + 1 - j]
         columns.append(col)
     return [[columns[c][r] for c in range(N)] for r in range(N)]
 
@@ -218,74 +224,112 @@ def richardson_mult_quadric(shape: QuadricShape, i: int, j: int, x: Sequence) ->
     """Product of the two closed forms; always at most 2 because the two
     singular loci are disjoint."""
     check_index_pair(shape, i, j)
-    if not (schubert_member(shape, i, x) and opposite_member(shape, j, x)):
-        raise QuadricMembershipError("point is not on the intersection")
+    # Each closed form checks that the point lies on its stratum.
     mu = mult_schubert_quadric(shape, i, x) * mult_opposite_quadric(shape, j, x)
     if mu > 2:
-        raise RuntimeError(
-            "singular on both one-sided varieties: impossible on a quadric"
-        )
+        raise RuntimeError("singular on both one-sided varieties: impossible on a quadric")
     return mu
 
 
 # ---------------------------------------------------------------------------
-# Cross-check against the general kernel on an affine chart
+# The quadric as an engine family: T-fixed charts and stratum ideals
 # ---------------------------------------------------------------------------
 
 
-class QuadricChart:
-    """The affine chart x_c = 1 in the other coordinates u_a, with the ideal
-    of X_i ∩ X^j on it built once per (i, j), on its reduced basis, as a
-    :class:`StratumSide`, so that its translations keep a basis; X_i
-    is (i, 1) and X^j is (2n+1, j).  The ideal is the unit marker where c
-    lies outside [j, i] and the chart misses the variety."""
+@dataclass(frozen=True)
+class QuadricIndex:
+    """A stratum label k in [1, 2n+1] minus n+1, which also names the
+    T-fixed point e_k: the quadric's coset representative in the engine.
+    X_k has dimension ``length()``: k - 1 up to n, k - 2 from n+2 on."""
 
-    def __init__(self, shape: QuadricShape, c: int):
-        self.c = c
-        self.indices = [a for a in range(1, shape.ncoords + 1) if a != c]
-        self.ring = PolyRing([f"u{a}" for a in self.indices])
-        x = [self.ring.var(pos) for pos in range(len(self.indices))]
-        self.q = _form(shape.n, x[: c - 1] + [self.ring.one()] + x[c - 1 :])  # x_c = 1
-        self.mults: dict = {}
-        self._sides: dict = {}
+    shape: QuadricShape
+    k: int
 
-    def side(self, i: int, j: int) -> StratumSide:
-        if (i, j) not in self._sides:
-            ideal = PolyIdeal.unit_marker(self.ring)
-            if j <= self.c <= i:
-                gens = [self.ring.var(pos) for pos, a in enumerate(self.indices) if a > i or a < j]
-                ideal = PolyIdeal.of_basis(self.ring, reduced_groebner_basis(gens + [self.q]))
-            self._sides[i, j] = StratumSide(ideal, "quadric stratum", self.mults)
-        return self._sides[i, j]
+    def __post_init__(self):
+        check_schubert_index(self.shape, self.k)
+
+    def length(self) -> int:
+        return self.k - 1 if self.k <= self.shape.n else self.k - 2
+
+    def __str__(self):
+        return str(self.k)
 
 
-def _on_chart(charts: dict, shape: QuadricShape, vec: tuple) -> tuple[QuadricChart, tuple]:
-    """The chart x_c = 1 of a coerced point, c its last nonzero coordinate,
-    from the table or added to it, and the point's coordinates there."""
-    c = max((a for a, v in enumerate(vec, 1) if v != 0), default=0)
-    if not c:
-        raise ValueError("projective point cannot be zero")
-    if c not in charts:
-        charts[c] = QuadricChart(shape, c)
-    return charts[c], tuple(v / vec[c - 1] for a, v in enumerate(vec, 1) if a != c)
+def bruhat_leq(a: QuadricIndex, b: QuadricIndex) -> bool:
+    """The Bruhat order of the strata, a chain: X_a lies in X_b exactly
+    when a <= b."""
+    return a.k <= b.k
 
 
-def _oracle(side: StratumSide, coords: tuple) -> int:
-    """Tangent-cone multiplicity of the side's ideal at a point of its chart."""
-    if not side.ideal.vanishes_at(coords):
-        raise QuadricMembershipError("point is not on the variety")
-    return _mult_of(translate_to_origin(side.ideal, coords), side.mults)
+def w0_dual(rep: QuadricIndex) -> QuadricIndex:
+    """The label of w0·e_k = e_{2n+2-k}; it reverses the order."""
+    return QuadricIndex(rep.shape, 2 * rep.shape.n + 2 - rep.k)
+
+
+def build_chart(shape: QuadricShape, tau: QuadricIndex) -> Chart:
+    """The chart of the T-fixed point e_c, c = tau.k: x_c = 1, and Q = 0
+    solved for x_{c'} (c' = 2n+2-c), which Q holds only in 2*x_c*x_{c'}.
+    The other 2n-1 coordinates x_a/x_c are free, indexed (a, c) in
+    increasing a: those with a > c are the slice, those with a < c the
+    cell, as on a Grassmannian chart."""
+    c = tau.k
+    indices = tuple(RootIndex(a, c) for a in range(1, shape.ncoords + 1)
+                    if a not in (c, 2 * shape.n + 2 - c))
+    rings = (PolyRing(_coordinate_names(prefix, indices)) for prefix in "xy")
+    return Chart(shape, tau, indices, tuple(ix for ix in indices if ix.q > c), *rings)
+
+
+def schubert_ideal(chart: Chart, w: QuadricIndex) -> PolyIdeal:
+    """Ideal of X_i, i = w.k, on the chart of e_c: the x_a with a > i
+    and, when c' > i, Q at x_c = 1 and x_{c'} = 0 with those x_a set to 0
+    (x_{c'} vanishes on X_i, and Q = 0 solves for it).  The unit marker
+    when the chart misses X_i (c > i)."""
+    ring, n, c, i = chart.ring, chart.shape.n, chart.tau.k, w.k
+    if c > i:
+        return PolyIdeal.unit_marker(ring)
+    x = [ring.zero()] * chart.shape.ncoords
+    x[c - 1] = ring.one()
+    gens = []
+    for pos, ix in enumerate(chart.indices):
+        if ix.q > i:
+            gens.append(ring.var(pos))
+        else:
+            x[ix.q - 1] = ring.var(pos)
+    if 2 * n + 2 - c > i:
+        gens.append(_form(n, x))
+    return PolyIdeal.of_basis(ring, reduced_groebner_basis([g for g in gens if not g.is_zero()]))
+
+
+def _at(shape: QuadricShape, instances: dict, i: int, j: int, vec: tuple):
+    """The engine's instance of (i, j) on the chart of e_c, c the last
+    nonzero coordinate of vec, a point of X_i and X^j, and the point on
+    that chart, a cell point there.  ``instances`` keeps the instances by
+    (i, j, c) and their chart contexts by c, the two of a w0-orbit
+    sharing their Schubert ideals."""
+    if not (schubert_member(shape, i, vec) and opposite_member(shape, j, vec)):
+        raise QuadricMembershipError(f"point is not on X_{i} and X^{j}")
+    c = max(a for a, v in enumerate(vec, 1) if v)
+    inst = instances.get((i, j, c))
+    if inst is None:
+        if c not in instances:
+            dual = instances.get(2 * shape.n + 2 - c)
+            instances[c] = ChartContext(shape, QuadricIndex(shape, c), dual=dual)
+        w, v = QuadricIndex(shape, i), QuadricIndex(shape, j)
+        inst = instances[i, j, c] = StratumInstance(instances[c], w, v)
+    chart = inst.context.chart
+    return inst, AffinePoint(chart, tuple(vec[ix.q - 1] / vec[c - 1] for ix in chart.indices))
 
 
 def mult_oracle(
     shape: QuadricShape, x: Sequence, i: Optional[int] = None, j: Optional[int] = None
 ) -> int:
-    """Tangent-cone multiplicity at the point of the chart ideal of X_i, of
-    X^j, of their intersection, or of the quadric when neither is given."""
+    """Tangent-cone multiplicity at the point of X_i, of X^j, of their
+    intersection, or of the quadric when neither is given: the engine's
+    oracle on the point's T-fixed chart."""
     i, j = shape.ncoords if i is None else i, 1 if j is None else j
     check_index_pair(shape, i, j)
-    chart, coords = _on_chart({}, shape, _coords(shape, x))
-    return _oracle(chart.side(i, j), coords)
+    inst, m = _at(shape, {}, i, j, _coords(shape, x))
+    return _mult_of(inst.oracle_ideal(m), inst.context.mults)
 
 
 def sample_quadric_points(
@@ -297,11 +341,14 @@ def sample_quadric_points(
     check_index_pair(shape, i, j)
     if limit < 1:
         raise ValueError("the point cap must be positive")
+    grid = tuple(map(Fraction, grid))
+    if len(set(grid)) != len(grid):
+        raise ValueError("grid values must be distinct")
     out: list[tuple] = []
     zero = (Fraction(0),)
     for c in range(j, i + 1):
         for combo in product(grid, repeat=c - j):
-            vec = zero * (j - 1) + tuple(map(Fraction, combo + (1,))) + zero * (shape.ncoords - c)
+            vec = zero * (j - 1) + combo + (Fraction(1),) + zero * (shape.ncoords - c)
             if _form(shape.n, vec) == 0:
                 out.append(vec)
                 if len(out) >= limit:
@@ -311,12 +358,13 @@ def sample_quadric_points(
 
 def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
     """Reports for every index pair j <= i over grid points of the
-    intersection, in deterministic order; each chart is built once.
+    intersection, in deterministic order; each chart context and each
+    instance is built once.
 
     The points of (i, j) are those of (2n+1, j) whose last nonzero
     coordinate is at most i, in the same order, and the cap keeps a
     prefix; so the grid is walked once per j."""
-    charts: dict = {}
+    instances: dict = {}
     reports = []
     valid = [k for k in range(1, shape.ncoords + 1) if k != shape.n + 1]
     samples = {j: sample_quadric_points(shape, shape.ncoords, j, grid, limit=cap) for j in valid}
@@ -326,41 +374,43 @@ def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
                 continue
             for x in samples[j]:
                 if not any(x[i:]):
-                    reports.append(_report(shape, charts, i, j, x))
+                    reports.append(_report(shape, instances, i, j, x))
     return reports
 
 
 def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> MultiplicityReport:
     """MultiplicityReport for a point of the intersection X_i and X^j,
-    cross-checking the closed forms against the oracle and the Jacobian."""
+    cross-checking the closed forms against the engine."""
     check_index_pair(shape, i, j)
     return _report(shape, {}, i, j, x)
 
 
-def _report(shape: QuadricShape, charts: dict, i: int, j: int, x: Sequence) -> MultiplicityReport:
-    """The report of a checked index pair (i, j), its chart from ``charts``."""
+def _report(shape: QuadricShape, instances: dict, i: int, j: int, x: Sequence) -> MultiplicityReport:
+    """The report of a checked index pair (i, j), its instance from
+    ``instances``.  The oracle is the tangent cone of the sum of the two
+    translated sides; the closed forms must equal the sides' tangent-cone
+    multiplicities and give the Jacobian smoothness verdicts."""
     vec = _coords(shape, x)
-    chart, coords = _on_chart(charts, shape, vec)
-    side_i, side_j, side_ij = chart.side(i, 1), chart.side(shape.ncoords, j), chart.side(i, j)
-    oracle = _oracle(side_ij, coords)
+    inst, m = _at(shape, instances, i, j, vec)
+    at_i, at_j = inst.side_w.at(m), inst.side_v.at(m)
+    oracle = _mult_of(inst.oracle_ideal(m), inst.context.mults)
     mu_i = _window_mult(vec, 2 * shape.n + 2 - i, i)
     mu_j = _window_mult(vec, j, 2 * shape.n + 2 - j)
     fast = mu_i * mu_j
     point = {f"x{k + 1}": str(c) for k, c in enumerate(vec)}
-    rows_i = _jacobian_rows(side_i.gradient, coords)
-    rows_j = _jacobian_rows(side_j.gradient, coords)
-    # The two sides' generators generate the intersection's ideal, and at a
-    # point of the variety any generating set's Jacobian rows span the same
-    # space, so the sides' rows stacked give the intersection's rank.
-    smooth = tuple(
-        _corank(rows, chart.ring.nvars, side.dimension, point) == 0
-        for rows, side in ((rows_i, side_i), (rows_j, side_j), (rows_i + rows_j, side_ij))
-    )
+    # The intersection's generators are the two sides', so its Jacobian
+    # rows are the two sides' rows stacked.
+    rows = (at_i.jacobian_rows, at_j.jacobian_rows, at_i.jacobian_rows + at_j.jacobian_rows)
+    nvars = m.chart.ring.nvars
+    smooth = tuple(_corank(r, nvars, dim, point) == 0 for r, dim in zip(rows, inst.dimensions))
     # Smooth is multiplicity 1 on each stratum; the singular loci are disjoint.
-    if fast > 2 or smooth != (mu_i == 1, mu_j == 1, fast == 1):
+    if (mu_i, mu_j) != (at_i.mult, at_j.mult) or fast > 2 or smooth != (
+        mu_i == 1, mu_j == 1, fast == 1
+    ):
         raise KernelInconsistencyError(
-            f"closed forms mu_i={mu_i}, mu_j={mu_j} contradict disjoint singular "
-            f"loci or the Jacobian smoothness verdicts {smooth} at {point}"
+            f"closed forms mu_i={mu_i}, mu_j={mu_j} contradict the sides' multiplicities "
+            f"{at_i.mult}, {at_j.mult}, disjoint singular loci or the Jacobian "
+            f"smoothness verdicts {smooth} at {point}"
         )
     return MultiplicityReport(
         family="quadric",

@@ -38,6 +38,11 @@ class GrassShape:
         """Dimension d(n-d) of the Grassmannian, i.e. of every chart."""
         return self.d * (self.n - self.d)
 
+    @property
+    def ncoords(self) -> int:
+        """The n coordinates of the ambient space, which w0 reverses."""
+        return self.n
+
     def __str__(self):
         return f"G({self.d},{self.n})"
 

@@ -32,19 +32,14 @@ from richmult.engine import (
     StratumSide,
     SweepResult,
     build_report,
-    degree_product_check,
     enumerate_instances,
     jacobian_corank,
-    mult_opposite_at,
-    mult_richardson_fast,
-    mult_richardson_oracle,
-    mult_schubert_at,
     sample_points,
     verify_theorem,
 )
 from richmult.groebner import PolyIdeal, reduced_groebner_basis
 from richmult.hilbert import ideal_dimension
-from richmult.localmult import hilbert_samuel_multiplicity
+from richmult.localmult import hilbert_samuel_multiplicity, multiplicity_at_origin
 from richmult.weyl import (
     CosetRep, GrassShape, all_coset_reps, bruhat_leq, maximal_rep, minimal_rep, parse_coset,
     w0_dual,
@@ -145,24 +140,31 @@ def count_side_builds(monkeypatch) -> dict:
 
 
 class TestSchubertMultiplicity:
+    """The Schubert side of an instance whose opposite side is the whole
+    chart (v minimal)."""
+
     def test_maximal_w_is_smooth(self):
-        assert mult_schubert_at(G24, rep(G24, 3, 4), rep(G24, 1, 2)) == 1
+        tau = rep(G24, 1, 2)
+        inst = StratumInstance(ChartContext(G24, tau), rep(G24, 3, 4), minimal_rep(G24))
+        assert inst.side_w.at(inst.context.chart.origin()).mult == 1
 
     def test_demo_point_is_smooth(self):
         m = point_from_matrix(DEMO_SHAPE, DEMO_MATRIX)
         w = rep(DEMO_SHAPE, 3, 5, 6)
-        assert mult_schubert_at(DEMO_SHAPE, w, m.chart.tau, m) == 1
+        inst = StratumInstance(ChartContext(DEMO_SHAPE, m.chart.tau), w, minimal_rep(DEMO_SHAPE))
+        assert inst.side_w.at(m).mult == 1
 
     def test_fixed_point_matches_series_oracle(self):
         w, tau = rep(G24, 2, 4), rep(G24, 1, 2)
         chart = build_chart(G24, tau)
         ideal = translate_to_origin(schubert_ideal(chart, w), chart.origin())
         expected = hilbert_samuel_multiplicity(ideal, ideal_dimension(ideal))
-        assert mult_schubert_at(G24, w, tau) == expected == 2
+        inst = StratumInstance(ChartContext(G24, tau), w, minimal_rep(G24))
+        assert inst.side_w.at(chart.origin()).mult == expected == 2
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
-            mult_schubert_at(G24, rep(G24, 1, 3), rep(G24, 2, 4))
+            StratumInstance(ChartContext(G24, rep(G24, 2, 4)), rep(G24, 1, 3), minimal_rep(G24))
 
     def test_off_cell_points_taken_and_membership_enforced(self):
         """A point of the chart off the cell is answered when it lies on
@@ -173,19 +175,33 @@ class TestSchubertMultiplicity:
         assert not in_cell(chart, off_cell)
         ideal = translate_to_origin(schubert_ideal(chart, w), off_cell)
         expected = hilbert_samuel_multiplicity(ideal, ideal_dimension(ideal))
-        assert mult_schubert_at(G24, w, tau, off_cell) == expected == 1
+        inst = StratumInstance(ChartContext(G24, tau), w, minimal_rep(G24))
+        assert inst.side_w.at(off_cell).mult == expected == 1
         with pytest.raises(MembershipError):
-            mult_schubert_at(G24, w, tau, chart.point({(4, 1): 1}))
+            inst.side_w.at(chart.point({(4, 1): 1}))
 
 
 # v = 24 is not below tau = 13; the Schubert side alone (tau <= w) is fine.
 NOT_NESTED = (rep(G24, 3, 4), rep(G24, 2, 4), rep(G24, 1, 3))
+
+
+def fast_and_oracle(shape, w, v, tau, m=None) -> tuple[int, int]:
+    """The product of the two sides' multiplicities at m (the fixed point
+    when None) and the oracle's, the tangent-cone multiplicity of the sum
+    of the translated sides, from a fresh instance of (w, v, tau)."""
+    inst = StratumInstance(ChartContext(shape, tau), w, v)
+    m = inst.resolve_point(m)
+    fast = inst.side_w.at(m).mult * inst.side_v.at(m).mult
+    return fast, multiplicity_at_origin(inst.oracle_ideal(m))
+
+
+# Each query keyed by what it computes.
 ENTRY_POINTS = {
     "build_report": lambda w, v, tau: build_report(G24, w, v, tau),
-    "degree_product_check": lambda w, v, tau: degree_product_check(G24, w, v, tau),
-    "mult_opposite_at": lambda w, v, tau: mult_opposite_at(G24, v, tau),
-    "mult_richardson_fast": lambda w, v, tau: mult_richardson_fast(G24, w, v, tau),
-    "mult_richardson_oracle": lambda w, v, tau: mult_richardson_oracle(G24, w, v, tau),
+    "degree_product_check": lambda w, v, tau: StratumInstance(ChartContext(G24, tau), w, v).degrees,
+    "mult_opposite_at": lambda w, v, tau: fast_and_oracle(G24, maximal_rep(G24), v, tau),
+    "mult_richardson_fast": lambda w, v, tau: fast_and_oracle(G24, w, v, tau)[0],
+    "mult_richardson_oracle": lambda w, v, tau: fast_and_oracle(G24, w, v, tau)[1],
     "StratumInstance": lambda w, v, tau: StratumInstance(ChartContext(G24, tau), w, v),
 }
 
@@ -204,14 +220,18 @@ class TestGates:
     def test_schubert_query_names_the_triple(self, monkeypatch):
         builds = count_side_builds(monkeypatch)
         with pytest.raises(PreconditionError, match="require v <= tau <= w: 12, 24, 13"):
-            mult_schubert_at(G24, rep(G24, 1, 3), rep(G24, 2, 4))
+            StratumInstance(ChartContext(G24, rep(G24, 2, 4)), rep(G24, 1, 3), minimal_rep(G24))
         assert builds == {"schubert_ideal": 0, "w0_relabel": 0}
 
-    @pytest.mark.parametrize("call", [mult_richardson_fast, mult_richardson_oracle])
-    def test_point_of_another_chart_refused_by_the_side(self, call):
+    @pytest.mark.parametrize("query", [
+        lambda inst, m: inst.side_w.at(m).mult * inst.side_v.at(m).mult,
+        lambda inst, m: multiplicity_at_origin(inst.oracle_ideal(m)),
+    ], ids=["mult_richardson_fast", "mult_richardson_oracle"])
+    def test_point_of_another_chart_refused_by_the_side(self, query):
         there = build_chart(G24, rep(G24, 1, 4)).origin()
+        inst = StratumInstance(ChartContext(G24, rep(G24, 2, 4)), rep(G24, 3, 4), rep(G24, 1, 2))
         with pytest.raises(PointNotOnChartError):
-            call(G24, rep(G24, 3, 4), rep(G24, 1, 2), rep(G24, 2, 4), there)
+            query(inst, there)
 
 
 def off_cell_points(inst: StratumInstance) -> list:
@@ -255,9 +275,10 @@ class TestOffCellPoints:
         singular = [(inst, m) for m in off_cell_points(inst) if inst.side_w.at(m).mult == 2]
         assert len(singular) == 6
         for inst, m in singular + list(g24_off_cell_points()[::37]):
-            shape, w, v, tau = inst.context.shape, inst.w, inst.v, inst.context.tau
-            fast = mult_richardson_fast(shape, w, v, tau, m)
-            assert fast == mult_richardson_oracle(shape, w, v, tau, m)
+            w, v = inst.w, inst.v
+            fresh = StratumInstance(ChartContext(inst.context.shape, inst.context.tau), w, v)
+            fast = fresh.side_w.at(m).mult * fresh.side_v.at(m).mult
+            assert fast == multiplicity_at_origin(fresh.oracle_ideal(m))
             report = inst.report(m)
             chart = inst.context.chart
             for ideal, mu in ((schubert_ideal(chart, w), report.mu_w),
@@ -268,8 +289,13 @@ class TestOffCellPoints:
 
 
 class TestOppositeMultiplicity:
+    """The opposite side of an instance whose Schubert side is the whole
+    chart (w maximal)."""
+
     def test_minimal_v_is_smooth(self):
-        assert mult_opposite_at(G24, rep(G24, 1, 2), rep(G24, 3, 4)) == 1
+        tau = rep(G24, 3, 4)
+        inst = StratumInstance(ChartContext(G24, tau), maximal_rep(G24), rep(G24, 1, 2))
+        assert inst.side_v.at(inst.context.chart.origin()).mult == 1
 
     def test_fixed_point_equals_cone_degree(self):
         from richmult.hilbert import projective_degree
@@ -277,14 +303,16 @@ class TestOppositeMultiplicity:
         v, tau = rep(G24, 1, 3), rep(G24, 2, 4)
         chart = build_chart(G24, tau)
         ideal = opposite_ideal(chart, v)
-        assert mult_opposite_at(G24, v, tau) == projective_degree(ideal)
+        inst = StratumInstance(ChartContext(G24, tau), maximal_rep(G24), v)
+        assert inst.side_v.at(chart.origin()).mult == projective_degree(ideal)
 
     def test_demo_point_oracle_value(self):
         # The twelve-variable ideal only mentions six variables, which the
         # series oracle strips off as a free smooth factor internally.
         m = point_from_matrix(DEMO_SHAPE, DEMO_MATRIX)
         v = rep(DEMO_SHAPE, 1, 2, 5)
-        mu = mult_opposite_at(DEMO_SHAPE, v, m.chart.tau, m)
+        inst = StratumInstance(ChartContext(DEMO_SHAPE, m.chart.tau), maximal_rep(DEMO_SHAPE), v)
+        mu = inst.side_v.at(m).mult
         ideal = translate_to_origin(opposite_ideal(m.chart, v), m)
         assert mu == hilbert_samuel_multiplicity(ideal, ideal_dimension(ideal))
 
@@ -292,61 +320,62 @@ class TestOppositeMultiplicity:
         tau = rep(G24, 2, 4)
         chart = build_chart(G24, tau)
         bad = chart.point({(1, 2): 1, (3, 2): 1, (1, 4): 1})
+        inst = StratumInstance(ChartContext(G24, tau), maximal_rep(G24), rep(G24, 1, 3))
         with pytest.raises(MembershipError):
-            mult_opposite_at(G24, rep(G24, 1, 3), tau, bad)
+            inst.side_v.at(bad)
 
 
 class TestRichardson:
     def test_product_of_ones(self):
         w, v, tau = rep(G24, 3, 4), rep(G24, 1, 2), rep(G24, 1, 3)
-        assert mult_richardson_fast(G24, w, v, tau) == 1
-        assert mult_richardson_oracle(G24, w, v, tau) == 1
+        assert fast_and_oracle(G24, w, v, tau) == (1, 1)
 
     def test_fixed_point_agreement_everywhere(self):
         for (w, v, tau) in enumerate_instances(G24):
-            fast = mult_richardson_fast(G24, w, v, tau)
-            oracle = mult_richardson_oracle(G24, w, v, tau)
+            fast, oracle = fast_and_oracle(G24, w, v, tau)
             assert fast == oracle
 
     def test_degenerate_to_schubert(self):
         w, tau = rep(G24, 2, 4), rep(G24, 1, 2)
         v = rep(G24, 1, 2)
-        assert mult_richardson_oracle(G24, w, v, tau) == mult_schubert_at(G24, w, tau)
+        inst = StratumInstance(ChartContext(G24, tau), w, v)
+        origin = inst.context.chart.origin()
+        assert multiplicity_at_origin(inst.oracle_ideal(origin)) == inst.side_w.at(origin).mult
 
     def test_double_singularity_product(self):
         shape = GrassShape(3, 7)
         w, v, tau = rep(shape, 4, 6, 7), rep(shape, 1, 2, 4), rep(shape, 2, 4, 6)
-        assert mult_schubert_at(shape, w, tau) == 2
-        assert mult_opposite_at(shape, v, tau) == 2
-        assert mult_richardson_fast(shape, w, v, tau) == 4
-        assert mult_richardson_oracle(shape, w, v, tau) == 4
+        inst = StratumInstance(ChartContext(shape, tau), w, v)
+        origin = inst.context.chart.origin()
+        assert inst.side_w.at(origin).mult == 2
+        assert inst.side_v.at(origin).mult == 2
+        assert fast_and_oracle(shape, w, v, tau) == (4, 4)
 
     def test_demo_instance(self):
         m = point_from_matrix(DEMO_SHAPE, DEMO_MATRIX)
         w, v = rep(DEMO_SHAPE, 3, 5, 6), rep(DEMO_SHAPE, 1, 2, 5)
-        fast = mult_richardson_fast(DEMO_SHAPE, w, v, m.chart.tau, m)
-        oracle = mult_richardson_oracle(DEMO_SHAPE, w, v, m.chart.tau, m)
+        fast, oracle = fast_and_oracle(DEMO_SHAPE, w, v, m.chart.tau, m)
         assert fast == oracle
 
 
 class TestDegrees:
     def test_minimal_v(self):
         w, v, tau = rep(G24, 2, 4), rep(G24, 1, 2), rep(G24, 1, 2)
-        deg_w, deg_v, deg_wv, ok = degree_product_check(G24, w, v, tau)
+        deg_w, deg_v, deg_wv, ok = StratumInstance(ChartContext(G24, tau), w, v).degrees
         assert deg_v == 1 and deg_wv == deg_w and ok
 
     def test_trivial_instance(self):
         w, v, tau = rep(G24, 3, 4), rep(G24, 1, 2), rep(G24, 2, 3)
-        assert degree_product_check(G24, w, v, tau) == (1, 1, 1, True)
+        assert StratumInstance(ChartContext(G24, tau), w, v).degrees == (1, 1, 1, True)
 
     def test_g24_instance(self):
         w, v, tau = rep(G24, 3, 4), rep(G24, 1, 3), rep(G24, 1, 3)
-        deg_w, deg_v, deg_wv, ok = degree_product_check(G24, w, v, tau)
+        deg_w, deg_v, deg_wv, ok = StratumInstance(ChartContext(G24, tau), w, v).degrees
         assert ok and deg_wv == deg_w * deg_v
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
-            degree_product_check(G24, rep(G24, 1, 3), rep(G24, 1, 2), rep(G24, 2, 4))
+            StratumInstance(ChartContext(G24, rep(G24, 2, 4)), rep(G24, 1, 3), rep(G24, 1, 2))
 
 
 class TestJacobian:
@@ -367,7 +396,7 @@ class TestJacobian:
             chart = build_chart(G24, tau)
             ideal = richardson_ideal(chart, w, v)
             corank = jacobian_corank(ideal, chart.origin())
-            mu = mult_richardson_oracle(G24, w, v, tau)
+            _, mu = fast_and_oracle(G24, w, v, tau)
             assert (corank == 0) == (mu == 1)
 
     def test_negative_corank_raises(self, monkeypatch):
@@ -421,19 +450,16 @@ class TestScalingInvariance:
             if not p.is_origin()
         ]
         assert pts
+
+        def mults(m):
+            inst = StratumInstance(ChartContext(shape, tau), w, v)
+            mu_w, mu_v = inst.side_w.at(m).mult, inst.side_v.at(m).mult
+            return mu_w, mu_v, multiplicity_at_origin(inst.oracle_ideal(m))
+
         for m in pts[:3]:
-            base = (
-                mult_schubert_at(shape, w, tau, m),
-                mult_opposite_at(shape, v, tau, m),
-                mult_richardson_oracle(shape, w, v, tau, m),
-            )
+            base = mults(m)
             for xi in (Fraction(2), Fraction(-1, 2)):
-                scaled = scale_action(xi, m)
-                assert (
-                    mult_schubert_at(shape, w, tau, scaled),
-                    mult_opposite_at(shape, v, tau, scaled),
-                    mult_richardson_oracle(shape, w, v, tau, scaled),
-                ) == base
+                assert mults(scale_action(xi, m)) == base
 
 
 @cache

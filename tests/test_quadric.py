@@ -8,10 +8,12 @@ import pytest
 
 from richmult import quadric
 from richmult.charts import translate_to_origin
-from richmult.engine import KernelInconsistencyError
-from richmult.groebner import reduced_groebner_basis
+from richmult.cli import main
+from richmult.engine import ChartContext, KernelInconsistencyError, StratumInstance
+from richmult.groebner import PolyIdeal, reduced_groebner_basis
 from richmult.poly import PolyRing
 from richmult.quadric import (
+    QuadricIndex,
     QuadricMembershipError,
     QuadricShape,
     b_matrix,
@@ -281,7 +283,8 @@ class TestRichardson:
 
     def test_sweep_builds_each_chart_ring_once(self, monkeypatch):
         """The chart rings, and the ideals on them, are built once per
-        chart x_c = 1 for the whole sweep, not once per report."""
+        T-fixed chart for the whole sweep, not once per report: one ring
+        pair (chart and translated coordinates) per e_c, c != n+1."""
         built = []
 
         def counted(names, *args):
@@ -292,26 +295,31 @@ class TestRichardson:
         monkeypatch.setattr(quadric, "PolyRing", counted)
         shape = QuadricShape(2)
         assert len(quadric_sweep(shape)) == 44
-        assert len(built) == len(set(built)) <= shape.ncoords
+        assert len(built) == len(set(built)) == 2 * (shape.ncoords - 1)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_kept_bases_are_the_translated_ideals_bases(self, n):
-        """At every report point the translated side keeps the reduced
-        basis of its translated generators."""
-        shape, charts = QuadricShape(n), {}
+        """At every report point the two translated sides and the oracle's
+        ideal, their sum, keep the reduced basis of their translated
+        generators, and the sum has the translated intersection's basis."""
+        shape, instances = QuadricShape(n), {}
         reports = quadric_sweep(shape)
         assert any(sum(c != "0" for c in r.point.values()) > 1 for r in reports)
         for r in reports:
             vec = tuple(Fraction(r.point[f"x{k}"]) for k in range(1, shape.ncoords + 1))
-            chart, coords = quadric._on_chart(charts, shape, vec)
-            moved = translate_to_origin(chart.side(int(r.w), int(r.v)).ideal, coords)
-            expected = reduced_groebner_basis(moved.gens)
-            assert [str(g) for g in moved.groebner()] == [str(g) for g in expected]
+            inst, m = quadric._at(shape, instances, int(r.w), int(r.v), vec)
+            oracle = inst.oracle_ideal(m)
+            for moved in (inst.side_w.at(m).moved, inst.side_v.at(m).moved, oracle):
+                expected = reduced_groebner_basis(moved.gens)
+                assert [str(g) for g in moved.groebner()] == [str(g) for g in expected]
+            direct = translate_to_origin(inst.iwv, m)
+            assert [g.terms for g in oracle.groebner()] == [g.terms for g in direct.groebner()]
 
     def test_no_basis_run_on_a_translated_ideal(self, monkeypatch):
-        """In a sweep Buchberger runs for side builds and tangent cones
-        only: no ideal computes a basis on first ``groebner()``, so no
-        translated one does."""
+        """In a sweep Buchberger runs for Schubert side builds, once per
+        pair c <= i of a chart and a stratum (21 for n = 3), and for
+        tangent cones only: no opposite side, intersection or translated
+        ideal computes a basis."""
         from richmult import groebner, localmult
 
         calls = {module: [] for module in ("quadric", "groebner", "localmult")}
@@ -324,7 +332,7 @@ class TestRichardson:
             monkeypatch.setattr(module, "reduced_groebner_basis", counted, raising=False)
         assert len(quadric_sweep(QuadricShape(3))) > 0
         assert calls["groebner"] == []
-        assert calls["quadric"] and calls["localmult"]
+        assert len(calls["quadric"]) == 21 and calls["localmult"]
 
     def test_sweep_samples_each_j_once(self, monkeypatch):
         """The grid is walked once per opposite index j (4 for n = 2), not
@@ -345,7 +353,7 @@ class TestRichardson:
     def test_sweep_points_are_the_pairs_samples(self, monkeypatch, n, cap):
         """Filtering the (2n+1, j) samples by last nonzero coordinate gives
         the samples of every (i, j), in order, whatever the cap cuts."""
-        monkeypatch.setattr(quadric, "_report", lambda shape, charts, i, j, x: (i, j, x))
+        monkeypatch.setattr(quadric, "_report", lambda shape, instances, i, j, x: (i, j, x))
         shape, grid = QuadricShape(n), (-1, 0, 1)
         valid = [k for k in range(1, shape.ncoords + 1) if k != n + 1]
         expected = [
@@ -385,3 +393,134 @@ class TestRichardson:
         assert data["family"] == "quadric"
         assert data["mu_wv_fast"] == report.mu_w * report.mu_v
         assert data["deg_zw"] is None
+
+
+def valid_indices(shape):
+    return [k for k in range(1, shape.ncoords + 1) if k != shape.n + 1]
+
+
+def direct_opposite_ideal(chart, j):
+    """X^j built on the chart of e_c itself: the x_a with a < j and, when
+    c' < j, Q at x_c = 1 and x_{c'} = 0 with those x_a set to 0.  The
+    reference for the opposite side, a relabelled Schubert side."""
+    ring, n, c = chart.ring, chart.shape.n, chart.tau.k
+    if j > c:
+        return PolyIdeal.unit_marker(ring)
+    x = [ring.zero()] * chart.shape.ncoords
+    x[c - 1] = ring.one()
+    gens = []
+    for pos, ix in enumerate(chart.indices):
+        if ix.q < j:
+            gens.append(ring.var(pos))
+        else:
+            x[ix.q - 1] = ring.var(pos)
+    if 2 * n + 2 - c < j:
+        gens.append(quadric._form(n, x))
+    return PolyIdeal.of_basis(ring, reduced_groebner_basis([g for g in gens if not g.is_zero()]))
+
+
+def opposite_mismatches(shape):
+    """The (c, j) on which the engine's opposite side and the direct
+    builder differ in generators (terms, in order) or kept basis, or on
+    which the side fails the chart's split certificate."""
+    bad = []
+    for c in valid_indices(shape):
+        context = ChartContext(shape, QuadricIndex(shape, c))
+        for j in valid_indices(shape):
+            try:
+                got = context.side(QuadricIndex(shape, j), "opposite").ideal
+            except KernelInconsistencyError:
+                bad.append((c, j))
+                continue
+            want = direct_opposite_ideal(context.chart, j)
+            if [g.terms for g in got.gens] != [g.terms for g in want.gens] or [
+                g.terms for g in got.groebner()
+            ] != [g.terms for g in want.groebner()]:
+                bad.append((c, j))
+    return bad
+
+
+class TestEngineFamily:
+    """The quadric reports through the engine on its T-fixed charts."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relabelled_opposite_side_equals_direct_builder(self, n):
+        assert opposite_mismatches(QuadricShape(n)) == []
+
+    def test_transposed_relabelling_is_caught(self, monkeypatch):
+        real = quadric.w0_relabel
+
+        def transposed(chart, ideal):
+            source = list(range(chart.ring.nvars))
+            source[0], source[1] = source[1], source[0]
+            return real(chart, ideal).permuted(source, chart.ring)
+
+        monkeypatch.setattr(quadric, "w0_relabel", transposed)
+        bad = opposite_mismatches(QuadricShape(2))
+        # On the chart of e_5 the swap keeps the split: the comparison
+        # catches it there, and the certificate catches it on others.
+        assert (5, 2) in bad and (2, 2) in bad
+
+    def test_schubert_side_using_cell_coordinates_exits_3(self, capsys, monkeypatch):
+        """A Schubert side whose kept basis also uses a cell coordinate
+        (its first element times the sum of the cell coordinates is
+        appended; the variety stays) fails the chart's split certificate."""
+        real = quadric.schubert_ideal
+
+        def reaching(chart, w):
+            basis = list(real(chart, w).groebner())
+            cell = [chart.ring.var(pos) for pos, ix in enumerate(chart.indices)
+                    if ix not in chart.positive]
+            if basis and cell:
+                basis.append(basis[0] * sum(cell[1:], cell[0]))
+            return PolyIdeal.of_basis(chart.ring, basis)
+
+        monkeypatch.setattr(quadric, "schubert_ideal", reaching)
+        assert main(["quadric", "--qn", "2", "--cap", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: KernelInconsistencyError: the chart of 2 does not split: the Schubert "
+            "side of 2 uses the other side's coordinates x_1_2\n"
+        )
+
+    def test_wrong_closed_form_exits_3(self, capsys, monkeypatch):
+        """A closed form that reads 1 everywhere contradicts the sides'
+        tangent-cone multiplicities where a stratum is singular."""
+        monkeypatch.setattr(quadric, "_window_mult", lambda vec, lo, hi: 1)
+        assert main(["quadric", "--qn", "2", "--cap", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: KernelInconsistencyError: closed forms mu_i=1, mu_j=1 contradict the "
+            "sides' multiplicities 2, 1"
+        )
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dimensions_hold_on_every_instance(self, n):
+        """On every chart e_c and every pair j <= c <= i the Groebner
+        dimensions of X_i, X^j and their intersection are the lengths':
+        l(k) = k - 1 up to n and k - 2 above, in a quadric of dimension
+        2n - 1."""
+        shape = QuadricShape(n)
+        length = {k: k - 1 if k <= n else k - 2 for k in valid_indices(shape)}
+        checked = 0
+        for c in valid_indices(shape):
+            context = ChartContext(shape, QuadricIndex(shape, c))
+            for i in valid_indices(shape):
+                for j in valid_indices(shape):
+                    if j <= c <= i:
+                        inst = StratumInstance(context, QuadricIndex(shape, i), QuadricIndex(shape, j))
+                        expected = (length[i], 2 * n - 1 - length[j], length[i] - length[j])
+                        assert inst.dimensions == expected
+                        checked += 1
+        assert checked == len(length) * (len(length) + 1) * (len(length) + 2) // 6
+
+    def test_sweep_rejects_repeated_grid_values(self):
+        shape = QuadricShape(2)
+        with pytest.raises(ValueError, match="grid values must be distinct"):
+            sample_quadric_points(shape, 5, 1, (0, 0, 1), limit=100)
+        with pytest.raises(ValueError, match="grid values must be distinct"):
+            quadric_sweep(shape, grid=(0, 0, 1))
+        assert len(quadric_sweep(shape, grid=(0, 1))) == 30

@@ -32,6 +32,8 @@ passes its leading-term certificate (``PolyIdeal.permuted``), never on an
 intersection, never at a point.  Multiplicities are memoized in the
 context's ``mults`` table, keyed by the translated ideal's reduced basis;
 the package keeps no module-level state, so every context starts cold.
+An instance keeps its oracle multiplicity and smoothness verdicts per
+pair of side points, which fixes both (:class:`StratumInstance`).
 
 The split also saves per-point work.  A side keys its points by their
 coordinates at the variables its generators use, so a Schubert side
@@ -369,10 +371,18 @@ class StratumInstance:
     """What verifying one stratum triple (w, v, tau) needs beyond its two
     sides, which it takes from the chart's context: the intersection
     ideal and, each computed on first use and kept, its Hilbert data, the
-    dimension check against Bruhat lengths, the degree identity and the
-    cone flag of the intersection.  It is the engine's only Bruhat check:
-    unless v <= tau <= w it raises ``PreconditionError`` before it builds
-    any side."""
+    dimension check against Bruhat lengths, the degree identity, the cone
+    flag of the intersection, and per pair of side points the oracle
+    multiplicity and the three smoothness verdicts (:meth:`at`).  It is
+    the engine's only Bruhat check: unless v <= tau <= w it raises
+    ``PreconditionError`` before it builds any side.
+
+    The pair memo is exact: the oracle's ideal at m is the sum of the two
+    sides' translated ideals, and the intersection's Jacobian rows at m
+    are the two sides' rows stacked, read against the instance's
+    dimensions, so no other part of m enters.  It is keyed by the ids of
+    the two :class:`SidePoint`s: each side keeps its points, and the
+    instance its sides, for as long as the memo lives."""
 
     def __init__(self, context: ChartContext, w: CosetRep, v: CosetRep):
         tau, leq = context.tau, context.family.bruhat_leq
@@ -384,6 +394,7 @@ class StratumInstance:
         self.side_w = context.side(w, "Schubert")
         self.side_v = context.side(v, "opposite")
         self.iwv = self.side_w.ideal + self.side_v.ideal
+        self._pairs: dict = {}
 
     @cached_property
     def hilbert(self) -> HilbertData:
@@ -432,18 +443,29 @@ class StratumInstance:
         both sides, which their ``at`` checks."""
         return self.side_w.at(m).moved + self.side_v.at(m).moved
 
+    def at(self, m: AffinePoint) -> tuple[SidePoint, SidePoint, int, tuple[bool, bool, bool]]:
+        """The two sides at m, the oracle multiplicity and the Jacobian
+        smoothness verdicts (w, v, wv) there, the last two once per pair of
+        side points (see the class docstring)."""
+        dims = self.dimensions
+        at_w, at_v = self.side_w.at(m), self.side_v.at(m)
+        key = id(at_w), id(at_v)
+        verdicts = self._pairs.get(key)
+        if verdicts is None:
+            nvars = self.context.chart.ring.nvars
+            rows = (at_w.jacobian_rows, at_v.jacobian_rows, at_w.jacobian_rows + at_v.jacobian_rows)
+            verdicts = self._pairs[key] = (
+                _mult_of(self.oracle_ideal(m), self.context.mults),
+                tuple(_corank(r, nvars, dim, m) == 0 for r, dim in zip(rows, dims)),
+            )
+        return at_w, at_v, *verdicts
+
     def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
         """The Grassmannian's report for one point (``quadric._report`` the quadric's)."""
         m = self.resolve_point(m)
-        dim_w, dim_v, dim_wv = self.dimensions
-        at_w, at_v = self.side_w.at(m), self.side_v.at(m)
+        at_w, at_v, mu_oracle, (smooth_w, smooth_v, smooth_wv) = self.at(m)
         mu_fast = at_w.mult * at_v.mult
-        mu_oracle = _mult_of(self.oracle_ideal(m), self.context.mults)
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
-        nvars = self.context.chart.ring.nvars
-        # The intersection's generators are the two sides', so its
-        # Jacobian rows are the two sides' rows stacked.
-        rows_wv = at_w.jacobian_rows + at_v.jacobian_rows
         return MultiplicityReport(
             family="grassmannian",
             d=self.context.shape.d,
@@ -463,9 +485,9 @@ class StratumInstance:
             cone_schubert_over_point=at_w.cone_over_point,
             cone_opposite_over_point=at_v.cone_over_point,
             cone_richardson_over_origin=self.cone_richardson_over_origin,
-            smooth_w=_corank(at_w.jacobian_rows, nvars, dim_w, m) == 0,
-            smooth_v=_corank(at_v.jacobian_rows, nvars, dim_v, m) == 0,
-            smooth_wv=_corank(rows_wv, nvars, dim_wv, m) == 0,
+            smooth_w=smooth_w,
+            smooth_v=smooth_v,
+            smooth_wv=smooth_wv,
             agreement=mu_fast == mu_oracle,
         )
 

@@ -10,7 +10,9 @@ Schubert ideals and order are defined here, and a report is the engine's
 coordinate.  Each report checks the closed forms against the sides'
 tangent-cone multiplicities, the oracle, and smoothness from the Jacobian
 corank (each stratum is a reduced quadric in a linear space, smooth
-exactly where its multiplicity is 1).
+exactly where its multiplicity is 1).  A sweep checks Q and builds the
+chart point of each sample once for every pair it serves, and the
+sampler evaluates Q on integers (:func:`sample_quadric_points`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 # w0_relabel serves the quadric's charts too: the engine reads it here.
 from .charts import AffinePoint, Chart, _coordinate_names, w0_relabel
-from .engine import ChartContext, KernelInconsistencyError, StratumInstance, _corank, _mult_of
+from .engine import ChartContext, KernelInconsistencyError, StratumInstance, _mult_of
 from .groebner import PolyIdeal, reduced_groebner_basis
 from .poly import PolyRing
 from .report import MultiplicityReport
@@ -300,24 +302,41 @@ def schubert_ideal(chart: Chart, w: QuadricIndex) -> PolyIdeal:
     return PolyIdeal.of_basis(ring, reduced_groebner_basis([g for g in gens if not g.is_zero()]))
 
 
-def _at(shape: QuadricShape, instances: dict, i: int, j: int, vec: tuple):
+def _at(shape: QuadricShape, instances: dict, i: int, j: int, x: Sequence):
     """The engine's instance of (i, j) on the chart of e_c, c the last
-    nonzero coordinate of vec, a point of X_i and X^j, and the point on
-    that chart, a cell point there.  ``instances`` keeps the instances by
-    (i, j, c) and their chart contexts by c, the two of a w0-orbit
-    sharing their Schubert ideals."""
-    if not (schubert_member(shape, i, vec) and opposite_member(shape, j, vec)):
-        raise QuadricMembershipError(f"point is not on X_{i} and X^{j}")
-    c = max(a for a, v in enumerate(vec, 1) if v)
-    inst = instances.get((i, j, c))
-    if inst is None:
+    nonzero coordinate of x, a point of X_i and X^j; x's point on that
+    chart, a cell point there; x's coordinates; and the report's point
+    dict.  ``instances`` keeps the chart contexts by c, the two of a
+    w0-orbit sharing their Schubert ideals, the instances by (i, j, c),
+    and in "samples" what depends on x alone, with the check of Q(x) = 0,
+    by id(x), x in the entry so that the id stays x's.  The index pair
+    and the support windows are checked on every call."""
+    check_index_pair(shape, i, j)
+    samples = instances.setdefault("samples", {})
+    entry = samples.get(id(x))
+    if entry is None:
+        vec = _coords(shape, x)
+        if not any(vec):
+            raise ValueError("projective point cannot be zero")
+        if _form(shape.n, vec) != 0:
+            raise QuadricMembershipError(f"point is not on X_{i} and X^{j}")
+        c = max(a for a, v in enumerate(vec, 1) if v)
         if c not in instances:
             dual = instances.get(2 * shape.n + 2 - c)
             instances[c] = ChartContext(shape, QuadricIndex(shape, c), dual=dual)
+        chart = instances[c].chart
+        m = AffinePoint(chart, tuple(vec[ix.q - 1] / vec[c - 1] for ix in chart.indices))
+        point = {f"x{k + 1}": str(v) for k, v in enumerate(vec)}
+        entry = samples[id(x)] = (x, vec, m, point)
+    _, vec, m, point = entry
+    if any(vec[i:]) or any(vec[:j - 1]):
+        raise QuadricMembershipError(f"point is not on X_{i} and X^{j}")
+    c = m.chart.tau.k
+    inst = instances.get((i, j, c))
+    if inst is None:
         w, v = QuadricIndex(shape, i), QuadricIndex(shape, j)
         inst = instances[i, j, c] = StratumInstance(instances[c], w, v)
-    chart = inst.context.chart
-    return inst, AffinePoint(chart, tuple(vec[ix.q - 1] / vec[c - 1] for ix in chart.indices))
+    return inst, m, vec, point
 
 
 def mult_oracle(
@@ -327,8 +346,7 @@ def mult_oracle(
     intersection, or of the quadric when neither is given: the engine's
     oracle on the point's T-fixed chart."""
     i, j = shape.ncoords if i is None else i, 1 if j is None else j
-    check_index_pair(shape, i, j)
-    inst, m = _at(shape, {}, i, j, _coords(shape, x))
+    inst, m = _at(shape, {}, i, j, x)[:2]
     return _mult_of(inst.oracle_ideal(m), inst.context.mults)
 
 
@@ -337,20 +355,27 @@ def sample_quadric_points(
 ) -> list[tuple]:
     """Deterministic projective representatives on the intersection of X_i
     and X^j: support inside [j, i], last nonzero coordinate scaled to 1,
-    earlier window coordinates from the grid, Q = 0."""
+    earlier window coordinates from the grid, Q = 0.
+
+    Q is evaluated on integers: with D the lcm of the grid's denominators
+    each candidate x is tested as D·x, whose last nonzero coordinate is D,
+    and Q(D·x) = D²·Q(x) vanishes exactly when Q(x) does."""
     check_index_pair(shape, i, j)
     if limit < 1:
         raise ValueError("the point cap must be positive")
     grid = tuple(map(Fraction, grid))
     if len(set(grid)) != len(grid):
         raise ValueError("grid values must be distinct")
+    from math import lcm
+    scale = lcm(*(g.denominator for g in grid))
+    values = [g.numerator * (scale // g.denominator) for g in grid]
     out: list[tuple] = []
-    zero = (Fraction(0),)
     for c in range(j, i + 1):
-        for combo in product(grid, repeat=c - j):
-            vec = zero * (j - 1) + combo + (Fraction(1),) + zero * (shape.ncoords - c)
-            if _form(shape.n, vec) == 0:
-                out.append(vec)
+        head, tail = (0,) * (j - 1), (scale,) + (0,) * (shape.ncoords - c)
+        for combo in product(values, repeat=c - j):
+            scaled = head + combo + tail
+            if _form(shape.n, scaled) == 0:
+                out.append(tuple(Fraction(v, scale) for v in scaled))
                 if len(out) >= limit:
                     return out
     return out
@@ -381,7 +406,6 @@ def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
 def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> MultiplicityReport:
     """MultiplicityReport for a point of the intersection X_i and X^j,
     cross-checking the closed forms against the engine."""
-    check_index_pair(shape, i, j)
     return _report(shape, {}, i, j, x)
 
 
@@ -390,19 +414,11 @@ def _report(shape: QuadricShape, instances: dict, i: int, j: int, x: Sequence) -
     ``instances``.  The oracle is the tangent cone of the sum of the two
     translated sides; the closed forms must equal the sides' tangent-cone
     multiplicities and give the Jacobian smoothness verdicts."""
-    vec = _coords(shape, x)
-    inst, m = _at(shape, instances, i, j, vec)
-    at_i, at_j = inst.side_w.at(m), inst.side_v.at(m)
-    oracle = _mult_of(inst.oracle_ideal(m), inst.context.mults)
+    inst, m, vec, point = _at(shape, instances, i, j, x)
+    at_i, at_j, oracle, smooth = inst.at(m)
     mu_i = _window_mult(vec, 2 * shape.n + 2 - i, i)
     mu_j = _window_mult(vec, j, 2 * shape.n + 2 - j)
     fast = mu_i * mu_j
-    point = {f"x{k + 1}": str(c) for k, c in enumerate(vec)}
-    # The intersection's generators are the two sides', so its Jacobian
-    # rows are the two sides' rows stacked.
-    rows = (at_i.jacobian_rows, at_j.jacobian_rows, at_i.jacobian_rows + at_j.jacobian_rows)
-    nvars = m.chart.ring.nvars
-    smooth = tuple(_corank(r, nvars, dim, point) == 0 for r, dim in zip(rows, inst.dimensions))
     # Smooth is multiplicity 1 on each stratum; the singular loci are disjoint.
     if (mu_i, mu_j) != (at_i.mult, at_j.mult) or fast > 2 or smooth != (
         mu_i == 1, mu_j == 1, fast == 1
@@ -419,7 +435,7 @@ def _report(shape: QuadricShape, instances: dict, i: int, j: int, x: Sequence) -
         tau="",
         w=str(i),
         v=str(j),
-        point=point,
+        point=dict(point),  # the sample's dict serves all its reports
         mu_w=mu_i,
         mu_v=mu_j,
         mu_wv_fast=fast,

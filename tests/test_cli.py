@@ -338,6 +338,19 @@ class TestQuadric:
         assert code == 0
         assert "failed=0" in capsys.readouterr().out
 
+    def test_thirds_grid_sweep_bytes_are_pinned(self, capsys, tmp_path):
+        """A grid whose denominators have lcm 3 writes the bytes recorded
+        while the sampler still evaluated Q in ``Fraction``: the integer
+        sampler's scaling and every per-sample memo must keep them."""
+        out = tmp_path / "q.json"
+        assert main([
+            "quadric", "--qn", "3", "--grid=-1/3,0,2/3,2", "--cap", "30", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out == "checked=261 agreed=261 failed=0\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e6102d503b2ac2ea1e734a8dc1984c3d56cdf5427ce0317a1630670bfd62dfd0"
+        )
+
     def test_schema_on_quadric_reports(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         from importlib.resources import files
@@ -393,9 +406,9 @@ class TestComputationFailures:
         assert err.count("\n") == 1
 
     def test_quadric_smoothness_mismatch_exits_3(self, capsys, monkeypatch):
-        from richmult import quadric
+        from richmult import engine
 
-        monkeypatch.setattr(quadric, "_corank", lambda rows, nvars, dim, m: 1)
+        monkeypatch.setattr(engine, "_corank", lambda rows, nvars, dim, m: 1)
         assert main(["quadric", "--qn", "2", "--cap", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: KernelInconsistencyError: closed forms")

@@ -1,6 +1,7 @@
 """Fast path vs oracle, degrees, smoothness, sampling, the sweep harness."""
 
 import itertools
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache
@@ -1004,3 +1005,66 @@ class TestSweep:
         assert [r.to_dict() for r in serial.reports] == [
             r.to_dict() for r in parallel.reports
         ]
+
+
+class TestPairMemo:
+    """The oracle multiplicity and the three Jacobian coranks of a report
+    depend only on its instance and its pair of side points, so a sweep
+    computes them once per distinct pair, in both families."""
+
+    @staticmethod
+    def count(monkeypatch, sweep) -> tuple[int, int, int, int]:
+        """Reports of the sweep, distinct (instance, side-point pair)s they
+        read (a side point keyed by the point's coordinates at the side's
+        support), oracle ``_mult_of`` calls and ``_corank`` calls."""
+        from richmult import engine
+
+        pairs, calls = set(), {"oracle": 0, "corank": 0}
+        real_at, real_mult, real_corank = StratumInstance.at, engine._mult_of, engine._corank
+
+        def at(inst, m):
+            keys = tuple(tuple(m.coords[k] for k in side.support) for side in (inst.side_w, inst.side_v))
+            pairs.add((inst.context.tau, inst.w, inst.v, keys))
+            return real_at(inst, m)
+
+        def mult_of(ideal, mults):
+            calls["oracle"] += sys._getframe(1).f_code is real_at.__code__
+            return real_mult(ideal, mults)
+
+        def corank(*args):
+            calls["corank"] += 1
+            return real_corank(*args)
+
+        monkeypatch.setattr(StratumInstance, "at", at)
+        monkeypatch.setattr(engine, "_mult_of", mult_of)
+        monkeypatch.setattr(engine, "_corank", corank)
+        reports = sweep()
+        return len(reports), len(pairs), calls["oracle"], calls["corank"]
+
+    def test_grassmannian_sweep(self, monkeypatch):
+        grid = tuple(Fraction(g) for g in (-1, 0, 1))
+        reports, pairs, oracle, corank = self.count(
+            monkeypatch, lambda: verify_theorem(G24, SweepConfig(grid=grid)).reports
+        )
+        assert (oracle, corank) == (pairs, 3 * pairs)
+        assert (reports, pairs) == (326, 82)
+
+    def test_quadric_sweep(self, monkeypatch):
+        from richmult.quadric import QuadricShape, quadric_sweep
+
+        reports, pairs, oracle, corank = self.count(
+            monkeypatch, lambda: quadric_sweep(QuadricShape(2))
+        )
+        assert (oracle, corank) == (pairs, 3 * pairs)
+        assert (reports, pairs) == (44, 24)
+
+    def test_memo_keeps_the_reports(self):
+        """Reports read from the memo, twice per point, equal the reports of
+        a fresh instance."""
+        context = ChartContext(G24, rep(G24, 2, 4))
+        inst = StratumInstance(context, rep(G24, 3, 4), rep(G24, 1, 3))
+        points = sample_points(inst.side_v.ideal, context.chart, DEFAULT_GRID, cell_only=True)
+        assert len(points) > 1
+        for m in points + points:
+            fresh = StratumInstance(ChartContext(G24, context.tau), inst.w, inst.v)
+            assert inst.report(m) == fresh.report(m)

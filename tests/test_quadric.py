@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from richmult import quadric
+from richmult import engine, quadric
 from richmult.charts import translate_to_origin
 from richmult.cli import main
 from richmult.engine import ChartContext, KernelInconsistencyError, StratumInstance
@@ -307,7 +309,7 @@ class TestRichardson:
         assert any(sum(c != "0" for c in r.point.values()) > 1 for r in reports)
         for r in reports:
             vec = tuple(Fraction(r.point[f"x{k}"]) for k in range(1, shape.ncoords + 1))
-            inst, m = quadric._at(shape, instances, int(r.w), int(r.v), vec)
+            inst, m = quadric._at(shape, instances, int(r.w), int(r.v), vec)[:2]
             oracle = inst.oracle_ideal(m)
             for moved in (inst.side_w.at(m).moved, inst.side_v.at(m).moved, oracle):
                 expected = reduced_groebner_basis(moved.gens)
@@ -371,7 +373,7 @@ class TestRichardson:
         shape = QuadricShape(2)
         report = quadric_report(shape, 4, 1, unit(shape, 1))
         assert (report.smooth_w, report.smooth_v, report.smooth_wv) == (False, True, False)
-        monkeypatch.setattr(quadric, "_corank", lambda rows, nvars, dim, m: 1)
+        monkeypatch.setattr(engine, "_corank", lambda rows, nvars, dim, m: 1)
         with pytest.raises(KernelInconsistencyError, match="Jacobian smoothness"):
             quadric_report(shape, 4, 1, unit(shape, 1))
 
@@ -524,3 +526,95 @@ class TestEngineFamily:
         with pytest.raises(ValueError, match="grid values must be distinct"):
             quadric_sweep(shape, grid=(0, 0, 1))
         assert len(quadric_sweep(shape, grid=(0, 1))) == 30
+
+
+def fraction_sampler(shape, i, j, grid, limit=100):
+    """The sampler as it was while it evaluated Q in ``Fraction``: every
+    candidate has x_c = 1 and the grid's values.  The reference for the
+    integer sampler."""
+    grid = tuple(map(Fraction, grid))
+    out = []
+    zero = (Fraction(0),)
+    for c in range(j, i + 1):
+        for combo in product(grid, repeat=c - j):
+            vec = zero * (j - 1) + combo + (Fraction(1),) + zero * (shape.ncoords - c)
+            if quadric._form(shape.n, vec) == 0:
+                out.append(vec)
+                if len(out) >= limit:
+                    return out
+    return out
+
+
+def unscaled_last_coordinate_sampler(shape, i, j, grid, limit=100):
+    """A planted fault: the integer sampler with the grid scaled by D but
+    x_c kept at 1, so it tests Q at the wrong point whenever D > 1."""
+    from math import lcm
+
+    grid = tuple(map(Fraction, grid))
+    scale = lcm(*(g.denominator for g in grid))
+    out = []
+    for c in range(j, i + 1):
+        for combo in product([g * scale for g in grid], repeat=c - j):
+            scaled = (0,) * (j - 1) + combo + (1,) + (0,) * (shape.ncoords - c)
+            if quadric._form(shape.n, scaled) == 0:
+                out.append(tuple(Fraction(v) / scale for v in scaled[:c - 1]) + scaled[c - 1:])
+                if len(out) >= limit:
+                    return out
+    return out
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def assert_is_the_fraction_sampler(sampler):
+    """Compare with the reference on every index pair j <= i of shapes
+    n = 1..4, caps 1..60 and grids of 1..3 distinct rationals with
+    denominators 1..6, negative values and 0 among them.  The explicit
+    example has a point that the integer form must scale to find:
+    (-1/2, 1, 1) on X_3 of n = 1, tested as (-1, 2, 2)."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @example(1, [Fraction(-1, 2), Fraction(1)], 60)
+    @given(st.integers(1, 4), st.lists(rationals, min_size=1, max_size=3, unique=True),
+           st.integers(1, 60))
+    def check(n, grid, cap):
+        shape = QuadricShape(n)
+        for i, j in product(valid_indices(shape), repeat=2):
+            if j <= i:
+                assert sampler(shape, i, j, grid, cap) == fraction_sampler(shape, i, j, grid, cap)
+
+    check()
+
+
+class TestIntegerSampler:
+    def test_same_points_as_the_fraction_sampler(self):
+        """Scaling by the lcm of the grid's denominators keeps the points
+        and their order, whatever the grid, the pair and the cap."""
+        assert_is_the_fraction_sampler(sample_quadric_points)
+
+    def test_unscaled_last_coordinate_is_caught(self):
+        with pytest.raises(AssertionError):
+            assert_is_the_fraction_sampler(unscaled_last_coordinate_sampler)
+
+    def test_points_are_the_grids_fractions(self):
+        shape = QuadricShape(3)
+        points = sample_quadric_points(shape, 7, 1, ("-1/3", 0, "2/3", 2), limit=30)
+        assert points == fraction_sampler(shape, 7, 1, (Fraction(-1, 3), 0, Fraction(2, 3), 2), 30)
+        assert len(points) == 30
+        assert all(type(v) is Fraction for x in points for v in x)
+
+    def test_point_off_the_quadric_from_the_sampler_exits_2(self, capsys, monkeypatch):
+        """Every report checks Q(x) = 0 itself: a sampler that hands the
+        sweep a point off the quadric stops it with the membership error."""
+        sample = quadric.sample_quadric_points
+
+        def planted(shape, i, j, grid, limit):
+            off = (Fraction(1), 0, 0, 0, Fraction(1))
+            return sample(shape, i, j, grid, limit) + ([off] if j == 1 else [])
+
+        monkeypatch.setattr(quadric, "sample_quadric_points", planted)
+        assert main(["quadric", "--qn", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: point is not on X_5 and X^1\n"
+

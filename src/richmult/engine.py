@@ -29,11 +29,12 @@ bases, every translated ideal keeps the translated basis of its source
 of the two translated sides.  Apart from tangent cones, Buchberger runs
 once per Schubert side: never on an opposite side whose relabelled basis
 passes its leading-term certificate (``PolyIdeal.permuted``), never on an
-intersection, never at a point.  Multiplicities are memoized in the
-context's ``mults`` table, keyed by the translated ideal's reduced basis;
-the package keeps no module-level state, so every context starts cold.
-An instance keeps its oracle multiplicity and smoothness verdicts per
-pair of side points, which fixes both (:class:`StratumInstance`).
+intersection, never at a point.  The package keeps no module-level
+state, so every sweep starts cold.  An instance keeps its oracle
+multiplicity and smoothness verdicts per pair of side points, which fixes
+both (:class:`StratumInstance`); when one side's ideal has no generators
+the oracle's ideal is the other side's translated ideal, and the oracle
+reads that side's multiplicity.
 
 The split also saves per-point work.  A side keys its points by their
 coordinates at the variables its generators use, so a Schubert side
@@ -101,16 +102,6 @@ class KernelInconsistencyError(RuntimeError):
 # values than these raises instead of running for hours.
 MAX_VARIABLES = 12
 MAX_GRID_VALUES = 5
-
-
-def _mult_of(ideal: PolyIdeal, mults: dict) -> int:
-    """The multiplicity at the origin, memoized in a chart's ``mults`` by
-    the ideal's reduced basis: every ideal in one table lives in one ring,
-    and a ``Polynomial`` hashes and compares by its terms."""
-    key = ideal.groebner()
-    if (value := mults.get(key)) is None:
-        value = mults[key] = multiplicity_at_origin(ideal)
-    return value
 
 
 def _family(shape):
@@ -239,8 +230,7 @@ class StratumSide:
     and, each computed on first use and kept, its Hilbert data (one
     numerator for its dimension and degree), its symbolic Jacobian, and
     per point a :class:`SidePoint`.  Nothing in it depends on the other
-    side, so every instance of the chart shares it.  Its multiplicities go
-    through ``mults``, the multiplicity memo of the chart that built it.
+    side, so every instance of the chart shares it.
 
     Points are keyed by their coordinates at ``support``, the variables
     the generators use: the translated ideal, the multiplicity, the cone
@@ -248,10 +238,9 @@ class StratumSide:
     split a Schubert side's support is slice coordinates only, which are
     zero at every cell point, so one entry serves them all."""
 
-    def __init__(self, ideal: PolyIdeal, variety: str, mults: dict):
+    def __init__(self, ideal: PolyIdeal, variety: str):
         self.ideal = ideal
         self.variety = variety
-        self.mults = mults
         self._points: dict = {}
 
     @cached_property
@@ -291,7 +280,7 @@ class StratumSide:
             moved = translate_to_origin(self.ideal, m)
             point = SidePoint(
                 moved=moved,
-                mult=_mult_of(moved, self.mults),
+                mult=multiplicity_at_origin(moved),
                 cone_over_point=is_cone_over_origin(moved),
                 jacobian_rows=_jacobian_rows(self.gradient, m.coords),
             )
@@ -302,10 +291,8 @@ class StratumSide:
 class ChartContext:
     """The chart of tau with every stratum side built on it, each once per
     w or v: the sweep's unit of work, with the context of w0·tau.  Sides
-    live as long as the context, and so does ``mults``, the one
-    multiplicity memo that its sides and the oracle share (their
-    translated ideals all live in the chart's y-ring).  The shape's
-    ``family`` module supplies the chart and the ideals.
+    live as long as the context.  The shape's ``family`` module supplies
+    the chart and the ideals.
 
     Only Schubert ideals are built.  The opposite side of v is the
     Schubert ideal of w0·v on ``dual_chart``, the chart of w0·tau,
@@ -330,7 +317,6 @@ class ChartContext:
                 raise ValueError(f"{dual.tau} is not w0·{tau}")
             self.chart, self.dual_chart = dual.dual_chart, dual.chart
             self._schubert = dual._schubert
-        self.mults: dict = {}
         self._sides: dict = {}
 
     def _schubert_ideal(self, chart: Chart, w: CosetRep) -> PolyIdeal:
@@ -363,7 +349,7 @@ class ChartContext:
                     f"the chart of {self.tau} does not split: the {variety} side "
                     f"of {rep} uses the other side's coordinates {', '.join(stray)}"
                 )
-            side = self._sides[variety, rep] = StratumSide(ideal, variety, self.mults)
+            side = self._sides[variety, rep] = StratumSide(ideal, variety)
         return side
 
 
@@ -382,7 +368,12 @@ class StratumInstance:
     are the two sides' rows stacked, read against the instance's
     dimensions, so no other part of m enters.  It is keyed by the ids of
     the two :class:`SidePoint`s: each side keeps its points, and the
-    instance its sides, for as long as the memo lives."""
+    instance its sides, for as long as the memo lives.
+
+    When one side is its whole chart (its ideal has no generators, as for
+    X_w with w the top element or X^v with v the bottom one), the oracle's
+    ideal is the other side's translated ideal, so the oracle multiplicity
+    is that side's ``mult`` and no tangent cone is taken for the pair."""
 
     def __init__(self, context: ChartContext, w: CosetRep, v: CosetRep):
         tau, leq = context.tau, context.family.bruhat_leq
@@ -454,8 +445,14 @@ class StratumInstance:
         if verdicts is None:
             nvars = self.context.chart.ring.nvars
             rows = (at_w.jacobian_rows, at_v.jacobian_rows, at_w.jacobian_rows + at_v.jacobian_rows)
+            if self.side_w.ideal.is_zero_ideal():
+                mult = at_v.mult
+            elif self.side_v.ideal.is_zero_ideal():
+                mult = at_w.mult
+            else:
+                mult = multiplicity_at_origin(self.oracle_ideal(m))
             verdicts = self._pairs[key] = (
-                _mult_of(self.oracle_ideal(m), self.context.mults),
+                mult,
                 tuple(_corank(r, nvars, dim, m) == 0 for r, dim in zip(rows, dims)),
             )
         return at_w, at_v, *verdicts

@@ -2,9 +2,8 @@
 
 The numerator N(t) of the series N(t)/(1-t)^k of k[x_1..x_k]/M is computed
 by pivot splitting: N(M) = N(M + (p)) + t^deg(p) * N(M : p) with a single
-variable as pivot, with memoization on minimal generator sets.  Writing
-N(t) = (1-t)^s * Q(t) with Q(1) != 0, the quotient has Krull dimension
-k - s and degree Q(1).
+variable as pivot.  Writing N(t) = (1-t)^s * Q(t) with Q(1) != 0, the
+quotient has Krull dimension k - s and degree Q(1).
 """
 
 from __future__ import annotations
@@ -39,16 +38,12 @@ def _poly_add_shifted(a: tuple, b: tuple, shift: int) -> tuple:
 
 def hilbert_numerator(gens: Iterable[Exps], nvars: int) -> tuple[int, ...]:
     """Coefficients of N(t) for the monomial ideal generated by gens."""
-    memo: dict = {}
 
-    def recurse(mons: tuple) -> tuple:
+    def recurse(mons: list) -> tuple:
         if not mons:
             return (1,)
         if any(mono_deg(e) == 0 for e in mons):
             return (0,)  # unit ideal: zero quotient
-        cached = memo.get(mons)
-        if cached is not None:
-            return cached
         purity = [sum(1 for x in e if x) for e in mons]
         if all(p == 1 for p in purity):
             # Pairwise coprime pure powers: complete intersection.
@@ -59,35 +54,27 @@ def hilbert_numerator(gens: Iterable[Exps], nvars: int) -> tuple[int, ...]:
                 factor[0] = 1
                 factor[d] = -1
                 result = _poly_mul(result, tuple(factor))
-        else:
-            # Pivot on the most shared variable of a mixed generator, so the
-            # split strictly shrinks both branches.
-            counts = [0] * nvars
-            for e, pure in zip(mons, purity):
-                if pure > 1:
-                    for i, x in enumerate(e):
-                        if x:
-                            counts[i] += 1
-            pivot = max(range(nvars), key=lambda i: counts[i])
-            # M + (x_pivot): drop generators divisible by the pivot.
-            plus = [e for e in mons if e[pivot] == 0]
-            unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-            plus.append(unit)
-            # M : x_pivot.
-            colon = minimalize_monomials(
-                tuple(x - 1 if i == pivot and x else x for i, x in enumerate(e))
-                for e in mons
-            )
-            a = recurse(tuple(sorted(plus)))
-            b = recurse(tuple(sorted(colon)))
-            result = _poly_add_shifted(a, b, 1)
-        memo[mons] = result
-        return result
+            return result
+        # Pivot on the most shared variable of a mixed generator, so the
+        # split strictly shrinks both branches.
+        counts = [0] * nvars
+        for e, pure in zip(mons, purity):
+            if pure > 1:
+                for i, x in enumerate(e):
+                    if x:
+                        counts[i] += 1
+        pivot = max(range(nvars), key=lambda i: counts[i])
+        # M + (x_pivot): drop generators divisible by the pivot.
+        plus = [e for e in mons if e[pivot] == 0]
+        plus.append(tuple(1 if i == pivot else 0 for i in range(nvars)))
+        # M : x_pivot.
+        colon = minimalize_monomials(
+            tuple(x - 1 if i == pivot and x else x for i, x in enumerate(e))
+            for e in mons
+        )
+        return _poly_add_shifted(recurse(plus), recurse(colon), 1)
 
-    mons = tuple(sorted(minimalize_monomials(gens)))
-    if any(mono_deg(e) == 0 for e in mons):
-        return (0,)  # unit ideal: zero ring
-    return recurse(mons)
+    return recurse(minimalize_monomials(gens))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ differences.  Its columns are monomials packed into integer codes, and
 its rows are eliminated fraction-free over the integers.  A row whose
 multiplier is a pivot column of the earlier generators' rows is skipped
 before it is built: it adds nothing to the row space.  An ideal of one
-generator, or of monomials, needs no elimination: its pivots are counted
-in closed form.  It shares no code path with the tangent-cone computation
-beyond polynomial arithmetic.
+generator needs no elimination: its pivots are counted in closed form.
+It shares no code path with the tangent-cone computation beyond
+polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -126,9 +126,8 @@ def hilbert_samuel_series(
     generators' pivots may be marked: for a pivot of g's own rows, h * g is
     not known to lie in the span of the other rows.
 
-    Two kinds of ideal are counted without elimination: one generator,
-    whose rows are independent (comment below), and monomials, whose rows
-    are unit vectors.
+    An ideal of one generator is counted without elimination: its rows
+    are independent (comment below).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -186,18 +185,6 @@ def hilbert_samuel_series(
         degs += [d] * (len(codes) - end)
         start = end
     col_of = {code: col for col, code in enumerate(codes)}
-
-    if all(len(terms) == 1 for terms in gens):
-        # Monomial ideal: the rows are unit vectors, so the rank in degree
-        # < k is the number of monomials divisible by some generator.
-        covered = {
-            col_of[a + code]
-            for ((deg, code, _),) in gens
-            for a in codes[: comb(k_max - 1 - deg + n, n)]
-        }
-        for col in covered:
-            pivot_deg[degs[col]] += 1
-        return _series(pivot_deg, n)
 
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     # marked[j]: column j is a pivot of the earlier generators' rows, so

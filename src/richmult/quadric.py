@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 
 # w0_relabel serves the quadric's charts too: the engine reads it here.
 from .charts import AffinePoint, Chart, _coordinate_names, w0_relabel
-from .engine import ChartContext, KernelInconsistencyError, StratumInstance, _mult_of
+from .engine import ChartContext, KernelInconsistencyError, StratumInstance
 from .groebner import PolyIdeal, reduced_groebner_basis
+from .localmult import multiplicity_at_origin
 from .poly import PolyRing
 from .report import MultiplicityReport
 from .weyl import RootIndex
@@ -347,7 +348,7 @@ def mult_oracle(
     oracle on the point's T-fixed chart."""
     i, j = shape.ncoords if i is None else i, 1 if j is None else j
     inst, m = _at(shape, {}, i, j, x)[:2]
-    return _mult_of(inst.oracle_ideal(m), inst.context.mults)
+    return multiplicity_at_origin(inst.oracle_ideal(m))
 
 
 def sample_quadric_points(

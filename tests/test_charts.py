@@ -6,6 +6,7 @@ dim(V /\\ span(e_1..e_j)) >= #{k : w_k <= j} for every j, computed by
 exact Gaussian elimination independent of any ideal machinery.
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from richmult.charts import (
     AffinePoint,
     PointNotOnChartError,
+    _det,
     _echelon,
     _minor_generators,
     build_chart,
@@ -524,6 +526,89 @@ class TestW0Relabelling:
             w0_relabel(chart, schubert_ideal(chart, rep(shape, 2, 4)))
         dual = build_chart(shape, w0_dual(chart.tau))
         assert w0_relabel(chart, schubert_ideal(dual, rep(shape, 2, 4))).ring == chart.ring
+
+
+def plucker_coordinates(chart) -> dict:
+    """p_I for every d-subset I: the d x d minor on rows I of the chart
+    matrix."""
+    matrix = chart.matrix()
+    return {
+        subset: _det([matrix[i - 1] for i in subset.entries])
+        for subset in all_coset_reps(chart.shape)
+    }
+
+
+def plucker_ideal(chart, plucker, rep, opposite=False):
+    """A second builder of the stratum ideals, from standard monomial theory:
+    X_w is cut out of the Grassmannian by p_I = 0 for every d-subset I not
+    <= w, and X^v by p_I = 0 for every I not >= v; ``plucker`` holds the
+    chart's p_I.  It shares no code with ``descent_positions``, the row
+    windows or ``w0_relabel``."""
+    return PolyIdeal(chart.ring, [
+        p for subset, p in plucker.items()
+        if not (bruhat_leq(rep, subset) if opposite else bruhat_leq(subset, rep))
+    ])
+
+
+def plucker_mismatches(shape, monkeypatch) -> tuple[int, list]:
+    """The number of stratum sides of the shape the engine uses (X_w on the
+    chart of tau <= w, X^v on that of v <= tau), and those of them on which
+    ``schubert_ideal`` or ``opposite_ideal`` and the Plücker builder have
+    different reduced bases.  ``opposite_ideal`` relabels a Schubert ideal
+    of the dual chart, which it reads through ``charts.schubert_ideal``:
+    for the call that is memoized by (tau, w), so each is built once."""
+    from richmult import charts
+
+    built, build = {}, charts.schubert_ideal
+
+    def schubert(chart, w):
+        if (chart.tau, w) not in built:
+            built[chart.tau, w] = build(chart, w)
+        return built[chart.tau, w]
+
+    monkeypatch.setattr(charts, "schubert_ideal", schubert)
+    reps = all_coset_reps(shape)
+    sides, bad = 0, []
+    for tau in reps:
+        chart = build_chart(shape, tau)
+        plucker = plucker_coordinates(chart)
+        for rep in reps:
+            for variety, builder, on_chart in (
+                ("Schubert", charts.schubert_ideal, bruhat_leq(tau, rep)),
+                ("opposite", charts.opposite_ideal, bruhat_leq(rep, tau)),
+            ):
+                if not on_chart:
+                    continue
+                sides += 1
+                got = [g.terms for g in builder(chart, rep).groebner()]
+                want = [g.terms for g in plucker_ideal(chart, plucker, rep, variety == "opposite").groebner()]
+                if got != want:
+                    bad.append((tau, rep, variety))
+    return sides, bad
+
+
+class TestPluckerBuilder:
+    """The minor builder's Schubert and opposite ideals have the reduced
+    bases of the Plücker-vanishing ideals on every side."""
+
+    @pytest.mark.parametrize("d,n,sides", [
+        (2, 4, 40), (2, 5, 100), (3, 6, 350),
+        pytest.param(3, 7, 980, marks=pytest.mark.skipif(
+            not os.environ.get("RICHMULT_SLOW_TESTS"), reason="set RICHMULT_SLOW_TESTS=1 to run G(3,7)"
+        )),
+    ])
+    def test_equals_minor_builder(self, monkeypatch, d, n, sides):
+        assert plucker_mismatches(GrassShape(d, n), monkeypatch) == (sides, [])
+
+    def test_dropped_descent_position_is_caught(self, monkeypatch):
+        """A minor builder that forgets the last descent position of w (so of
+        w0·v too, for the opposite side) fails the comparison."""
+        from richmult import charts
+
+        real = charts.descent_positions
+        monkeypatch.setattr(charts, "descent_positions", lambda w: real(w)[:-1])
+        bad = plucker_mismatches(GrassShape(2, 4), monkeypatch)[1]
+        assert {variety for _, _, variety in bad} == {"Schubert", "opposite"}
 
 
 class TestRichardsonIdeal:

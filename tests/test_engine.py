@@ -700,7 +700,7 @@ class TestSupportKeyedPoints:
         for m in self.cell_points(inst):
             for side in (inst.side_w, inst.side_v):
                 kept = side.at(m)
-                fresh = StratumSide(side.ideal, side.variety, {}).at(m)
+                fresh = StratumSide(side.ideal, side.variety).at(m)
                 assert [g.terms for g in kept.moved.gens] == [g.terms for g in fresh.moved.gens]
                 assert kept.moved.groebner() == fresh.moved.groebner()
                 assert kept.mult == fresh.mult
@@ -869,11 +869,13 @@ class TestSweep:
         assert calls["localmult"]
 
     def test_back_to_back_sweeps_start_cold(self, monkeypatch):
-        """Each chart context owns its multiplicity memo and the engine
-        keeps no module-level one, so a second sweep in the same process
-        takes every tangent cone again and gives the same reports.  Each
-        sweep walks the grid once per (tau, v) and translates each side
-        once per support key."""
+        """The engine keeps no module-level memo, so a second sweep in the
+        same process takes every tangent cone again and gives the same
+        reports.  Each sweep walks the grid once per (tau, v), translates
+        each side once per support key and takes one tangent cone per side
+        point and per pair of side points with two nonzero sides: the 10
+        zero-ideal sides among the side points each take their own, a
+        trivial cone."""
         shape = GrassShape(2, 5)
         config = SweepConfig(grid=(Fraction(-1), Fraction(0), Fraction(1)), point_cap=50)
         calls = count_engine_calls(
@@ -882,7 +884,7 @@ class TestSweep:
         first = verify_theorem(shape, config)
         opposite_sides = len({(tau, v) for w, v, tau in enumerate_instances(shape)})
         once = {
-            "multiplicity_at_origin": 391, "sample_points": opposite_sides,
+            "multiplicity_at_origin": 401, "sample_points": opposite_sides,
             "translate_to_origin": 236,
         }
         assert opposite_sides == 50 and calls == once
@@ -1010,53 +1012,62 @@ class TestSweep:
 class TestPairMemo:
     """The oracle multiplicity and the three Jacobian coranks of a report
     depend only on its instance and its pair of side points, so a sweep
-    computes them once per distinct pair, in both families."""
+    computes them once per distinct pair, in both families.  A pair with
+    a zero side takes no tangent cone: its oracle ideal is the other
+    side's translated ideal."""
 
     @staticmethod
-    def count(monkeypatch, sweep) -> tuple[int, int, int, int]:
+    def count(monkeypatch, sweep) -> tuple[int, int, int, int, int]:
         """Reports of the sweep, distinct (instance, side-point pair)s they
         read (a side point keyed by the point's coordinates at the side's
-        support), oracle ``_mult_of`` calls and ``_corank`` calls."""
+        support), those of them with two nonzero sides, oracle
+        ``multiplicity_at_origin`` calls and ``_corank`` calls."""
         from richmult import engine
 
         pairs, calls = set(), {"oracle": 0, "corank": 0}
-        real_at, real_mult, real_corank = StratumInstance.at, engine._mult_of, engine._corank
+        nonzero = set()
+        real_at, real_mult, real_corank = (
+            StratumInstance.at, engine.multiplicity_at_origin, engine._corank
+        )
 
         def at(inst, m):
             keys = tuple(tuple(m.coords[k] for k in side.support) for side in (inst.side_w, inst.side_v))
-            pairs.add((inst.context.tau, inst.w, inst.v, keys))
+            pair = (inst.context.tau, inst.w, inst.v, keys)
+            pairs.add(pair)
+            if inst.side_w.ideal.gens and inst.side_v.ideal.gens:
+                nonzero.add(pair)
             return real_at(inst, m)
 
-        def mult_of(ideal, mults):
+        def mult(ideal):
             calls["oracle"] += sys._getframe(1).f_code is real_at.__code__
-            return real_mult(ideal, mults)
+            return real_mult(ideal)
 
         def corank(*args):
             calls["corank"] += 1
             return real_corank(*args)
 
         monkeypatch.setattr(StratumInstance, "at", at)
-        monkeypatch.setattr(engine, "_mult_of", mult_of)
+        monkeypatch.setattr(engine, "multiplicity_at_origin", mult)
         monkeypatch.setattr(engine, "_corank", corank)
         reports = sweep()
-        return len(reports), len(pairs), calls["oracle"], calls["corank"]
+        return len(reports), len(pairs), len(nonzero), calls["oracle"], calls["corank"]
 
     def test_grassmannian_sweep(self, monkeypatch):
         grid = tuple(Fraction(g) for g in (-1, 0, 1))
-        reports, pairs, oracle, corank = self.count(
+        reports, pairs, nonzero, oracle, corank = self.count(
             monkeypatch, lambda: verify_theorem(G24, SweepConfig(grid=grid)).reports
         )
-        assert (oracle, corank) == (pairs, 3 * pairs)
-        assert (reports, pairs) == (326, 82)
+        assert (oracle, corank) == (nonzero, 3 * pairs)
+        assert (reports, pairs, nonzero) == (326, 82, 16)
 
     def test_quadric_sweep(self, monkeypatch):
         from richmult.quadric import QuadricShape, quadric_sweep
 
-        reports, pairs, oracle, corank = self.count(
+        reports, pairs, nonzero, oracle, corank = self.count(
             monkeypatch, lambda: quadric_sweep(QuadricShape(2))
         )
-        assert (oracle, corank) == (pairs, 3 * pairs)
-        assert (reports, pairs) == (44, 24)
+        assert (oracle, corank) == (nonzero, 3 * pairs)
+        assert (reports, pairs, nonzero) == (44, 24, 4)
 
     def test_memo_keeps_the_reports(self):
         """Reports read from the memo, twice per point, equal the reports of
@@ -1068,3 +1079,75 @@ class TestPairMemo:
         for m in points + points:
             fresh = StratumInstance(ChartContext(G24, context.tau), inst.w, inst.v)
             assert inst.report(m) == fresh.report(m)
+
+
+def _grid_sweep(shape, grid):
+    return lambda: verify_theorem(shape, SweepConfig(grid=tuple(map(Fraction, grid)))).reports
+
+
+def _quadric_sweep(n):
+    def sweep():
+        from richmult.quadric import QuadricShape, quadric_sweep
+
+        return quadric_sweep(QuadricShape(n))
+
+    return sweep
+
+
+ZERO_SIDE_SWEEPS = pytest.mark.parametrize("sweep", [
+    _grid_sweep(G24, (-1, 0, 1)), _grid_sweep(GrassShape(2, 5), (0,)), _quadric_sweep(2),
+], ids=["G(2,4) -1,0,1", "G(2,5) --grid=0", "quadric --qn 2"])
+
+
+class TestZeroSideRule:
+    """When one side's ideal has no generators, ``StratumInstance.at``
+    takes the other side's multiplicity as the oracle value instead of a
+    tangent cone of the sum.  Every report of such an instance is checked
+    against a fresh tangent cone of its oracle ideal."""
+
+    @staticmethod
+    def check(monkeypatch, sweep) -> tuple[int, list, int]:
+        """Reports of the sweep, the (instance, point) pairs with a zero side
+        whose oracle value (the report's ``mu_wv_oracle``) differs from a
+        fresh ``multiplicity_at_origin`` of the oracle ideal, and the largest
+        nonzero side's multiplicity among the pairs with a zero side."""
+        calls, bad, top = 0, [], 0
+        real_at = StratumInstance.at
+
+        def at(inst, m):
+            nonlocal calls, top
+            at_w, at_v, oracle, smooth = real_at(inst, m)
+            calls += 1
+            zero_w = inst.side_w.ideal.is_zero_ideal()
+            if zero_w or inst.side_v.ideal.is_zero_ideal():
+                top = max(top, at_v.mult if zero_w else at_w.mult)
+                if oracle != multiplicity_at_origin(inst.oracle_ideal(m)):
+                    bad.append((inst.context.tau, inst.w, inst.v, m))
+            return at_w, at_v, oracle, smooth
+
+        monkeypatch.setattr(StratumInstance, "at", at)
+        reports = sweep()
+        assert calls == len(reports)
+        return len(reports), bad, top
+
+    @ZERO_SIDE_SWEEPS
+    def test_oracle_equals_a_fresh_tangent_cone(self, monkeypatch, sweep):
+        reports, bad, top = self.check(monkeypatch, sweep)
+        assert reports and bad == [] and top > 1
+
+    @ZERO_SIDE_SWEEPS
+    def test_planted_zero_side_mult_is_caught(self, monkeypatch, sweep):
+        """A rule that takes the zero side's multiplicity (always 1) fails
+        wherever the nonzero side is singular."""
+        real_at = StratumInstance.at
+
+        def planted(inst, m):
+            at_w, at_v, oracle, smooth = real_at(inst, m)
+            if inst.side_w.ideal.is_zero_ideal():
+                oracle = at_w.mult
+            elif inst.side_v.ideal.is_zero_ideal():
+                oracle = at_v.mult
+            return at_w, at_v, oracle, smooth
+
+        monkeypatch.setattr(StratumInstance, "at", planted)
+        assert self.check(monkeypatch, sweep)[1]

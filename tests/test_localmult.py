@@ -223,8 +223,9 @@ class TestHilbertSamuelSeries:
 
     def test_monomial_fast_path_matches_generic(self, xyz):
         mono = ideal(xyz, "x*y", "z^2")
-        # Same ideal written with a non-monomial presentation goes through
-        # the generic elimination; the dimensions must agree.
+        # Both presentations of the same ideal go through the generic
+        # elimination, the monomial one as unit-vector rows; the dimensions
+        # must agree.
         generic = ideal(xyz, "x*y + z^2", "z^2")
         assert hilbert_samuel_series(mono, 6) == hilbert_samuel_series(generic, 6)
 

@@ -74,7 +74,7 @@ def _load_point(path: str, shape: GrassShape, tau_text):
     if isinstance(data, list):
         if not all(isinstance(row, list) for row in data):
             raise UsageError("matrix rows must be arrays")
-        rows = [[_rational(x) for x in row] for row in data]
+        rows = [[_rational(str(x)) for x in row] for row in data]
         point = point_from_matrix(shape, rows)
         if tau_text is not None:
             tau = parse_coset(shape, tau_text)
@@ -270,7 +270,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d", type=int, required=True)
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--grid", default="-2,-1,0,1,2")
-    p_sweep.add_argument("--cap", type=int, default=200, help="max points per instance")
+    p_sweep.add_argument("--cap", type=int, default=200,
+                         help="sampled cell points per instance, besides the fixed point")
     p_sweep.add_argument("--max-instances", type=int, default=None)
     p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     add_common(p_sweep)
@@ -282,7 +283,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--j", type=int)
     p_quad.add_argument("--point", help="JSON array of 2n+1 rationals")
     p_quad.add_argument("--grid", default="-1,0,1")
-    p_quad.add_argument("--cap", type=int, default=50)
+    p_quad.add_argument("--cap", type=int, default=50, help="samples per opposite index j")
     add_common(p_quad)
     p_quad.set_defaults(func=cmd_quadric)
 

@@ -12,10 +12,10 @@ once, where it enters: a triple by :class:`StratumInstance`, a point by
 
 A :class:`ChartContext` holds the chart of tau and builds each
 :class:`StratumSide` once (its ideal, dimension, degree, symbolic
-Jacobian, and per point its translated ideal, multiplicity, cone flag and
-Jacobian rows); every :class:`StratumInstance` on the chart shares it and
-adds only what needs both sides.  Only Schubert ideals are built:
-X^v = w0·X_{w0·v}, so the opposite side of v on the chart of tau is the
+Jacobian, and per point its translated ideal, multiplicity, cone flag,
+Jacobian rows and smoothness); every :class:`StratumInstance` on the
+chart shares it and adds only what needs both sides.  Only Schubert
+ideals are built: X^v = w0·X_{w0·v}, so the opposite side of v on the chart of tau is the
 Schubert ideal of w0·v on the chart of w0·tau, relabelled.  The two
 contexts of a w0-orbit {tau, w0·tau} share one table of Schubert ideals,
 each built once and used twice.  The chart splits: a Schubert ideal uses
@@ -31,10 +31,10 @@ once per Schubert side: never on an opposite side whose relabelled basis
 passes its leading-term certificate (``PolyIdeal.permuted``), never on an
 intersection, never at a point.  The package keeps no module-level
 state, so every sweep starts cold.  An instance keeps its oracle
-multiplicity and smoothness verdicts per pair of side points, which fixes
-both (:class:`StratumInstance`); when one side's ideal has no generators
-the oracle's ideal is the other side's translated ideal, and the oracle
-reads that side's multiplicity.
+multiplicity and the intersection's smoothness per pair of side points,
+which fixes both (:class:`StratumInstance`); when one side's ideal has
+no generators the oracle's ideal is the other side's translated ideal,
+and the oracle reads that side's multiplicity.
 
 The split also saves per-point work.  A side keys its points by their
 coordinates at the variables its generators use, so a Schubert side
@@ -215,13 +215,14 @@ class SidePoint(NamedTuple):
     the point is the origin (keeping the side's reduced basis, translated
     by ``translate_to_origin``; the oracle's ideal is the sum of the two
     sides'), the multiplicity there, whether the translated ideal is a
-    cone over the point, and the Jacobian rows of the side's generators
-    evaluated at the point."""
+    cone over the point, the Jacobian rows of the side's generators
+    evaluated at the point, and whether their corank there is 0."""
 
     moved: PolyIdeal
     mult: int
     cone_over_point: bool
     jacobian_rows: list
+    smooth: bool
 
 
 class StratumSide:
@@ -234,9 +235,9 @@ class StratumSide:
 
     Points are keyed by their coordinates at ``support``, the variables
     the generators use: the translated ideal, the multiplicity, the cone
-    flag and the Jacobian rows depend on nothing else.  By the chart's
-    split a Schubert side's support is slice coordinates only, which are
-    zero at every cell point, so one entry serves them all."""
+    flag, the Jacobian rows and smoothness depend on nothing else.  By
+    the chart's split a Schubert side's support is slice coordinates only,
+    which are zero at every cell point, so one entry serves them all."""
 
     def __init__(self, ideal: PolyIdeal, variety: str):
         self.ideal = ideal
@@ -278,11 +279,13 @@ class StratumSide:
             if not evaluate_ideal(self.ideal, m):
                 raise MembershipError(f"point is not on the {self.variety} variety")
             moved = translate_to_origin(self.ideal, m)
+            rows = _jacobian_rows(self.gradient, m.coords)
             point = SidePoint(
                 moved=moved,
                 mult=multiplicity_at_origin(moved),
                 cone_over_point=is_cone_over_origin(moved),
-                jacobian_rows=_jacobian_rows(self.gradient, m.coords),
+                jacobian_rows=rows,
+                smooth=_corank(rows, self.ideal.ring.nvars, self.dimension, m) == 0,
             )
             self._points[key] = point
         return point
@@ -359,14 +362,14 @@ class StratumInstance:
     ideal and, each computed on first use and kept, its Hilbert data, the
     dimension check against Bruhat lengths, the degree identity, the cone
     flag of the intersection, and per pair of side points the oracle
-    multiplicity and the three smoothness verdicts (:meth:`at`).  It is
+    multiplicity and the intersection's smoothness (:meth:`at`).  It is
     the engine's only Bruhat check: unless v <= tau <= w it raises
     ``PreconditionError`` before it builds any side.
 
     The pair memo is exact: the oracle's ideal at m is the sum of the two
     sides' translated ideals, and the intersection's Jacobian rows at m
-    are the two sides' rows stacked, read against the instance's
-    dimensions, so no other part of m enters.  It is keyed by the ids of
+    are the two sides' rows stacked, read against the intersection's
+    dimension, so no other part of m enters.  It is keyed by the ids of
     the two :class:`SidePoint`s: each side keeps its points, and the
     instance its sides, for as long as the memo lives.
 
@@ -434,33 +437,31 @@ class StratumInstance:
         both sides, which their ``at`` checks."""
         return self.side_w.at(m).moved + self.side_v.at(m).moved
 
-    def at(self, m: AffinePoint) -> tuple[SidePoint, SidePoint, int, tuple[bool, bool, bool]]:
-        """The two sides at m, the oracle multiplicity and the Jacobian
-        smoothness verdicts (w, v, wv) there, the last two once per pair of
-        side points (see the class docstring)."""
-        dims = self.dimensions
+    def at(self, m: AffinePoint) -> tuple[SidePoint, SidePoint, int, bool]:
+        """The two sides at m, the oracle multiplicity and the intersection's
+        Jacobian smoothness there, the last two once per pair of side
+        points (see the class docstring)."""
+        dim_wv = self.dimensions[2]
         at_w, at_v = self.side_w.at(m), self.side_v.at(m)
         key = id(at_w), id(at_v)
         verdicts = self._pairs.get(key)
         if verdicts is None:
-            nvars = self.context.chart.ring.nvars
-            rows = (at_w.jacobian_rows, at_v.jacobian_rows, at_w.jacobian_rows + at_v.jacobian_rows)
             if self.side_w.ideal.is_zero_ideal():
                 mult = at_v.mult
             elif self.side_v.ideal.is_zero_ideal():
                 mult = at_w.mult
             else:
                 mult = multiplicity_at_origin(self.oracle_ideal(m))
+            rows = at_w.jacobian_rows + at_v.jacobian_rows
             verdicts = self._pairs[key] = (
-                mult,
-                tuple(_corank(r, nvars, dim, m) == 0 for r, dim in zip(rows, dims)),
+                mult, _corank(rows, self.context.chart.ring.nvars, dim_wv, m) == 0
             )
         return at_w, at_v, *verdicts
 
     def report(self, m: Optional[AffinePoint] = None) -> MultiplicityReport:
         """The Grassmannian's report for one point (``quadric._report`` the quadric's)."""
         m = self.resolve_point(m)
-        at_w, at_v, mu_oracle, (smooth_w, smooth_v, smooth_wv) = self.at(m)
+        at_w, at_v, mu_oracle, smooth_wv = self.at(m)
         mu_fast = at_w.mult * at_v.mult
         deg_w, deg_v, deg_wv, deg_ok = self.degrees
         return MultiplicityReport(
@@ -482,8 +483,8 @@ class StratumInstance:
             cone_schubert_over_point=at_w.cone_over_point,
             cone_opposite_over_point=at_v.cone_over_point,
             cone_richardson_over_origin=self.cone_richardson_over_origin,
-            smooth_w=smooth_w,
-            smooth_v=smooth_v,
+            smooth_w=at_w.smooth,
+            smooth_v=at_v.smooth,
             smooth_wv=smooth_wv,
             agreement=mu_fast == mu_oracle,
         )

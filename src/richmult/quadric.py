@@ -10,9 +10,9 @@ Schubert ideals and order are defined here, and a report is the engine's
 coordinate.  Each report checks the closed forms against the sides'
 tangent-cone multiplicities, the oracle, and smoothness from the Jacobian
 corank (each stratum is a reduced quadric in a linear space, smooth
-exactly where its multiplicity is 1).  A sweep checks Q and builds the
-chart point of each sample once for every pair it serves, and the
-sampler evaluates Q on integers (:func:`sample_quadric_points`).
+exactly where its multiplicity is 1).  A sweep checks each sample and
+builds its chart point once, for its j, for every pair it serves, and
+the sampler evaluates Q on integers (:func:`sample_quadric_points`).
 """
 
 from __future__ import annotations
@@ -303,41 +303,31 @@ def schubert_ideal(chart: Chart, w: QuadricIndex) -> PolyIdeal:
     return PolyIdeal.of_basis(ring, reduced_groebner_basis([g for g in gens if not g.is_zero()]))
 
 
-def _at(shape: QuadricShape, instances: dict, i: int, j: int, x: Sequence):
-    """The engine's instance of (i, j) on the chart of e_c, c the last
-    nonzero coordinate of x, a point of X_i and X^j; x's point on that
-    chart, a cell point there; x's coordinates; and the report's point
-    dict.  ``instances`` keeps the chart contexts by c, the two of a
-    w0-orbit sharing their Schubert ideals, the instances by (i, j, c),
-    and in "samples" what depends on x alone, with the check of Q(x) = 0,
-    by id(x), x in the entry so that the id stays x's.  The index pair
-    and the support windows are checked on every call."""
+def _point(shape: QuadricShape, contexts: dict, i: int, j: int, x: Sequence):
+    """x checked once as a point of X_i and X^j: the index pair, the
+    coordinates, nonzero, Q(x) = 0 and both support windows.  Returns x's
+    coordinates, x's point on the chart of e_c, c the last nonzero
+    coordinate of x (a cell point there), and the report's point dict.
+    ``contexts`` keeps the chart contexts by c, each built on first use;
+    the two of a w0-orbit share their Schubert ideals."""
     check_index_pair(shape, i, j)
-    samples = instances.setdefault("samples", {})
-    entry = samples.get(id(x))
-    if entry is None:
-        vec = _coords(shape, x)
-        if not any(vec):
-            raise ValueError("projective point cannot be zero")
-        if _form(shape.n, vec) != 0:
-            raise QuadricMembershipError(f"point is not on X_{i} and X^{j}")
-        c = max(a for a, v in enumerate(vec, 1) if v)
-        if c not in instances:
-            dual = instances.get(2 * shape.n + 2 - c)
-            instances[c] = ChartContext(shape, QuadricIndex(shape, c), dual=dual)
-        chart = instances[c].chart
-        m = AffinePoint(chart, tuple(vec[ix.q - 1] / vec[c - 1] for ix in chart.indices))
-        point = {f"x{k + 1}": str(v) for k, v in enumerate(vec)}
-        entry = samples[id(x)] = (x, vec, m, point)
-    _, vec, m, point = entry
-    if any(vec[i:]) or any(vec[:j - 1]):
+    vec = _coords(shape, x)
+    if not any(vec):
+        raise ValueError("projective point cannot be zero")
+    if _form(shape.n, vec) != 0 or any(vec[i:]) or any(vec[:j - 1]):
         raise QuadricMembershipError(f"point is not on X_{i} and X^{j}")
-    c = m.chart.tau.k
-    inst = instances.get((i, j, c))
-    if inst is None:
-        w, v = QuadricIndex(shape, i), QuadricIndex(shape, j)
-        inst = instances[i, j, c] = StratumInstance(instances[c], w, v)
-    return inst, m, vec, point
+    c = max(a for a, v in enumerate(vec, 1) if v)
+    if c not in contexts:
+        dual = contexts.get(2 * shape.n + 2 - c)
+        contexts[c] = ChartContext(shape, QuadricIndex(shape, c), dual=dual)
+    chart = contexts[c].chart
+    m = AffinePoint(chart, tuple(vec[ix.q - 1] / vec[c - 1] for ix in chart.indices))
+    return vec, m, {f"x{k + 1}": str(v) for k, v in enumerate(vec)}
+
+
+def _instance(shape: QuadricShape, contexts: dict, i: int, j: int, m: AffinePoint):
+    """The engine's instance of (i, j) on the chart of the checked point m."""
+    return StratumInstance(contexts[m.chart.tau.k], QuadricIndex(shape, i), QuadricIndex(shape, j))
 
 
 def mult_oracle(
@@ -346,9 +336,9 @@ def mult_oracle(
     """Tangent-cone multiplicity at the point of X_i, of X^j, of their
     intersection, or of the quadric when neither is given: the engine's
     oracle on the point's T-fixed chart."""
-    i, j = shape.ncoords if i is None else i, 1 if j is None else j
-    inst, m = _at(shape, {}, i, j, x)[:2]
-    return multiplicity_at_origin(inst.oracle_ideal(m))
+    i, j, contexts = shape.ncoords if i is None else i, 1 if j is None else j, {}
+    m = _point(shape, contexts, i, j, x)[1]
+    return multiplicity_at_origin(_instance(shape, contexts, i, j, m).oracle_ideal(m))
 
 
 def sample_quadric_points(
@@ -389,37 +379,45 @@ def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
 
     The points of (i, j) are those of (2n+1, j) whose last nonzero
     coordinate is at most i, in the same order, and the cap keeps a
-    prefix; so the grid is walked once per j."""
-    instances: dict = {}
-    reports = []
-    valid = [k for k in range(1, shape.ncoords + 1) if k != shape.n + 1]
-    samples = {j: sample_quadric_points(shape, shape.ncoords, j, grid, limit=cap) for j in valid}
+    prefix; so the grid is walked once per j, and each sample is checked
+    once, on X_{2n+1} and X^j, the filter being the window of X_i."""
+    contexts, instances, reports = {}, {}, []
+    valid, top = [k for k in range(1, shape.ncoords + 1) if k != shape.n + 1], shape.ncoords
+    samples = {j: sample_quadric_points(shape, top, j, grid, limit=cap) for j in valid}
+    points = {j: [_point(shape, contexts, top, j, x) for x in samples[j]] for j in valid}
     for i in valid:
         for j in valid:
             if j > i:
                 continue
-            for x in samples[j]:
-                if not any(x[i:]):
-                    reports.append(_report(shape, instances, i, j, x))
+            for vec, m, point in points[j]:
+                if not any(vec[i:]):
+                    key = i, j, m.chart.tau.k
+                    inst = instances.get(key)
+                    if inst is None:
+                        inst = instances[key] = _instance(shape, contexts, i, j, m)
+                    reports.append(_report(shape, inst, i, j, vec, m, point))
     return reports
 
 
 def quadric_report(shape: QuadricShape, i: int, j: int, x: Sequence) -> MultiplicityReport:
     """MultiplicityReport for a point of the intersection X_i and X^j,
     cross-checking the closed forms against the engine."""
-    return _report(shape, {}, i, j, x)
+    contexts: dict = {}
+    vec, m, point = _point(shape, contexts, i, j, x)
+    return _report(shape, _instance(shape, contexts, i, j, m), i, j, vec, m, point)
 
 
-def _report(shape: QuadricShape, instances: dict, i: int, j: int, x: Sequence) -> MultiplicityReport:
-    """The report of a checked index pair (i, j), its instance from
-    ``instances``.  The oracle is the tangent cone of the sum of the two
+def _report(shape: QuadricShape, inst: StratumInstance, i: int, j: int, vec: tuple,
+            m: AffinePoint, point: dict) -> MultiplicityReport:
+    """The report of the instance of (i, j) at a point that ``_point``
+    checked.  The oracle is the tangent cone of the sum of the two
     translated sides; the closed forms must equal the sides' tangent-cone
     multiplicities and give the Jacobian smoothness verdicts."""
-    inst, m, vec, point = _at(shape, instances, i, j, x)
-    at_i, at_j, oracle, smooth = inst.at(m)
+    at_i, at_j, oracle, smooth_ij = inst.at(m)
     mu_i = _window_mult(vec, 2 * shape.n + 2 - i, i)
     mu_j = _window_mult(vec, j, 2 * shape.n + 2 - j)
     fast = mu_i * mu_j
+    smooth = (at_i.smooth, at_j.smooth, smooth_ij)
     # Smooth is multiplicity 1 on each stratum; the singular loci are disjoint.
     if (mu_i, mu_j) != (at_i.mult, at_j.mult) or fast > 2 or smooth != (
         mu_i == 1, mu_j == 1, fast == 1

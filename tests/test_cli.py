@@ -176,6 +176,24 @@ class TestMult:
             "mu_w=1 mu_v=1 fast=1 oracle=1 agreement=True\n"
         )
 
+    def test_matrix_entries_read_as_coordinate_values(self, capsys, tmp_path):
+        """A JSON float in a matrix is read from its decimal text, as in a
+        coordinate map: 0.1 is 1/10, not the binary float nearest it."""
+        written = []
+        for name, point, tau in (
+            ("matrix", {"matrix": [[0.1, 0], [1, 0], [0, 0], [0, 1]]}, []),
+            ("coords", {"coords": {"1.2": 0.1}}, ["--tau", "24"]),
+        ):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            path.write_text(json.dumps(point))
+            assert main([
+                "mult", "--d", "2", "--n", "4", "--w", "34", "--v", "12", *tau,
+                "--point", str(path), "--out", str(out),
+            ]) == 0
+            written.append(json.loads(out.read_text()))
+        assert written[0] == written[1]
+        assert written[0][0]["point"]["1.2"] == "1/10"
+
     def test_triple_not_nested_exits_2(self, capsys):
         code = main(["mult", "--d", "2", "--n", "4", "--w", "34", "--v", "24", "--tau", "13"])
         assert code == 2
@@ -235,6 +253,22 @@ class TestSweep:
             written.append(out.read_bytes())
         assert written[0] == written[1]
         assert hashlib.sha256(written[1]).hexdigest() == digest
+
+    def test_cap_counts_sampled_points_besides_the_fixed_point(self, capsys, tmp_path):
+        """--cap 1 keeps one sampled cell point per instance and reports the
+        fixed point besides it: 65 reports over 50 instances, 15 of them
+        with 2 (the grid 1,2 has no 0, so no sample is the fixed point)."""
+        out = tmp_path / "sweep.json"
+        assert main([
+            "sweep", "--d", "2", "--n", "4", "--grid=1,2", "--cap", "1", "--workers", "1",
+            "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "checked=65 agreed=65 failed=0"
+        per_instance: dict = {}
+        for r in json.loads(out.read_text()):
+            key = r["tau"], r["w"], r["v"]
+            per_instance[key] = per_instance.get(key, 0) + 1
+        assert sorted(per_instance.values()) == [1] * 35 + [2] * 15
 
     def test_workers_keep_the_callers_budget(self, capsys):
         """A cap above the default budget is accepted by the worker pool as
@@ -561,6 +595,8 @@ class TestInvalidNumbers:
          {"matrix": DEMO_MATRIX[:-1] + [[0, 0, None]]}),
         (["quadric", "--qn", "2", "--i", "4", "--j", "1"], ["1", "0", "1/0", "0", "0"]),
         (["equations", "--d", "3", "--n", "7", "--w", "356"], {"matrix": [1, 0, 1]}),
+        (["mult", "--d", "2", "--n", "4", "--w", "34", "--v", "12"],
+         {"matrix": [[True, 0], [1, 0], [0, 0], [0, 1]]}),
     ])
     def test_exits_2(self, capsys, tmp_path, args, point):
         if point is not None:

@@ -1010,21 +1010,23 @@ class TestSweep:
 
 
 class TestPairMemo:
-    """The oracle multiplicity and the three Jacobian coranks of a report
-    depend only on its instance and its pair of side points, so a sweep
-    computes them once per distinct pair, in both families.  A pair with
-    a zero side takes no tangent cone: its oracle ideal is the other
-    side's translated ideal."""
+    """The oracle multiplicity and the intersection's Jacobian corank of a
+    report depend only on its instance and its pair of side points, and a
+    side's corank only on its side point, so a sweep computes each once
+    per distinct pair or side point, in both families.  A pair with a
+    zero side takes no tangent cone: its oracle ideal is the other side's
+    translated ideal."""
 
     @staticmethod
-    def count(monkeypatch, sweep) -> tuple[int, int, int, int, int]:
+    def count(monkeypatch, sweep) -> tuple[int, int, int, int, int, int]:
         """Reports of the sweep, distinct (instance, side-point pair)s they
         read (a side point keyed by the point's coordinates at the side's
-        support), those of them with two nonzero sides, oracle
-        ``multiplicity_at_origin`` calls and ``_corank`` calls."""
+        support), those of them with two nonzero sides, distinct side
+        points, oracle ``multiplicity_at_origin`` calls and ``_corank``
+        calls."""
         from richmult import engine
 
-        pairs, calls = set(), {"oracle": 0, "corank": 0}
+        pairs, sides, calls = set(), set(), {"oracle": 0, "corank": 0}
         nonzero = set()
         real_at, real_mult, real_corank = (
             StratumInstance.at, engine.multiplicity_at_origin, engine._corank
@@ -1034,6 +1036,7 @@ class TestPairMemo:
             keys = tuple(tuple(m.coords[k] for k in side.support) for side in (inst.side_w, inst.side_v))
             pair = (inst.context.tau, inst.w, inst.v, keys)
             pairs.add(pair)
+            sides.update(zip((inst.context.tau,) * 2, ("w", "v"), (inst.w, inst.v), keys))
             if inst.side_w.ideal.gens and inst.side_v.ideal.gens:
                 nonzero.add(pair)
             return real_at(inst, m)
@@ -1050,24 +1053,24 @@ class TestPairMemo:
         monkeypatch.setattr(engine, "multiplicity_at_origin", mult)
         monkeypatch.setattr(engine, "_corank", corank)
         reports = sweep()
-        return len(reports), len(pairs), len(nonzero), calls["oracle"], calls["corank"]
+        return len(reports), len(pairs), len(nonzero), len(sides), calls["oracle"], calls["corank"]
 
     def test_grassmannian_sweep(self, monkeypatch):
         grid = tuple(Fraction(g) for g in (-1, 0, 1))
-        reports, pairs, nonzero, oracle, corank = self.count(
+        reports, pairs, nonzero, sides, oracle, corank = self.count(
             monkeypatch, lambda: verify_theorem(G24, SweepConfig(grid=grid)).reports
         )
-        assert (oracle, corank) == (nonzero, 3 * pairs)
-        assert (reports, pairs, nonzero) == (326, 82, 16)
+        assert (oracle, corank) == (nonzero, pairs + sides)
+        assert (reports, pairs, nonzero, sides) == (326, 82, 16, 72)
 
     def test_quadric_sweep(self, monkeypatch):
         from richmult.quadric import QuadricShape, quadric_sweep
 
-        reports, pairs, nonzero, oracle, corank = self.count(
+        reports, pairs, nonzero, sides, oracle, corank = self.count(
             monkeypatch, lambda: quadric_sweep(QuadricShape(2))
         )
-        assert (oracle, corank) == (nonzero, 3 * pairs)
-        assert (reports, pairs, nonzero) == (44, 24, 4)
+        assert (oracle, corank) == (nonzero, pairs + sides)
+        assert (reports, pairs, nonzero, sides) == (44, 24, 4, 24)
 
     def test_memo_keeps_the_reports(self):
         """Reports read from the memo, twice per point, equal the reports of

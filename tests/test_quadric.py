@@ -304,12 +304,14 @@ class TestRichardson:
         """At every report point the two translated sides and the oracle's
         ideal, their sum, keep the reduced basis of their translated
         generators, and the sum has the translated intersection's basis."""
-        shape, instances = QuadricShape(n), {}
+        shape, contexts = QuadricShape(n), {}
         reports = quadric_sweep(shape)
         assert any(sum(c != "0" for c in r.point.values()) > 1 for r in reports)
         for r in reports:
+            i, j = int(r.w), int(r.v)
             vec = tuple(Fraction(r.point[f"x{k}"]) for k in range(1, shape.ncoords + 1))
-            inst, m = quadric._at(shape, instances, int(r.w), int(r.v), vec)[:2]
+            m = quadric._point(shape, contexts, i, j, vec)[1]
+            inst = quadric._instance(shape, contexts, i, j, m)
             oracle = inst.oracle_ideal(m)
             for moved in (inst.side_w.at(m).moved, inst.side_v.at(m).moved, oracle):
                 expected = reduced_groebner_basis(moved.gens)
@@ -355,7 +357,7 @@ class TestRichardson:
     def test_sweep_points_are_the_pairs_samples(self, monkeypatch, n, cap):
         """Filtering the (2n+1, j) samples by last nonzero coordinate gives
         the samples of every (i, j), in order, whatever the cap cuts."""
-        monkeypatch.setattr(quadric, "_report", lambda shape, instances, i, j, x: (i, j, x))
+        monkeypatch.setattr(quadric, "_report", lambda shape, inst, i, j, vec, m, point: (i, j, vec))
         shape, grid = QuadricShape(n), (-1, 0, 1)
         valid = [k for k in range(1, shape.ncoords + 1) if k != n + 1]
         expected = [
@@ -366,6 +368,35 @@ class TestRichardson:
             for x in sample_quadric_points(shape, i, j, grid, cap)
         ]
         assert quadric_sweep(shape, grid, cap) == expected
+
+    def test_sweep_checks_each_sample_once(self, capsys, monkeypatch):
+        """``quadric --qn 2`` builds one chart point per sample drawn, not
+        one per report: each sample is checked once, for its j.  The index
+        pair is checked once per sample and once per j by the sampler."""
+        drawn, built, pairs = [], [], []
+        sample, point = quadric.sample_quadric_points, quadric.AffinePoint
+        check = quadric.check_index_pair
+
+        def sampled(*args, **kwargs):
+            points = sample(*args, **kwargs)
+            drawn.extend(points)
+            return points
+
+        def counted(chart, coords):
+            built.append(coords)
+            return point(chart, coords)
+
+        def checked(shape, i, j):
+            pairs.append((i, j))
+            return check(shape, i, j)
+
+        monkeypatch.setattr(quadric, "sample_quadric_points", sampled)
+        monkeypatch.setattr(quadric, "AffinePoint", counted)
+        monkeypatch.setattr(quadric, "check_index_pair", checked)
+        assert main(["quadric", "--qn", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "checked=44 agreed=44 failed=0"
+        assert len(built) == len(drawn) < 44
+        assert len(pairs) == len(drawn) + 4
 
     def test_smoothness_comes_from_the_jacobian(self, monkeypatch):
         """smooth_* is a Jacobian corank, checked against the closed forms:
@@ -604,8 +635,9 @@ class TestIntegerSampler:
         assert all(type(v) is Fraction for x in points for v in x)
 
     def test_point_off_the_quadric_from_the_sampler_exits_2(self, capsys, monkeypatch):
-        """Every report checks Q(x) = 0 itself: a sampler that hands the
-        sweep a point off the quadric stops it with the membership error."""
+        """The sweep checks Q(x) = 0 on every sample, as a point of X_{2n+1}
+        and X^j: a sampler that hands it a point off the quadric stops it
+        with the membership error."""
         sample = quadric.sample_quadric_points
 
         def planted(shape, i, j, grid, limit):

@@ -16,7 +16,6 @@ from .localmult import (
     hilbert_samuel_multiplicity,
     hilbert_samuel_series,
     multiplicity_at_origin,
-    tangent_cone,
 )
 from .charts import (
     AffinePoint,

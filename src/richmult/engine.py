@@ -26,8 +26,9 @@ the kept basis of every side, relabelled or not, and raises
 sum of the two sides (``PolyIdeal.__add__``) with their merged reduced
 bases, every translated ideal keeps the translated basis of its source
 (``PolyIdeal.translated``), and the oracle's ideal at a point is the sum
-of the two translated sides.  Apart from tangent cones, Buchberger runs
-once per Schubert side: never on an opposite side whose relabelled basis
+of the two translated sides.  Apart from the one cone-order run of a
+multiplicity (``multiplicity_at_origin``), Buchberger runs once per
+Schubert side: never on an opposite side whose relabelled basis
 passes its leading-term certificate (``PolyIdeal.permuted``), never on an
 intersection, never at a point.  The package keeps no module-level
 state, so every sweep starts cold.  An instance keeps its oracle
@@ -376,7 +377,7 @@ class StratumInstance:
     When one side is its whole chart (its ideal has no generators, as for
     X_w with w the top element or X^v with v the bottom one), the oracle's
     ideal is the other side's translated ideal, so the oracle multiplicity
-    is that side's ``mult`` and no tangent cone is taken for the pair."""
+    is that side's ``mult`` and the pair computes none of its own."""
 
     def __init__(self, context: ChartContext, w: CosetRep, v: CosetRep):
         tau, leq = context.tau, context.family.bruhat_leq

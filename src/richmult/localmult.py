@@ -1,13 +1,14 @@
-"""Multiplicity at the origin: tangent cones and a Hilbert-Samuel oracle.
+"""Multiplicity at the origin: the tangent-cone degree and a Hilbert-Samuel
+oracle.
 
-The tangent cone of an ideal vanishing at the origin is computed by the
-homogenization route: take a reduced Groebner basis under the ring's graded
-order, homogenize it with the reserved variable t (which then generates the
-full homogenized ideal), recompute a reduced basis under an order that
-ranks the t-degree above everything else within each total degree, set
-t = 1 and keep lowest-degree forms.  The cone is returned as the ideal of
-their reduced basis, which it keeps (a homogeneous basis is its own cone),
-and the multiplicity at the origin is the degree read off that basis.
+The multiplicity of an ideal vanishing at the origin is the degree of its
+tangent cone, read off one Groebner basis by the homogenization route:
+take a reduced basis under the ring's graded order, homogenize it with the
+reserved variable t (which then generates the full homogenized ideal),
+recompute a reduced basis under an order that ranks the t-degree above
+everything else within each total degree, and drop t from its leading
+monomials.  Those generate the leading ideal of the cone, whose degree is
+the cone's.  A homogeneous basis is its own cone and needs no second run.
 
 The independent cross-check computes dim_Q k[x]/(I + m^k) by sparse exact
 Gaussian elimination on truncated multiples of the generators, and fits
@@ -17,8 +18,8 @@ its rows are eliminated fraction-free over the integers.  A row whose
 multiplier is a pivot column of the earlier generators' rows is skipped
 before it is built: it adds nothing to the row space.  An ideal of one
 generator needs no elimination: its pivots are counted in closed form.
-It shares no code path with the tangent-cone computation beyond
-polynomial arithmetic.
+It shares no code path with the tangent-cone degree beyond polynomial
+arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .groebner import PolyIdeal, reduced_groebner_basis
-from .hilbert import ideal_hilbert_data
+from .hilbert import hilbert_data
 from .poly import PolyRing, mono_deg
 
 
@@ -55,29 +56,35 @@ def _check_vanishes_at_origin(ideal: PolyIdeal):
             )
 
 
-def tangent_cone(ideal: PolyIdeal) -> PolyIdeal:
-    """Homogeneous ideal of lowest-degree forms of the input ideal, built
-    with ``PolyIdeal.of_basis`` on its reduced basis."""
+def multiplicity_at_origin(ideal: PolyIdeal) -> int:
+    """Degree of the projectivized tangent cone at the origin (1 at a
+    smooth point), read off one cone-order basis.
+
+    1. Lazard: homogenize the reduced basis with t and compute the reduced
+       basis of the homogenized ideal under the cone order.  There a
+       homogenized element's leading monomial is a power of t times the
+       grevlex leader of the element's lowest-degree part, so setting t = 1
+       gives a standard basis of the ideal for the local degree order.
+    2. The leading ideal of a standard basis for that order is the grevlex
+       leading ideal of the tangent cone, the ideal of lowest forms.  Its
+       generators are the leading monomials with t dropped.  A homogeneous
+       basis is its own cone, and its leading monomials serve as they are.
+    3. Macaulay: the cone and its leading ideal have the same Hilbert
+       function, so the cone's degree is that of the monomial ideal.  The
+       zero ideal has the numerator 1 and so degree 1.
+
+    Every generator vanishes at the origin, so the ideal lies in the
+    maximal ideal and no leading monomial is 1."""
     _check_vanishes_at_origin(ideal)
     ring = ideal.ring
     basis = ideal.groebner()
-    if any(g.is_constant() for g in basis):
-        raise OriginNotOnVarietyError("unit ideal has no tangent cone")
-    if not all(g.is_homogeneous() for g in basis):
+    if all(g.is_homogeneous() for g in basis):
+        leads = [g.leading_exps() for g in basis]
+    else:
         hring = ring.homogenized()
         hbasis = reduced_groebner_basis([g.homogenize(hring) for g in basis])
-        lowest = [h.dehomogenize(ring).lowest_form() for h in hbasis]
-        basis = reduced_groebner_basis(lowest)
-    return PolyIdeal.of_basis(ring, basis)
-
-
-def multiplicity_at_origin(ideal: PolyIdeal) -> int:
-    """Degree of the projectivized tangent cone at the origin (1 at a
-    smooth point)."""
-    cone = tangent_cone(ideal)
-    if cone.is_zero_ideal():
-        return 1
-    return ideal_hilbert_data(cone).degree
+        leads = [h.leading_exps()[1:] for h in hbasis]
+    return hilbert_data(leads, ring.nvars).degree
 
 
 # ---------------------------------------------------------------------------

@@ -160,11 +160,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no degree")
         return max(mono_deg(e) for e in self.terms)
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return min(mono_deg(e) for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
@@ -262,15 +257,6 @@ class Polynomial:
         return self.ring.const(other)
 
     # -- structure ---------------------------------------------------------
-    def lowest_form(self) -> "Polynomial":
-        """The homogeneous component of minimal degree."""
-        if not self.terms:
-            return self
-        d0 = self.min_degree()
-        return Polynomial(
-            self.ring, {e: c for e, c in self.terms.items() if mono_deg(e) == d0}
-        )
-
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.ring.nvars:
             raise ValueError("value count mismatch")
@@ -364,17 +350,6 @@ class Polynomial:
         return Polynomial(
             target, {(deg - mono_deg(e),) + e: c for e, c in self.terms.items()}
         )
-
-    def dehomogenize(self, target: PolyRing) -> "Polynomial":
-        """Set the first variable to 1, dropping it."""
-        if target.nvars != self.ring.nvars - 1:
-            raise ValueError("target arity mismatch")
-        res: dict = {}
-        for e, c in self.terms.items():
-            e2 = e[1:]
-            s = res.get(e2)
-            res[e2] = c if s is None else s + c
-        return Polynomial(target, {e: c for e, c in res.items() if c})
 
     # -- display -----------------------------------------------------------
     def __str__(self):

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 # w0_relabel serves the quadric's charts too: the engine reads it here.
-from .charts import AffinePoint, Chart, _coordinate_names, w0_relabel
+from .charts import AffinePoint, Chart, _coordinate_names, translate_to_origin, w0_relabel
 from .engine import ChartContext, KernelInconsistencyError, StratumInstance
 from .groebner import PolyIdeal, reduced_groebner_basis
 from .localmult import multiplicity_at_origin
@@ -184,11 +184,14 @@ def verify_b_matrix(shape: QuadricShape, i: int, x: Sequence) -> bool:
         return False
     # b^T E b = E with E the anti-diagonal identity; det = 1 follows from
     # triangularity with unit diagonal, which the form check pins down.
-    for j in range(N):
-        for k in range(N):
-            value = sum(b[r][j] * b[N - 1 - r][k] for r in range(N))
-            expected = Fraction(int(j + k == N - 1))
-            if value != expected:
+    # Entry (j, k) sums b[r][j] * b[N-1-r][k] over the nonzero entries of
+    # column j whose mirrored row is nonzero in column k.
+    columns = [{r: b[r][c] for r in range(N) if b[r][c]} for c in range(N)]
+    mirrored = [{N - 1 - r: v for r, v in col.items()} for col in columns]
+    for j, col in enumerate(columns):
+        for k, other in enumerate(mirrored):
+            value = sum(v * other[r] for r, v in col.items() if r in other)
+            if value != int(j + k == N - 1):
                 return False
     if any(b[r][r] != 1 for r in range(N)):
         return False
@@ -335,10 +338,12 @@ def mult_oracle(
 ) -> int:
     """Tangent-cone multiplicity at the point of X_i, of X^j, of their
     intersection, or of the quadric when neither is given: the engine's
-    oracle on the point's T-fixed chart."""
+    intersection ideal on the point's T-fixed chart, translated to the
+    point (the oracle's ideal, without the sides' per-point work)."""
     i, j, contexts = shape.ncoords if i is None else i, 1 if j is None else j, {}
     m = _point(shape, contexts, i, j, x)[1]
-    return multiplicity_at_origin(_instance(shape, contexts, i, j, m).oracle_ideal(m))
+    iwv = _instance(shape, contexts, i, j, m).iwv
+    return multiplicity_at_origin(translate_to_origin(iwv, m))
 
 
 def sample_quadric_points(

@@ -21,7 +21,7 @@ from richmult.groebner import (
 from richmult import charts, groebner, localmult
 from richmult.charts import build_chart, opposite_ideal, schubert_ideal, translate_to_origin
 from richmult.hilbert import ideal_dimension, ideal_hilbert_data
-from richmult.localmult import multiplicity_at_origin, tangent_cone
+from richmult.localmult import multiplicity_at_origin
 from richmult.poly import (
     Polynomial,
     PolyRing,
@@ -311,6 +311,9 @@ def _reference_interreduce(gens):
 
 
 def _reference_tangent_cone(ideal):
+    """The ideal of lowest forms: the cone-order basis of the homogenized
+    ideal with t set to 1, each element cut to its lowest-degree part, and
+    interreduced.  Both cuts are done here on term dicts."""
     ring = ideal.ring
     basis = list(ideal.groebner())
     if not basis:
@@ -318,9 +321,13 @@ def _reference_tangent_cone(ideal):
     if all(g.is_homogeneous() for g in basis):
         return PolyIdeal(ring, [g.primitive() for g in basis])
     hring = ring.homogenized()
-    hbasis = reduced_groebner_basis([g.homogenize(hring) for g in basis])
-    gens = dedupe_normalized(h.dehomogenize(ring).lowest_form() for h in hbasis)
-    return PolyIdeal(ring, _reference_interreduce(gens))
+    lowest = []
+    for h in reduced_groebner_basis([g.homogenize(hring) for g in basis]):
+        # h is homogeneous, so setting t = 1 merges no two terms.
+        terms = {e[1:]: c for e, c in h.terms.items()}
+        low = min(map(mono_deg, terms))
+        lowest.append(ring.from_terms({e: c for e, c in terms.items() if mono_deg(e) == low}))
+    return PolyIdeal(ring, _reference_interreduce(dedupe_normalized(lowest)))
 
 
 def _reference_multiplicity(ideal):
@@ -385,9 +392,6 @@ class TestOfBasis:
     @given(ideals_at_origin())
     @settings(max_examples=200, deadline=None)
     def test_tangent_cone_matches_reference(self, ideal):
-        cone = tangent_cone(ideal)
-        expected = _reference_tangent_cone(ideal)
-        assert sorted(str(g) for g in cone.gens) == sorted(str(g) for g in expected.gens)
         assert multiplicity_at_origin(ideal) == _reference_multiplicity(ideal)
 
     @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (2, 6), (3, 6)])
@@ -444,6 +448,42 @@ class TestOfBasis:
         calls = _count_basis_runs(monkeypatch)
         assert multiplicity_at_origin(ideal) == expected
         assert calls == []
+
+    def test_non_homogeneous_multiplicity_runs_one_basis(self, monkeypatch):
+        """A translated ideal keeps its basis, so the multiplicity takes one
+        run: the cone-order basis of the homogenized ideal."""
+        xyz = PolyRing(("x", "y", "z"))
+        basis = reduced_groebner_basis(polys(xyz, "x*y - z^2", "x^2 - y^3"))
+        moved = PolyIdeal.of_basis(xyz, basis).translated((1, 1, 1), xyz)
+        expected = _reference_multiplicity(moved)
+        calls = _count_basis_runs(monkeypatch)
+        assert multiplicity_at_origin(moved) == expected == 1
+        assert len(calls) == 1 and calls[0][0].ring == xyz.homogenized()
+
+    @pytest.mark.parametrize("sweep", ["G(2,4) 5-value", "quadric --qn 2", "quadric --qn 3"])
+    def test_sweep_multiplicities_match_reference(self, monkeypatch, sweep):
+        """Every translated side and oracle ideal of the sweep has the
+        reference cone's degree as its multiplicity."""
+        from richmult import engine
+        from richmult.engine import SweepConfig, verify_theorem
+        from richmult.quadric import QuadricShape, quadric_sweep
+
+        seen = {}
+        real = engine.multiplicity_at_origin
+
+        def recorded(ideal):
+            mult = real(ideal)
+            seen[ideal.ring, tuple(str(g) for g in ideal.gens)] = ideal, mult
+            return mult
+
+        monkeypatch.setattr(engine, "multiplicity_at_origin", recorded)
+        if sweep.startswith("G"):
+            verify_theorem(GrassShape(2, 4), SweepConfig())
+        else:
+            quadric_sweep(QuadricShape(int(sweep[-1])))
+        assert any(not g.is_homogeneous() for ideal, _ in seen.values() for g in ideal.gens)
+        for ideal, mult in seen.values():
+            assert mult == _reference_multiplicity(ideal), ideal
 
 
 # ---------------------------------------------------------------------------

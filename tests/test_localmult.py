@@ -17,7 +17,6 @@ from richmult.localmult import (
     hilbert_samuel_multiplicity,
     hilbert_samuel_series,
     multiplicity_at_origin,
-    tangent_cone,
 )
 from richmult.poly import PolyRing, mono_deg, mono_mul, parse_polynomial
 
@@ -56,7 +55,7 @@ def _reference_series(ideal, k_max):
     pivot_deg = [0] * k_max
     for g in ideal.gens:
         terms = g.terms
-        mindeg = g.min_degree()
+        mindeg = min(map(mono_deg, terms))
         for alpha in monomials_up_to(k_max - 1 - mindeg):
             row = {}
             for e, c in terms.items():
@@ -159,37 +158,38 @@ def xyz():
 
 
 class TestTangentCone:
+    """Multiplicities read off the cone-order basis, on ideals whose
+    tangent cone is known."""
+
     def test_parabola(self, xy):
-        cone = tangent_cone(ideal(xy, "y - x^2"))
-        assert [str(g) for g in cone.gens] == ["y"]
+        assert multiplicity_at_origin(ideal(xy, "y - x^2")) == 1
 
     def test_single_lowest_form(self, xyz):
-        cone = tangent_cone(ideal(xyz, "x*y - z^3"))
-        assert [str(g) for g in cone.gens] == ["x*y"]
+        # The cone is (x*y), a quadric.
+        assert multiplicity_at_origin(ideal(xyz, "x*y - z^3")) == 2
 
     def test_output_homogeneous(self, xyz):
-        cone = tangent_cone(ideal(xyz, "y - x^2", "z - x^3", "x*z - y^2 + x^5"))
-        assert all(g.is_homogeneous() for g in cone.gens)
+        # The ideal is (y - x^2, z - x^3, x^5): a fat point of length 5
+        # whose cone is (y, z, x^5).
+        assert multiplicity_at_origin(ideal(xyz, "y - x^2", "z - x^3", "x*z - y^2 + x^5")) == 5
 
     def test_twisted_cubic_smooth_origin(self, xyz):
         # Naive lowest forms of the generators would already give (y, z),
         # but the basis completion must not add anything spurious.
-        cone = tangent_cone(ideal(xyz, "y - x^2", "z - x^3"))
-        assert sorted(str(g) for g in cone.gens) == ["y", "z"]
+        assert multiplicity_at_origin(ideal(xyz, "y - x^2", "z - x^3")) == 1
 
     def test_hidden_lowest_form(self, xy):
         # x^2 appears only after combining the generators: the ideal
-        # contains (y + x^2) - y = x^2, and the cone must see degree-2 data
-        # beyond the naive lowest forms {y, y}.
-        cone = tangent_cone(ideal(xy, "y + x^2", "y + 2*x^2"))
-        assert sorted(str(g) for g in cone.gens) == ["x^2", "y"]
+        # contains (y + 2*x^2) - (y + x^2) = x^2, and the cone (y, x^2)
+        # has degree 2 beyond the naive lowest forms {y, y}.
+        assert multiplicity_at_origin(ideal(xy, "y + x^2", "y + 2*x^2")) == 2
 
     def test_rejects_constant_term(self, xy):
         with pytest.raises(OriginNotOnVarietyError):
-            tangent_cone(ideal(xy, "x + 1"))
+            multiplicity_at_origin(ideal(xy, "x + 1"))
 
     def test_zero_ideal(self, xy):
-        assert tangent_cone(PolyIdeal(xy, [])).is_zero_ideal()
+        assert multiplicity_at_origin(PolyIdeal(xy, [])) == 1
 
 
 class TestMultiplicity:

@@ -216,6 +216,24 @@ class TestBMatrix:
         with pytest.raises(ValueError):
             b_matrix(shape, 4, (0, 0, 0, 2, 0))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_planted_corner_entry_fails(self, monkeypatch, n):
+        """An upper-triangular b with column i = x and a unit diagonal, off
+        the form only through its corner entry, fails the check."""
+        shape = QuadricShape(n)
+        i = shape.ncoords - 1
+        x = random_cell_point(shape, i, random.Random(n))
+        real = quadric.b_matrix
+
+        def planted(*args):
+            b = real(*args)
+            b[0][shape.ncoords - 1] += 1
+            return b
+
+        assert verify_b_matrix(shape, i, x)
+        monkeypatch.setattr(quadric, "b_matrix", planted)
+        assert not verify_b_matrix(shape, i, x)
+
 
 class TestDisjointSingularLoci:
     @pytest.mark.parametrize("n", [2, 3])
@@ -318,6 +336,30 @@ class TestRichardson:
                 assert [str(g) for g in moved.groebner()] == [str(g) for g in expected]
             direct = translate_to_origin(inst.iwv, m)
             assert [g.terms for g in oracle.groebner()] == [g.terms for g in direct.groebner()]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oracle_takes_one_multiplicity(self, monkeypatch, n):
+        """At every report point ``mult_oracle`` reads one multiplicity, that
+        of the translated intersection, and it equals the engine's oracle
+        value there."""
+        shape, contexts, calls = QuadricShape(n), {}, []
+        reports = quadric_sweep(shape)
+        real = quadric.multiplicity_at_origin
+
+        def counted(ideal):
+            calls.append(ideal)
+            return real(ideal)
+
+        for module in (engine, quadric):
+            monkeypatch.setattr(module, "multiplicity_at_origin", counted)
+        for r in reports:
+            i, j = int(r.w), int(r.v)
+            vec = tuple(Fraction(r.point[f"x{k}"]) for k in range(1, shape.ncoords + 1))
+            calls.clear()
+            value = mult_oracle(shape, vec, i=i, j=j)
+            assert len(calls) == 1
+            m = quadric._point(shape, contexts, i, j, vec)[1]
+            assert value == quadric._instance(shape, contexts, i, j, m).at(m)[2]
 
     def test_no_basis_run_on_a_translated_ideal(self, monkeypatch):
         """In a sweep Buchberger runs for Schubert side builds, once per

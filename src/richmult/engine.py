@@ -31,7 +31,16 @@ multiplicity (``multiplicity_at_origin``), Buchberger runs once per
 Schubert side: never on an opposite side whose relabelled basis
 passes its leading-term certificate (``PolyIdeal.permuted``), never on an
 intersection, never at a point.  The package keeps no module-level
-state, so every sweep starts cold.  An instance keeps its oracle
+state, so every sweep starts cold.  A sweep keeps one table of Hilbert
+data, keyed by (frozenset of leading monomials, number of variables),
+which all its chart contexts share (``hilbert.hilbert_data``): every
+side's and intersection's numerator and every tangent-cone degree at a
+point is read through it, so each numerator is computed once per sweep.
+At a fixed point a translated side has its side's leading monomials and
+the oracle's ideal those of the intersection, so a fixed-point sweep
+computes only the numerators of its distinct side and intersection
+ideals.  A pooled task keeps a table of its own; the table goes when
+the sweep ends.  An instance keeps its oracle
 multiplicity and the intersection's smoothness per pair of side points,
 which fixes both (:class:`StratumInstance`); when one side's ideal has
 no generators the oracle's ideal is the other side's translated ideal,
@@ -240,9 +249,10 @@ class StratumSide:
     the chart's split a Schubert side's support is slice coordinates only,
     which are zero at every cell point, so one entry serves them all."""
 
-    def __init__(self, ideal: PolyIdeal, variety: str):
+    def __init__(self, ideal: PolyIdeal, variety: str, hilberts: Optional[dict] = None):
         self.ideal = ideal
         self.variety = variety
+        self.hilberts = {} if hilberts is None else hilberts
         self._points: dict = {}
 
     @cached_property
@@ -252,7 +262,7 @@ class StratumSide:
 
     @cached_property
     def hilbert(self) -> HilbertData:
-        return ideal_hilbert_data(self.ideal)
+        return ideal_hilbert_data(self.ideal, self.hilberts)
 
     @cached_property
     def dimension(self) -> int:
@@ -283,7 +293,7 @@ class StratumSide:
             rows = _jacobian_rows(self.gradient, m.coords)
             point = SidePoint(
                 moved=moved,
-                mult=multiplicity_at_origin(moved),
+                mult=multiplicity_at_origin(moved, self.hilberts),
                 cone_over_point=is_cone_over_origin(moved),
                 jacobian_rows=rows,
                 smooth=_corank(rows, self.ideal.ring.nvars, self.dimension, m) == 0,
@@ -305,9 +315,22 @@ class ChartContext:
     of w0·tau shares when it is built with ``dual`` set to this one: each
     Schubert ideal is then built once and serves twice, as a Schubert side
     on its own chart and, relabelled, as an opposite side on the other.
-    When tau = w0·tau the two charts are one."""
+    When tau = w0·tau the two charts are one.
 
-    def __init__(self, shape: GrassShape, tau: CosetRep, dual: Optional["ChartContext"] = None):
+    ``hilberts`` is the table of Hilbert data (``hilbert.hilbert_data``)
+    through which every side and instance of the context reads its
+    numerators: the side ideals', the intersections' and the tangent
+    cones' at points.  A context built with ``dual`` shares the dual's
+    table, as it shares the Schubert ideals; any other gets the table
+    passed, or a new one."""
+
+    def __init__(
+        self,
+        shape: GrassShape,
+        tau: CosetRep,
+        dual: Optional["ChartContext"] = None,
+        hilberts: Optional[dict] = None,
+    ):
         self.shape = shape
         self.tau = tau
         self.family = family = _family(shape)
@@ -316,11 +339,13 @@ class ChartContext:
             dual_tau = family.w0_dual(tau)
             self.dual_chart = self.chart if dual_tau == tau else family.build_chart(shape, dual_tau)
             self._schubert: dict = {}
+            self.hilberts = {} if hilberts is None else hilberts
         else:
             if dual.dual_chart.tau != tau:
                 raise ValueError(f"{dual.tau} is not w0·{tau}")
             self.chart, self.dual_chart = dual.dual_chart, dual.chart
             self._schubert = dual._schubert
+            self.hilberts = dual.hilberts
         self._sides: dict = {}
 
     def _schubert_ideal(self, chart: Chart, w: CosetRep) -> PolyIdeal:
@@ -353,7 +378,7 @@ class ChartContext:
                     f"the chart of {self.tau} does not split: the {variety} side "
                     f"of {rep} uses the other side's coordinates {', '.join(stray)}"
                 )
-            side = self._sides[variety, rep] = StratumSide(ideal, variety)
+            side = self._sides[variety, rep] = StratumSide(ideal, variety, self.hilberts)
         return side
 
 
@@ -393,7 +418,7 @@ class StratumInstance:
 
     @cached_property
     def hilbert(self) -> HilbertData:
-        return ideal_hilbert_data(self.iwv)
+        return ideal_hilbert_data(self.iwv, self.context.hilberts)
 
     @cached_property
     def dimensions(self) -> tuple[int, int, int]:
@@ -452,7 +477,7 @@ class StratumInstance:
             elif self.side_v.ideal.is_zero_ideal():
                 mult = at_w.mult
             else:
-                mult = multiplicity_at_origin(self.oracle_ideal(m))
+                mult = multiplicity_at_origin(self.oracle_ideal(m), self.context.hilberts)
             rows = at_w.jacobian_rows + at_v.jacobian_rows
             verdicts = self._pairs[key] = (
                 mult, _corank(rows, self.context.chart.ring.nvars, dim_wv, m) == 0
@@ -589,15 +614,18 @@ def _orbit_reports(
     shape: GrassShape,
     charts: list[tuple[CosetRep, list[tuple[CosetRep, CosetRep]]]],
     config: SweepConfig,
+    hilberts: Optional[dict] = None,
 ) -> list[MultiplicityReport]:
     """Reports of one w0-orbit: ``charts`` holds (tau, pairs) for tau and,
     when it has pairs too and differs, for w0·tau.  The second context
     shares the first's Schubert ideals, so each is built once for both
-    charts; all of it is dropped on return."""
+    charts; all of it is dropped on return, apart from the table of
+    Hilbert data, which is ``hilberts`` when given and else the orbit's
+    own."""
     reports: list = []
     context = None
     for tau, pairs in charts:
-        context = ChartContext(shape, tau, dual=context)
+        context = ChartContext(shape, tau, dual=context, hilberts=hilberts)
         reports.extend(_chart_reports(context, pairs, config))
     return reports
 
@@ -626,7 +654,9 @@ def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> Sw
         orbits.setdefault(min(tau.entries, w0_dual(tau).entries), []).append((tau, by_chart[tau]))
     tasks = list(orbits.values())
 
-    # A forked pool starts all its workers at once: no more than there are tasks.
+    # A forked pool starts all its workers at once: no more than there are
+    # tasks.  Each pooled task keeps its own table of Hilbert data; in one
+    # process the sweep keeps one for all its orbits.
     workers = min(config.workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -635,7 +665,8 @@ def verify_theorem(shape: GrassShape, config: SweepConfig = SweepConfig()) -> Sw
                 _orbit_reports, itertools.repeat(shape), tasks, itertools.repeat(config)
             ))
     else:
-        batches = [_orbit_reports(shape, charts, config) for charts in tasks]
+        hilberts: dict = {}
+        batches = [_orbit_reports(shape, charts, config, hilberts) for charts in tasks]
     reports = [r for batch in batches for r in batch]
     reports.sort(key=MultiplicityReport.sort_key)
     return SweepResult(reports, truncated)

@@ -2,8 +2,9 @@
 
 ``reduced_groebner_basis`` is the one basis routine, in three stages:
 
-1. Buchberger's pair loop with the coprimality and chain criteria.  Pairs
-   are processed from a queue ordered by the degree of the lcm of the
+1. Buchberger's pair loop with the coprimality and chain criteria.  A
+   pair with coprime leading monomials is never queued; the others are
+   processed from a queue ordered by the degree of the lcm of the
    leading monomials (then by the lcm itself, then by index), which makes
    the computation deterministic.
 2. A minimal basis: the first element seen for each minimal leading
@@ -19,7 +20,8 @@ Two more ideals are built on a kept basis without a Buchberger run.  A
 sum of ideals whose bases use disjoint variables (``PolyIdeal.__add__``)
 keeps the two bases merged by leading monomial.  A translation
 x -> x + m (``PolyIdeal.translated``) keeps leading terms under a graded
-order, so the shifted basis is the moved ideal's reduced basis.  A
+order, so the shifted basis is the moved ideal's reduced basis (a
+translation by zero only renames the variables).  A
 variable permutation (``PolyIdeal.permuted``) keeps a basis whose leading
 terms it keeps, which a cheap certificate checks and Buchberger replaces
 when it fails.  Buchberger runs once per Schubert chart ideal: never on a
@@ -109,28 +111,26 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     lms = [g.leading_exps() for g in G]
     reducers = [(lm, g.leading_coeff(), g.terms) for lm, g in zip(lms, G)]
 
-    # Stage 1: Buchberger's pair loop.  Each pair is queued once and leaves
-    # `pending` when it is popped.
+    # Stage 1: Buchberger's pair loop.  Each pair is queued once, with its
+    # lcm, and leaves `pending` when it is popped.
     pending: set = set()
     heap: list = []
 
     def push(i: int, j: int):
         lcm = mono_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (mono_deg(lcm), key(lcm), i, j))
-        pending.add((i, j))
+        # Coprimality criterion: a pair with disjoint leading monomials
+        # reduces to zero, so it is never queued and counts as handled.
+        if lcm != mono_mul(lms[i], lms[j]):
+            heapq.heappush(heap, (mono_deg(lcm), key(lcm), i, j, lcm))
+            pending.add((i, j))
 
     for j in range(len(G)):
         for i in range(j):
             push(i, j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        li, lj = lms[i], lms[j]
-        lcm = mono_lcm(li, lj)
-        # Coprimality criterion: disjoint leading monomials reduce to zero.
-        if lcm == mono_mul(li, lj):
-            continue
         # Chain criterion: a third leading monomial dividing the lcm whose
         # pairs with i and j have both been handled already.
         skip = False
@@ -244,7 +244,19 @@ class PolyIdeal:
         leading monomial (the basis is minimal).  So the shifted basis is
         reduced, and as the reduced basis is unique it is the one
         Buchberger would give.  A shifted element whose leading monomial
-        moved raises ``RuntimeError``."""
+        moved raises ``RuntimeError``.
+
+        A translation by zero only renames: when every offset is zero, the
+        ideal keeps its basis and ``ring`` has this ring's arity and order,
+        the generators (already primitive) and the basis (already monic and
+        sorted under that order) are carried into ``ring`` term for term."""
+        if (self._of_basis and not any(offsets) and ring.order == self.ring.order
+                and ring.nvars == self.ring.nvars == len(offsets)):
+            return PolyIdeal._on_basis(
+                ring,
+                [Polynomial(ring, g.terms) for g in self.gens],
+                [Polynomial(ring, g.terms) for g in self._gb],
+            )
         gens = [g.shift(offsets, ring).primitive() for g in self.gens]
         if not self._of_basis:
             return PolyIdeal(ring, gens)

@@ -4,11 +4,16 @@ The numerator N(t) of the series N(t)/(1-t)^k of k[x_1..x_k]/M is computed
 by pivot splitting: N(M) = N(M + (p)) + t^deg(p) * N(M : p) with a single
 variable as pivot.  Writing N(t) = (1-t)^s * Q(t) with Q(1) != 0, the
 quotient has Krull dimension k - s and degree Q(1).
+
+The data depend only on the monomial ideal and the number of variables.
+So a caller that meets one monomial ideal many times, as a sweep does,
+passes a table (a dict) to :func:`hilbert_data` and each numerator is
+computed once per table; a lookup returns exactly what a fresh call would.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from dataclasses import dataclass
 from itertools import accumulate
@@ -89,7 +94,16 @@ class HilbertData:
     degree: int
 
 
-def hilbert_data(gens: Iterable[Exps], nvars: int) -> HilbertData:
+def hilbert_data(gens: Iterable[Exps], nvars: int, table: Optional[dict] = None) -> HilbertData:
+    """Hilbert data of the monomial ideal generated by gens.  With a table
+    they are read from it, keyed by (frozenset(gens), nvars), and computed
+    and stored there on a miss."""
+    if table is not None:
+        key = frozenset(gens), nvars
+        data = table.get(key)
+        if data is None:
+            data = table[key] = hilbert_data(key[0], nvars)
+        return data
     raw = hilbert_numerator(gens, nvars)
     if raw == (0,):
         raise ValueError("unit ideal has no Hilbert data")
@@ -115,11 +129,12 @@ def hilbert_data(gens: Iterable[Exps], nvars: int) -> HilbertData:
     )
 
 
-def ideal_hilbert_data(ideal: PolyIdeal) -> HilbertData:
-    """Hilbert data of the leading-term ideal of a polynomial ideal."""
+def ideal_hilbert_data(ideal: PolyIdeal, table: Optional[dict] = None) -> HilbertData:
+    """Hilbert data of the leading-term ideal of a polynomial ideal, read
+    through ``table`` when one is given (:func:`hilbert_data`)."""
     if ideal.is_unit():
         raise ValueError("unit ideal has no Hilbert data")
-    return hilbert_data(ideal.leading_exponents(), ideal.ring.nvars)
+    return hilbert_data(ideal.leading_exponents(), ideal.ring.nvars, table)
 
 
 def ideal_dimension(ideal: PolyIdeal) -> int:

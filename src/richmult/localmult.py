@@ -9,6 +9,8 @@ recompute a reduced basis under an order that ranks the t-degree above
 everything else within each total degree, and drop t from its leading
 monomials.  Those generate the leading ideal of the cone, whose degree is
 the cone's.  A homogeneous basis is its own cone and needs no second run.
+A caller that meets one cone many times, as a sweep does, passes a table
+of Hilbert data, so that each cone's numerator is computed once.
 
 The independent cross-check computes dim_Q k[x]/(I + m^k) by sparse exact
 Gaussian elimination on truncated multiples of the generators, and fits
@@ -56,7 +58,7 @@ def _check_vanishes_at_origin(ideal: PolyIdeal):
             )
 
 
-def multiplicity_at_origin(ideal: PolyIdeal) -> int:
+def multiplicity_at_origin(ideal: PolyIdeal, table: Optional[dict] = None) -> int:
     """Degree of the projectivized tangent cone at the origin (1 at a
     smooth point), read off one cone-order basis.
 
@@ -74,7 +76,8 @@ def multiplicity_at_origin(ideal: PolyIdeal) -> int:
        zero ideal has the numerator 1 and so degree 1.
 
     Every generator vanishes at the origin, so the ideal lies in the
-    maximal ideal and no leading monomial is 1."""
+    maximal ideal and no leading monomial is 1.  With a table the
+    numerator of step 3 is read through it (``hilbert.hilbert_data``)."""
     _check_vanishes_at_origin(ideal)
     ring = ideal.ring
     basis = ideal.groebner()
@@ -84,7 +87,7 @@ def multiplicity_at_origin(ideal: PolyIdeal) -> int:
         hring = ring.homogenized()
         hbasis = reduced_groebner_basis([g.homogenize(hring) for g in basis])
         leads = [h.leading_exps()[1:] for h in hbasis]
-    return hilbert_data(leads, ring.nvars).degree
+    return hilbert_data(leads, ring.nvars, table).degree
 
 
 # ---------------------------------------------------------------------------

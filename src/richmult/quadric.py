@@ -306,13 +306,15 @@ def schubert_ideal(chart: Chart, w: QuadricIndex) -> PolyIdeal:
     return PolyIdeal.of_basis(ring, reduced_groebner_basis([g for g in gens if not g.is_zero()]))
 
 
-def _point(shape: QuadricShape, contexts: dict, i: int, j: int, x: Sequence):
+def _point(shape: QuadricShape, contexts: dict, i: int, j: int, x: Sequence,
+           hilberts: Optional[dict] = None):
     """x checked once as a point of X_i and X^j: the index pair, the
     coordinates, nonzero, Q(x) = 0 and both support windows.  Returns x's
     coordinates, x's point on the chart of e_c, c the last nonzero
     coordinate of x (a cell point there), and the report's point dict.
     ``contexts`` keeps the chart contexts by c, each built on first use;
-    the two of a w0-orbit share their Schubert ideals."""
+    the two of a w0-orbit share their Schubert ideals.  A context built
+    here reads its Hilbert data through ``hilberts`` when given."""
     check_index_pair(shape, i, j)
     vec = _coords(shape, x)
     if not any(vec):
@@ -322,7 +324,7 @@ def _point(shape: QuadricShape, contexts: dict, i: int, j: int, x: Sequence):
     c = max(a for a, v in enumerate(vec, 1) if v)
     if c not in contexts:
         dual = contexts.get(2 * shape.n + 2 - c)
-        contexts[c] = ChartContext(shape, QuadricIndex(shape, c), dual=dual)
+        contexts[c] = ChartContext(shape, QuadricIndex(shape, c), dual=dual, hilberts=hilberts)
     chart = contexts[c].chart
     m = AffinePoint(chart, tuple(vec[ix.q - 1] / vec[c - 1] for ix in chart.indices))
     return vec, m, {f"x{k + 1}": str(v) for k, v in enumerate(vec)}
@@ -385,11 +387,13 @@ def quadric_sweep(shape: QuadricShape, grid=(-1, 0, 1), cap: int = 50) -> list:
     The points of (i, j) are those of (2n+1, j) whose last nonzero
     coordinate is at most i, in the same order, and the cap keeps a
     prefix; so the grid is walked once per j, and each sample is checked
-    once, on X_{2n+1} and X^j, the filter being the window of X_i."""
-    contexts, instances, reports = {}, {}, []
+    once, on X_{2n+1} and X^j, the filter being the window of X_i.  All
+    the chart contexts read their Hilbert data through one table, so each
+    numerator is computed once per call."""
+    contexts, instances, reports, hilberts = {}, {}, [], {}
     valid, top = [k for k in range(1, shape.ncoords + 1) if k != shape.n + 1], shape.ncoords
     samples = {j: sample_quadric_points(shape, top, j, grid, limit=cap) for j in valid}
-    points = {j: [_point(shape, contexts, top, j, x) for x in samples[j]] for j in valid}
+    points = {j: [_point(shape, contexts, top, j, x, hilberts) for x in samples[j]] for j in valid}
     for i in valid:
         for j in valid:
             if j > i:

@@ -432,7 +432,8 @@ class TestComputationFailures:
 
         real = engine.ideal_hilbert_data
         monkeypatch.setattr(
-            engine, "ideal_hilbert_data", lambda ideal: replace(real(ideal), dimension=-1)
+            engine, "ideal_hilbert_data",
+            lambda ideal, table=None: replace(real(ideal, table), dimension=-1),
         )
         assert main(self.MULT) == 3
         err = capsys.readouterr().err

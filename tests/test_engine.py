@@ -1041,9 +1041,9 @@ class TestPairMemo:
                 nonzero.add(pair)
             return real_at(inst, m)
 
-        def mult(ideal):
+        def mult(ideal, *table):
             calls["oracle"] += sys._getframe(1).f_code is real_at.__code__
-            return real_mult(ideal)
+            return real_mult(ideal, *table)
 
         def corank(*args):
             calls["corank"] += 1
@@ -1082,6 +1082,66 @@ class TestPairMemo:
         for m in points + points:
             fresh = StratumInstance(ChartContext(G24, context.tau), inst.w, inst.v)
             assert inst.report(m) == fresh.report(m)
+
+
+class TestHilbertTable:
+    """A sweep reads every Hilbert numerator through one table, so it
+    computes each numerator of a monomial ideal once, and the next sweep
+    starts with an empty table."""
+
+    @staticmethod
+    def numerators(monkeypatch) -> list:
+        """Count the Hilbert numerators computed from now on."""
+        from richmult import hilbert
+
+        calls = []
+        real = hilbert.hilbert_numerator
+
+        def counted(gens, nvars):
+            calls.append(nvars)
+            return real(gens, nvars)
+
+        monkeypatch.setattr(hilbert, "hilbert_numerator", counted)
+        return calls
+
+    @pytest.mark.parametrize("sweep, count", [
+        (lambda: verify_theorem(GrassShape(3, 6), SweepConfig(grid=(Fraction(0),), point_cap=1)), 175),
+        (lambda: verify_theorem(GrassShape(2, 5), SweepConfig(
+            grid=tuple(map(Fraction, (-1, 0, 1))), point_cap=50)), 55),
+        (lambda: _quadric_sweep_of(4, (-2, Fraction(-1, 2), 0, 1, Fraction(3, 2)), 200), 45),
+    ], ids=["G(3,6) --grid=0", "G(2,5) -1,0,1 cap 50", "quadric --qn 4"])
+    def test_each_numerator_once_per_sweep(self, monkeypatch, sweep, count):
+        calls = self.numerators(monkeypatch)
+        sweep()
+        assert len(calls) == count
+        sweep()
+        assert len(calls) == 2 * count
+
+    def test_table_entries_equal_fresh_data(self, monkeypatch):
+        """Every context of a one-process sweep holds the same table, and
+        after the sweep each entry is the fresh Hilbert data of its key."""
+        from richmult.hilbert import hilbert_data
+
+        tables = {}
+        real_init = ChartContext.__init__
+
+        def init(context, *args, **kwargs):
+            real_init(context, *args, **kwargs)
+            tables[id(context.hilberts)] = context.hilberts
+
+        monkeypatch.setattr(ChartContext, "__init__", init)
+        grid = tuple(map(Fraction, (-1, 0, 1)))
+        assert verify_theorem(GrassShape(2, 5), SweepConfig(grid=grid, point_cap=50)).failed == 0
+        [table] = tables.values()
+        assert len(table) == 55
+        for (gens, nvars), data in table.items():
+            assert data == hilbert_data(sorted(gens), nvars)
+
+
+def _quadric_sweep_of(n, grid, cap):
+    from richmult.quadric import QuadricShape, quadric_sweep
+
+    return quadric_sweep(QuadricShape(n), grid=grid, cap=cap)
 
 
 def _grid_sweep(shape, grid):

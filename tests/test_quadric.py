@@ -346,9 +346,9 @@ class TestRichardson:
         reports = quadric_sweep(shape)
         real = quadric.multiplicity_at_origin
 
-        def counted(ideal):
+        def counted(ideal, *table):
             calls.append(ideal)
-            return real(ideal)
+            return real(ideal, *table)
 
         for module in (engine, quadric):
             monkeypatch.setattr(module, "multiplicity_at_origin", counted)

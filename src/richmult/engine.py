@@ -249,10 +249,10 @@ class StratumSide:
     the chart's split a Schubert side's support is slice coordinates only,
     which are zero at every cell point, so one entry serves them all."""
 
-    def __init__(self, ideal: PolyIdeal, variety: str, hilberts: Optional[dict] = None):
+    def __init__(self, ideal: PolyIdeal, variety: str, hilberts: dict):
         self.ideal = ideal
         self.variety = variety
-        self.hilberts = {} if hilberts is None else hilberts
+        self.hilberts = hilberts
         self._points: dict = {}
 
     @cached_property

@@ -20,8 +20,7 @@ Two more ideals are built on a kept basis without a Buchberger run.  A
 sum of ideals whose bases use disjoint variables (``PolyIdeal.__add__``)
 keeps the two bases merged by leading monomial.  A translation
 x -> x + m (``PolyIdeal.translated``) keeps leading terms under a graded
-order, so the shifted basis is the moved ideal's reduced basis (a
-translation by zero only renames the variables).  A
+order, so the shifted basis is the moved ideal's reduced basis.  A
 variable permutation (``PolyIdeal.permuted``) keeps a basis whose leading
 terms it keeps, which a cheap certificate checks and Buchberger replaces
 when it fails.  Buchberger runs once per Schubert chart ideal: never on a
@@ -244,19 +243,7 @@ class PolyIdeal:
         leading monomial (the basis is minimal).  So the shifted basis is
         reduced, and as the reduced basis is unique it is the one
         Buchberger would give.  A shifted element whose leading monomial
-        moved raises ``RuntimeError``.
-
-        A translation by zero only renames: when every offset is zero, the
-        ideal keeps its basis and ``ring`` has this ring's arity and order,
-        the generators (already primitive) and the basis (already monic and
-        sorted under that order) are carried into ``ring`` term for term."""
-        if (self._of_basis and not any(offsets) and ring.order == self.ring.order
-                and ring.nvars == self.ring.nvars == len(offsets)):
-            return PolyIdeal._on_basis(
-                ring,
-                [Polynomial(ring, g.terms) for g in self.gens],
-                [Polynomial(ring, g.terms) for g in self._gb],
-            )
+        moved raises ``RuntimeError``."""
         gens = [g.shift(offsets, ring).primitive() for g in self.gens]
         if not self._of_basis:
             return PolyIdeal(ring, gens)

@@ -700,7 +700,7 @@ class TestSupportKeyedPoints:
         for m in self.cell_points(inst):
             for side in (inst.side_w, inst.side_v):
                 kept = side.at(m)
-                fresh = StratumSide(side.ideal, side.variety).at(m)
+                fresh = StratumSide(side.ideal, side.variety, {}).at(m)
                 assert [g.terms for g in kept.moved.gens] == [g.terms for g in fresh.moved.gens]
                 assert kept.moved.groebner() == fresh.moved.groebner()
                 assert kept.mult == fresh.mult

@@ -546,33 +546,6 @@ class TestTranslatedBasis:
             assert (moved._gb is None) == (ideal is not built)
             assert [str(g) for g in moved.groebner()] == expected
 
-    @pytest.mark.parametrize("d, n", [(2, 5), (3, 6)])
-    def test_zero_translation_renames(self, d, n):
-        """At the fixed point of every chart, each side and intersection of
-        the shape is carried into the chart's y-ring term for term, with the
-        generators and basis that the general path gives: each generator
-        shifted by zero and made primitive, then made monic and sorted."""
-        from richmult.engine import ChartContext, StratumInstance, enumerate_instances
-
-        shape = GrassShape(d, n)
-        contexts, seen = {}, set()
-        for w, v, tau in enumerate_instances(shape):
-            context = contexts.setdefault(tau, ChartContext(shape, tau))
-            inst = StratumInstance(context, w, v)
-            origin, ring = context.chart.origin(), context.chart.yring
-            for ideal in (inst.side_w.ideal, inst.side_v.ideal, inst.iwv):
-                if id(ideal) in seen:
-                    continue
-                seen.add(id(ideal))
-                moved = translate_to_origin(ideal, origin)
-                gens = [g.shift(origin.coords, ring).primitive() for g in ideal.gens]
-                basis = sorted((g.monic() for g in gens), key=lambda g: ring.key(g.leading_exps()))
-                assert moved.ring == ring
-                assert [g.terms for g in moved.gens] == [g.terms for g in gens]
-                assert [g.terms for g in moved.groebner()] == [g.terms for g in basis]
-                assert all(a.terms is b.terms for a, b in zip(moved.gens, ideal.gens))
-        assert len(seen) > len(contexts)
-
     def test_translation_runs_no_basis(self, monkeypatch, xy):
         """A translation keeps the basis of an ideal built on its basis and
         computes none; an ideal that only computed its basis gives a moved

@@ -126,7 +126,10 @@ class AffinePoint:
             q, dot, p = key.partition(".")
             if not (dot and q.isdecimal() and p.isdecimal()):
                 raise ValueError(f"coordinate key {key!r} is not of the form q.p")
-            coords[RootIndex(int(q), int(p))] = Fraction(str(val))
+            ix = RootIndex(int(q), int(p))
+            if ix in coords:
+                raise ValueError(f"coordinate {ix} is given twice")
+            coords[ix] = Fraction(str(val))
         return chart.point(coords)
 
     def __str__(self):
@@ -272,11 +275,6 @@ def translate_to_origin(ideal: PolyIdeal, m) -> PolyIdeal:
             raise PointNotOnChartError("ideal and point live on different charts")
         ring, coords = m.chart.yring, m.coords
     return ideal.translated(coords, ring)
-
-
-def evaluate_ideal(ideal: PolyIdeal, x: AffinePoint) -> bool:
-    """Whether all generators vanish at the point."""
-    return ideal.vanishes_at(x.coords)
 
 
 def c_action(xi: Fraction, x: AffinePoint, m: AffinePoint) -> AffinePoint:

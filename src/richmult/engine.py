@@ -11,10 +11,10 @@ once, where it enters: a triple by :class:`StratumInstance`, a point by
 :meth:`StratumSide.at`.
 
 A :class:`ChartContext` holds the chart of tau and builds each
-:class:`StratumSide` once (its ideal, dimension, degree, symbolic
-Jacobian, and per point its translated ideal, multiplicity, cone flag,
-Jacobian rows and smoothness); every :class:`StratumInstance` on the
-chart shares it and adds only what needs both sides.  Only Schubert
+:class:`StratumSide` once (its ideal, dimension, degree, and per point
+its translated ideal and what is read off it: membership, multiplicity,
+cone flag, Jacobian rows and smoothness); every :class:`StratumInstance`
+on the chart shares it and adds only what needs both sides.  Only Schubert
 ideals are built: X^v = w0·X_{w0·v}, so the opposite side of v on the chart of tau is the
 Schubert ideal of w0·v on the chart of w0·tau, relabelled.  The two
 contexts of a w0-orbit {tau, w0·tau} share one table of Schubert ideals,
@@ -74,7 +74,6 @@ from .charts import (
     PointNotOnChartError,
     _echelon,
     build_chart,
-    evaluate_ideal,
     is_cone_over_origin,
     schubert_ideal,
     translate_to_origin,
@@ -125,22 +124,33 @@ def _family(shape):
 
 def jacobian_corank(ideal: PolyIdeal, m: AffinePoint) -> int:
     """Tangent-space dimension at m minus the dimension of the ideal's
-    variety (0 at a smooth point of the varieties considered here).  The
-    tangent space can never be smaller than the variety, so a negative
-    value raises."""
-    if not evaluate_ideal(ideal, m):
-        raise MembershipError("point is not on the variety")
-    dim = ideal_dimension(ideal)
-    return _corank(_jacobian_rows(_gradient(ideal), m.coords), ideal.ring.nvars, dim, m)
+    variety (0 at a smooth point of the varieties considered here), read
+    off the ideal translated to m (:func:`_translated_at`).  The tangent
+    space can never be smaller than the variety, so a negative value
+    raises."""
+    _, rows = _translated_at(ideal, m, "variety")
+    return _corank(rows, ideal.ring.nvars, ideal_dimension(ideal), m)
 
 
-def _gradient(ideal: PolyIdeal) -> list[list]:
-    """The symbolic Jacobian: one row of partial derivatives per generator."""
-    return [[g.derivative(i) for i in range(ideal.ring.nvars)] for g in ideal.gens]
-
-
-def _jacobian_rows(gradient: list[list], coords: Sequence[Fraction]) -> list[list[Fraction]]:
-    return [[d.evaluate(coords) for d in row] for row in gradient]
+def _translated_at(ideal: PolyIdeal, m: AffinePoint, variety: str) -> tuple[PolyIdeal, list]:
+    """The ideal translated so that m is the origin (``translate_to_origin``,
+    which checks m's chart) and its Jacobian rows at m.  A translated
+    generator is g(y + m) times a nonzero scale c: its constant term is
+    c·g(m), so m is on the variety exactly when no translated generator
+    has one (else ``MembershipError`` names the ``variety``), and its
+    degree-one coefficients are c times the gradient of g at m, so the
+    rows have the rank of the Jacobian at m."""
+    moved = translate_to_origin(ideal, m)
+    if any(g.constant_term() for g in moved.gens):
+        raise MembershipError(f"point is not on the {variety}")
+    rows = []
+    for g in moved.gens:
+        row = [Fraction(0)] * ideal.ring.nvars
+        for e, c in g.terms.items():
+            if sum(e) == 1:
+                row[e.index(1)] = c
+        rows.append(row)
+    return moved, rows
 
 
 def _corank(rows: list[list[Fraction]], nvars: int, dim: int, m) -> int:
@@ -225,8 +235,9 @@ class SidePoint(NamedTuple):
     the point is the origin (keeping the side's reduced basis, translated
     by ``translate_to_origin``; the oracle's ideal is the sum of the two
     sides'), the multiplicity there, whether the translated ideal is a
-    cone over the point, the Jacobian rows of the side's generators
-    evaluated at the point, and whether their corank there is 0."""
+    cone over the point, the Jacobian rows at the point (each translated
+    generator's degree-one coefficients), and whether their corank there
+    is 0.  All of it is read off the one translation."""
 
     moved: PolyIdeal
     mult: int
@@ -239,8 +250,8 @@ class StratumSide:
     """One stratum variety on one chart, of either family: the Schubert
     variety of w or the opposite variety of v.  It holds the chart ideal
     and, each computed on first use and kept, its Hilbert data (one
-    numerator for its dimension and degree), its symbolic Jacobian, and
-    per point a :class:`SidePoint`.  Nothing in it depends on the other
+    numerator for its dimension and degree) and per point a
+    :class:`SidePoint`.  Nothing in it depends on the other
     side, so every instance of the chart shares it.
 
     Points are keyed by their coordinates at ``support``, the variables
@@ -273,24 +284,18 @@ class StratumSide:
         require_cone(self.ideal)
         return self.hilbert.degree
 
-    @cached_property
-    def gradient(self) -> list[list]:
-        return _gradient(self.ideal)
-
     def at(self, m: AffinePoint) -> SidePoint:
         """The side at m, built on first use: the engine's only point check,
         of the chart (on every call) and then of membership (once per
         support key; points with one key are on the variety together or
-        off it together)."""
+        off it together).  Every fact of a new entry is read off one
+        translation of the ideal to m (:func:`_translated_at`)."""
         if m.chart.ring != self.ideal.ring:
             raise PointNotOnChartError("ideal and point live on different charts")
         key = tuple(m.coords[i] for i in self.support)
         point = self._points.get(key)
         if point is None:
-            if not evaluate_ideal(self.ideal, m):
-                raise MembershipError(f"point is not on the {self.variety} variety")
-            moved = translate_to_origin(self.ideal, m)
-            rows = _jacobian_rows(self.gradient, m.coords)
+            moved, rows = _translated_at(self.ideal, m, f"{self.variety} variety")
             point = SidePoint(
                 moved=moved,
                 mult=multiplicity_at_origin(moved, self.hilberts),

@@ -328,9 +328,8 @@ class PolyIdeal:
         return not self.gens
 
     def is_unit(self) -> bool:
-        """Whether the ideal is all of the ring (empty vanishing locus)."""
-        if any(g.is_constant() for g in self.gens):
-            return True
+        """Whether the ideal is all of the ring (empty vanishing locus): its
+        reduced basis is [1].  A kept basis answers with no scan."""
         gb = self.groebner()
         return len(gb) == 1 and gb[0].is_constant()
 

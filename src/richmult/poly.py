@@ -302,17 +302,6 @@ class Polynomial:
                 out[exps] = out.get(exps, 0) + coeff
         return Polynomial(ring, {e: c for e, c in out.items() if c})
 
-    def derivative(self, i: int) -> "Polynomial":
-        res: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                e2 = list(e)
-                e2[i] = k - 1
-                e2 = tuple(e2)
-                res[e2] = res.get(e2, Fraction(0)) + c * k
-        return Polynomial(self.ring, {e: c for e, c in res.items() if c})
-
     # -- normal forms of the coefficients ---------------------------------
     def monic(self) -> "Polynomial":
         if not self.terms:

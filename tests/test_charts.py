@@ -23,7 +23,6 @@ from richmult.charts import (
     build_chart,
     c_action,
     cell_of_point,
-    evaluate_ideal,
     format_ideal,
     in_cell,
     is_cone_over_origin,
@@ -367,7 +366,7 @@ class TestSchubertIdeal:
 
         for combo in itertools.product(values, repeat=4):
             point = AffinePoint(chart, combo)
-            by_ideal = evaluate_ideal(ideal, point)
+            by_ideal = ideal.vanishes_at(point.coords)
             by_rank = schubert_member_oracle(shape, w, matrix_of_point(point))
             assert by_ideal == by_rank, combo
 
@@ -423,7 +422,7 @@ class TestOppositeIdeal:
 
         for combo in itertools.product(values, repeat=4):
             point = AffinePoint(chart, combo)
-            assert evaluate_ideal(ideal, point) == opposite_member_oracle(
+            assert ideal.vanishes_at(point.coords) == opposite_member_oracle(
                 shape, v, matrix_of_point(point)
             ), combo
 
@@ -480,7 +479,7 @@ def explicit_point_mismatches(shape):
             point = point_from_matrix(shape, matrix)
             assert point.chart == chart
             for v, ideal in sides.items():
-                if evaluate_ideal(ideal, point) != bruhat_leq(v, rho):
+                if ideal.vanishes_at(point.coords) != bruhat_leq(v, rho):
                     bad.append((tau, rho, v))
     return bad
 
@@ -647,7 +646,7 @@ class TestRichardsonIdeal:
         # alone; the cell's fixed point is the unique rational solution.
         assert ideal_dimension(ideal) == 0
         assert is_cone_over_origin(ideal)
-        assert evaluate_ideal(ideal, chart.origin())
+        assert ideal.vanishes_at(chart.origin().coords)
 
     def test_extremes_give_zero_ideal(self):
         shape = GrassShape(2, 4)
@@ -666,8 +665,8 @@ class TestRichardsonIdeal:
         for _ in range(60):
             coords = tuple(Fraction(rng.randrange(-2, 3)) for _ in chart.indices)
             point = AffinePoint(chart, coords)
-            assert evaluate_ideal(rich, point) == (
-                evaluate_ideal(iw, point) and evaluate_ideal(iv, point)
+            assert rich.vanishes_at(point.coords) == (
+                iw.vanishes_at(point.coords) and iv.vanishes_at(point.coords)
             )
 
 
@@ -773,7 +772,7 @@ class TestActions:
             m = cell_pts[rng.randrange(len(cell_pts))]
             xi = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
             moved = c_action(xi, x, m)
-            assert evaluate_ideal(self.ideal, moved)
+            assert self.ideal.vanishes_at(moved.coords)
             checked += 1
 
     def test_scale_identity_and_zero(self):
@@ -794,7 +793,7 @@ class TestActions:
         for ideal in (schubert_ideal(chart, w), opposite_ideal(chart, v), rich):
             for point in sample_points(ideal, chart, grid, cell_only=False, limit=15):
                 xi = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-                assert evaluate_ideal(ideal, scale_action(xi, point))
+                assert ideal.vanishes_at(scale_action(xi, point).coords)
 
 
 class TestConeDetection:

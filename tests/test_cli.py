@@ -623,6 +623,22 @@ def test_coordinate_key_not_q_dot_p_exits_2(capsys, tmp_path, key):
     assert captured.err == f"error: coordinate key {key!r} is not of the form q.p\n"
 
 
+@pytest.mark.parametrize("coords", [
+    {"2.1": "1", "02.1": "0"},
+    {"02.1": "0", "2.1": "1"},
+])
+def test_coordinate_given_twice_exits_2(capsys, tmp_path, coords):
+    """Two keys that name one coordinate are bad input in either order,
+    not a point that depends on which key is read last."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"coords": coords}))
+    args = ["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "13"]
+    assert main(args + ["--point", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coordinate 2.1 is given twice\n"
+
+
 def test_report_fields_match_schema(tmp_path):
     """The dataclass fields are the one field list: JSON keys, CSV columns
     and the schema's required keys all follow it."""

@@ -379,6 +379,44 @@ class TestDegrees:
             StratumInstance(ChartContext(G24, rep(G24, 2, 4)), rep(G24, 1, 3), rep(G24, 1, 2))
 
 
+def reference_jacobian(ideal: PolyIdeal, m: AffinePoint) -> list[list[Fraction]]:
+    """The Jacobian of the generators at m, one row per generator, each
+    partial derivative taken term by term and evaluated at m.  It does not
+    go through ``Polynomial.shift``, which the engine's rows do."""
+    rows = []
+    for g in ideal.gens:
+        row = [Fraction(0)] * ideal.ring.nvars
+        for e, c in g.terms.items():
+            for i, k in enumerate(e):
+                if k:
+                    value = c * k
+                    for j, (x, kj) in enumerate(zip(m.coords, e)):
+                        value *= x ** (kj - (j == i))
+                    row[i] += value
+        rows.append(row)
+    return rows
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    """The rank over Q, by plain Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    found = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for i in range(found + 1, len(rows)):
+            factor = rows[i][col] / rows[found][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[found])]
+        found += 1
+    return found
+
+
+def reference_corank(ideal: PolyIdeal, m: AffinePoint, dim: int) -> int:
+    return ideal.ring.nvars - rank(reference_jacobian(ideal, m)) - dim
+
+
 class TestJacobian:
     def test_linear_ideal_smooth(self):
         tau = rep(G24, 1, 2)
@@ -431,6 +469,15 @@ class TestJacobian:
             direct = tuple(jacobian_corank(ideal, m) == 0 for ideal in three)
             assert (r.smooth_w, r.smooth_v, r.smooth_wv) == direct
         assert {r.smooth_wv for r in reports} == {True, False}
+
+    def test_point_of_another_chart_raises(self):
+        """Two charts of G(2,4) have four coordinates each, so only the
+        chart check tells their points apart."""
+        ideal = schubert_ideal(build_chart(G24, rep(G24, 1, 3)), rep(G24, 2, 4))
+        other = build_chart(G24, rep(G24, 2, 4))
+        for m in (other.origin(), other.point([0, 0, 0, 1])):
+            with pytest.raises(PointNotOnChartError):
+                jacobian_corank(ideal, m)
 
 
 class TestScalingInvariance:
@@ -1160,6 +1207,72 @@ def _quadric_sweep(n):
 ZERO_SIDE_SWEEPS = pytest.mark.parametrize("sweep", [
     _grid_sweep(G24, (-1, 0, 1)), _grid_sweep(GrassShape(2, 5), (0,)), _quadric_sweep(2),
 ], ids=["G(2,4) -1,0,1", "G(2,5) --grid=0", "quadric --qn 2"])
+
+
+class TestReferenceJacobian:
+    """A side point's Jacobian rows are its translated generators'
+    degree-one coefficients; these tests hold them against the reference
+    Jacobian, which differentiates the generators' term dicts."""
+
+    @ZERO_SIDE_SWEEPS
+    def test_rows_give_the_reference_corank(self, monkeypatch, sweep):
+        """At every report point, the coranks of each side point's rows, of
+        the stacked pair rows, and ``jacobian_corank`` on the directly
+        built Schubert, opposite and Richardson ideals all equal the
+        corank of the reference Jacobian, and so do the smoothness flags."""
+        points, real_at = {}, StratumInstance.at
+
+        def at(inst, m):
+            points.setdefault((id(inst), m), (inst, m))
+            return real_at(inst, m)
+
+        monkeypatch.setattr(StratumInstance, "at", at)
+        sweep()
+        monkeypatch.undo()
+        ideals = {}
+        for inst, m in points.values():
+            context = inst.context
+            key = context.tau, inst.w, inst.v
+            if key not in ideals:
+                family = context.family
+                chart = family.build_chart(context.shape, context.tau)
+                dual = family.build_chart(context.shape, family.w0_dual(context.tau))
+                iw = family.schubert_ideal(chart, inst.w)
+                iv = family.w0_relabel(chart, family.schubert_ideal(dual, family.w0_dual(inst.v)))
+                three = (iw, iv, iw + iv)
+                ideals[key] = [(ideal, ideal_dimension(ideal)) for ideal in three]
+            at_w, at_v, _, smooth_wv = inst.at(m)
+            expected = [reference_corank(ideal, m, dim) for ideal, dim in ideals[key]]
+            nvars = m.chart.ring.nvars
+            row_sets = (at_w.jacobian_rows, at_v.jacobian_rows, at_w.jacobian_rows + at_v.jacobian_rows)
+            assert [nvars - rank(rows) - dim for rows, (_, dim) in zip(row_sets, ideals[key])] == expected
+            assert [jacobian_corank(ideal, m) for ideal, _ in ideals[key]] == expected
+            assert (at_w.smooth, at_v.smooth, smooth_wv) == tuple(c == 0 for c in expected)
+        assert points
+
+    def test_side_points_evaluate_no_polynomial(self, monkeypatch):
+        """A side point is read off its translated ideal: in a G(3,6)
+        fixed-point sweep ``StratumSide.at`` evaluates no polynomial."""
+        inside, counts = [0], {"at": 0, "evaluate": 0}
+        real_at, real_evaluate = StratumSide.at, Polynomial.evaluate
+
+        def at(side, m):
+            counts["at"] += 1
+            inside[0] += 1
+            try:
+                return real_at(side, m)
+            finally:
+                inside[0] -= 1
+
+        def evaluate(poly, values):
+            counts["evaluate"] += inside[0] > 0
+            return real_evaluate(poly, values)
+
+        monkeypatch.setattr(StratumSide, "at", at)
+        monkeypatch.setattr(Polynomial, "evaluate", evaluate)
+        result = verify_theorem(GrassShape(3, 6), SweepConfig(grid=(Fraction(0),)))
+        assert result.checked == 980 and counts["at"] > 0
+        assert counts["evaluate"] == 0
 
 
 class TestZeroSideRule:

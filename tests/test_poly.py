@@ -47,11 +47,6 @@ class TestArithmetic:
         f = poly(ring, "x^2*y - 3*z + 1")
         assert f.evaluate([Fraction(2), Fraction(1, 2), Fraction(1)]) == Fraction(0)
 
-    def test_derivative(self, ring):
-        f = poly(ring, "x^3*y + z")
-        assert f.derivative(0) == poly(ring, "3*x^2*y")
-        assert f.derivative(2) == ring.one()
-
 
 class TestOrders:
     def test_grevlex_ranks_y_squared_above_xz(self):

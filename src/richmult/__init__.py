@@ -9,9 +9,9 @@ from .weyl import (
     chart_index_set,
     positive_root_indices,
 )
-from .poly import Polynomial, PolyRing, parse_polynomial
+from .poly import Polynomial, PolyRing
 from .groebner import PolyIdeal, normal_form, reduced_groebner_basis
-from .hilbert import HilbertData, hilbert_data, ideal_dimension, projective_degree
+from .hilbert import HilbertData, hilbert_data, ideal_dimension
 from .localmult import (
     hilbert_samuel_multiplicity,
     hilbert_samuel_series,
@@ -22,8 +22,6 @@ from .charts import (
     Chart,
     build_chart,
     c_action,
-    cell_of_point,
-    in_cell,
     is_cone_over_origin,
     opposite_ideal,
     point_from_matrix,
@@ -38,7 +36,6 @@ from .engine import (
     SweepConfig,
     SweepResult,
     build_report,
-    jacobian_corank,
     sample_points,
     verify_theorem,
 )
@@ -47,12 +44,10 @@ from .quadric import (
     QuadricShape,
     b_matrix,
     mult_opposite_quadric,
-    mult_oracle,
     mult_schubert_quadric,
     q_eval,
     quadric_report,
     quadric_sweep,
-    richardson_mult_quadric,
     singular_locus_index,
     verify_disjoint_sing,
 )

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .groebner import PolyIdeal, dedupe_normalized, reduced_groebner_basis
-from .poly import Polynomial, PolyRing, parse_polynomial
+from .poly import Polynomial, PolyRing
 from .weyl import (
     CosetRep,
     GrassShape,
@@ -153,14 +153,6 @@ def build_chart(shape: GrassShape, tau: CosetRep) -> Chart:
         ring=PolyRing(_coordinate_names("x", indices)),
         yring=PolyRing(_coordinate_names("y", indices)),
     )
-
-
-def in_cell(chart: Chart, x: AffinePoint) -> bool:
-    """Whether the point lies in the Schubert cell of the chart (all
-    positive-root coordinates vanish)."""
-    if x.chart != chart:
-        raise PointNotOnChartError("point belongs to a different chart")
-    return all(x[ix] == 0 for ix in chart.positive)
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -347,13 +339,6 @@ def _column_echelon(shape: GrassShape, matrix: Sequence[Sequence]):
     return CosetRep(shape, tuple(sorted(p + 1 for p in basis))), basis
 
 
-def cell_of_point(shape: GrassShape, matrix: Sequence[Sequence]) -> CosetRep:
-    """The stratum label of the column span: the unique tau whose rank
-    table matches dim(V intersect span(e_1..e_j)) for all j, read off
-    as the lowest rows of the span's vectors."""
-    return _column_echelon(shape, matrix)[0]
-
-
 def point_from_matrix(shape: GrassShape, matrix: Sequence[Sequence]) -> AffinePoint:
     """Convert a rank-d matrix (columns spanning the subspace) to chart
     coordinates on the chart of the cell containing it."""
@@ -393,13 +378,3 @@ def format_ideal(ideal: PolyIdeal) -> str:
         reverse=True,
     )
     return "".join(str(g) + "\n" for g in gens)
-
-
-def parse_ideal(ring: PolyRing, text: str) -> PolyIdeal:
-    gens = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line == "0":
-            continue
-        gens.append(parse_polynomial(ring, line))
-    return PolyIdeal(ring, gens)

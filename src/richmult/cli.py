@@ -121,6 +121,11 @@ def _emit(reports, fmt: str, out):
                 f"oracle={r.mu_wv_oracle} agree={r.agreement}"
             )
         text = "\n".join(lines) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out) -> None:
+    """Write the text to the file ``out``, or to stdout when it is unset."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -171,12 +176,7 @@ def cmd_equations(args) -> int:
         out.append("translated at point:")
         out.append(format_ideal(translate_to_origin(ideal, point)).rstrip("\n"))
 
-    text = "\n".join(out) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(out) + "\n", args.out)
     return 0
 
 

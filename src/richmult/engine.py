@@ -80,7 +80,7 @@ from .charts import (
     w0_relabel,
 )
 from .groebner import PolyIdeal, _support
-from .hilbert import HilbertData, ideal_dimension, ideal_hilbert_data, require_cone
+from .hilbert import HilbertData, ideal_hilbert_data, require_cone
 from .localmult import multiplicity_at_origin
 from .report import MultiplicityReport
 from .weyl import (
@@ -120,37 +120,6 @@ def _family(shape):
     Grassmannian's from ``charts`` and ``weyl``, or the module that
     defines the shape, such as ``quadric``."""
     return sys.modules[__name__ if isinstance(shape, GrassShape) else type(shape).__module__]
-
-
-def jacobian_corank(ideal: PolyIdeal, m: AffinePoint) -> int:
-    """Tangent-space dimension at m minus the dimension of the ideal's
-    variety (0 at a smooth point of the varieties considered here), read
-    off the ideal translated to m (:func:`_translated_at`).  The tangent
-    space can never be smaller than the variety, so a negative value
-    raises."""
-    _, rows = _translated_at(ideal, m, "variety")
-    return _corank(rows, ideal.ring.nvars, ideal_dimension(ideal), m)
-
-
-def _translated_at(ideal: PolyIdeal, m: AffinePoint, variety: str) -> tuple[PolyIdeal, list]:
-    """The ideal translated so that m is the origin (``translate_to_origin``,
-    which checks m's chart) and its Jacobian rows at m.  A translated
-    generator is g(y + m) times a nonzero scale c: its constant term is
-    c·g(m), so m is on the variety exactly when no translated generator
-    has one (else ``MembershipError`` names the ``variety``), and its
-    degree-one coefficients are c times the gradient of g at m, so the
-    rows have the rank of the Jacobian at m."""
-    moved = translate_to_origin(ideal, m)
-    if any(g.constant_term() for g in moved.gens):
-        raise MembershipError(f"point is not on the {variety}")
-    rows = []
-    for g in moved.gens:
-        row = [Fraction(0)] * ideal.ring.nvars
-        for e, c in g.terms.items():
-            if sum(e) == 1:
-                row[e.index(1)] = c
-        rows.append(row)
-    return moved, rows
 
 
 def _corank(rows: list[list[Fraction]], nvars: int, dim: int, m) -> int:
@@ -288,14 +257,30 @@ class StratumSide:
         """The side at m, built on first use: the engine's only point check,
         of the chart (on every call) and then of membership (once per
         support key; points with one key are on the variety together or
-        off it together).  Every fact of a new entry is read off one
-        translation of the ideal to m (:func:`_translated_at`)."""
+        off it together).
+
+        Every fact of a new entry is read off one translation of the ideal
+        to m (``translate_to_origin``).  A translated generator is g(y + m)
+        times a nonzero scale c: its constant term is c·g(m), so m is on
+        the variety exactly when no translated generator has one (else
+        ``MembershipError``), and its degree-one coefficients are c times
+        the gradient of g at m, so the rows have the rank of the Jacobian
+        at m."""
         if m.chart.ring != self.ideal.ring:
             raise PointNotOnChartError("ideal and point live on different charts")
         key = tuple(m.coords[i] for i in self.support)
         point = self._points.get(key)
         if point is None:
-            moved, rows = _translated_at(self.ideal, m, f"{self.variety} variety")
+            moved = translate_to_origin(self.ideal, m)
+            if any(g.constant_term() for g in moved.gens):
+                raise MembershipError(f"point is not on the {self.variety} variety")
+            rows = []
+            for g in moved.gens:
+                row = [Fraction(0)] * self.ideal.ring.nvars
+                for e, c in g.terms.items():
+                    if sum(e) == 1:
+                        row[e.index(1)] = c
+                rows.append(row)
             point = SidePoint(
                 moved=moved,
                 mult=multiplicity_at_origin(moved, self.hilberts),

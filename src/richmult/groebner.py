@@ -338,14 +338,8 @@ class PolyIdeal:
             self._gb = tuple(reduced_groebner_basis(self.gens))
         return self._gb
 
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.groebner()).is_zero()
-
     def leading_exponents(self) -> list:
         return [g.leading_exps() for g in self.groebner()]
-
-    def vanishes_at(self, values) -> bool:
-        return all(g.evaluate(values) == 0 for g in self.gens)
 
     def canonical_key(self):
         """Hashable identity of the ideal: ring data plus the reduced basis."""

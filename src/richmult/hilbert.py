@@ -151,10 +151,3 @@ def require_cone(ideal: PolyIdeal) -> None:
             raise ValueError(f"non-homogeneous generator: {g}")
     if ideal.is_unit():
         raise ValueError("unit ideal has no degree")
-
-
-def projective_degree(ideal: PolyIdeal) -> int:
-    """Degree of the projectivization of the cone cut out by a homogeneous
-    ideal (for dimension 0: the vector-space length of the quotient)."""
-    require_cone(ideal)
-    return ideal_hilbert_data(ideal).degree

@@ -11,7 +11,6 @@ user rings.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
@@ -121,9 +120,6 @@ class PolyRing:
         e = [0] * self.nvars
         e[i] = 1
         return Polynomial(self, {tuple(e): Fraction(1)})
-
-    def var_named(self, name: str) -> "Polynomial":
-        return self.var(self._index[name])
 
     def from_terms(self, terms: Mapping[Exps, Fraction]) -> "Polynomial":
         clean = {e: Fraction(c) for e, c in terms.items() if c != 0}
@@ -367,82 +363,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
-
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()]))"
-)
-
-
-def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """Parse the textual format produced by ``str(poly)``.
-
-    Grammar: sum of terms, each a '*'-separated product of rationals and
-    powers ``name^k``.  Unary minus is allowed at the start and after
-    '+'/'-'.
-    """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        tokens.append(m)
-        pos = m.end()
-
-    result = ring.zero()
-    sign = 1
-    factor_coeff: Optional[Fraction] = None
-    factor_exps: Optional[list] = None
-
-    def flush():
-        nonlocal result, sign, factor_coeff, factor_exps
-        if factor_coeff is None:
-            return
-        if factor_coeff != 0:
-            result = result + Polynomial(
-                ring, {tuple(factor_exps): Fraction(sign) * factor_coeff}
-            )
-        sign = 1
-        factor_coeff = None
-        factor_exps = None
-
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.group("op") in ("+", "-"):
-            flush()
-            if tok.group("op") == "-":
-                sign = -sign
-            i += 1
-            continue
-        if tok.group("op") == "*":
-            i += 1
-            continue
-        if factor_coeff is None:
-            factor_coeff = Fraction(1)
-            factor_exps = [0] * ring.nvars
-        if tok.group("num"):
-            factor_coeff *= Fraction(tok.group("num"))
-            i += 1
-            continue
-        if tok.group("name"):
-            name = tok.group("name")
-            if name not in ring._index:
-                raise ValueError(f"unknown variable {name!r}")
-            power = 1
-            if i + 2 < len(tokens) and tokens[i + 1].group("op") == "^":
-                num = tokens[i + 2].group("num")
-                if num is None or "/" in num:
-                    raise ValueError("exponent must be a nonnegative integer")
-                power = int(num)
-                i += 2
-            factor_exps[ring._index[name]] += power
-            i += 1
-            continue
-        raise ValueError(f"unexpected token {tok.group(0)!r}")
-    flush()
-    return result

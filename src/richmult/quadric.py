@@ -23,10 +23,9 @@ from itertools import product
 from typing import Optional, Sequence
 
 # w0_relabel serves the quadric's charts too: the engine reads it here.
-from .charts import AffinePoint, Chart, _coordinate_names, translate_to_origin, w0_relabel
+from .charts import AffinePoint, Chart, _coordinate_names, w0_relabel
 from .engine import ChartContext, KernelInconsistencyError, StratumInstance
 from .groebner import PolyIdeal, reduced_groebner_basis
-from .localmult import multiplicity_at_origin
 from .poly import PolyRing
 from .report import MultiplicityReport
 from .weyl import RootIndex
@@ -226,17 +225,6 @@ def _grid_points(shape: QuadricShape, grid):
             yield tuple(Fraction(c) for c in combo)
 
 
-def richardson_mult_quadric(shape: QuadricShape, i: int, j: int, x: Sequence) -> int:
-    """Product of the two closed forms; always at most 2 because the two
-    singular loci are disjoint."""
-    check_index_pair(shape, i, j)
-    # Each closed form checks that the point lies on its stratum.
-    mu = mult_schubert_quadric(shape, i, x) * mult_opposite_quadric(shape, j, x)
-    if mu > 2:
-        raise RuntimeError("singular on both one-sided varieties: impossible on a quadric")
-    return mu
-
-
 # ---------------------------------------------------------------------------
 # The quadric as an engine family: T-fixed charts and stratum ideals
 # ---------------------------------------------------------------------------
@@ -333,19 +321,6 @@ def _point(shape: QuadricShape, contexts: dict, i: int, j: int, x: Sequence,
 def _instance(shape: QuadricShape, contexts: dict, i: int, j: int, m: AffinePoint):
     """The engine's instance of (i, j) on the chart of the checked point m."""
     return StratumInstance(contexts[m.chart.tau.k], QuadricIndex(shape, i), QuadricIndex(shape, j))
-
-
-def mult_oracle(
-    shape: QuadricShape, x: Sequence, i: Optional[int] = None, j: Optional[int] = None
-) -> int:
-    """Tangent-cone multiplicity at the point of X_i, of X^j, of their
-    intersection, or of the quadric when neither is given: the engine's
-    intersection ideal on the point's T-fixed chart, translated to the
-    point (the oracle's ideal, without the sides' per-point work)."""
-    i, j, contexts = shape.ncoords if i is None else i, 1 if j is None else j, {}
-    m = _point(shape, contexts, i, j, x)[1]
-    iwv = _instance(shape, contexts, i, j, m).iwv
-    return multiplicity_at_origin(translate_to_origin(iwv, m))
 
 
 def sample_quadric_points(

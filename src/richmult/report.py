@@ -39,10 +39,6 @@ class MultiplicityReport:
         out["point"] = dict(self.point)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiplicityReport":
-        return cls(**data)
-
     def sort_key(self):
         return (
             self.family,

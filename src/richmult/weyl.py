@@ -114,11 +114,6 @@ def parse_coset(shape: GrassShape, text: str) -> CosetRep:
     return CosetRep(shape, tuple(parts))
 
 
-def parse_root_index(text: str) -> RootIndex:
-    q, p = text.strip().split(".")
-    return RootIndex(int(q), int(p))
-
-
 def _check_same_shape(a: CosetRep, b: CosetRep):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -133,14 +128,6 @@ def bruhat_leq(a: CosetRep, b: CosetRep) -> bool:
     """
     _check_same_shape(a, b)
     return all(x <= y for x, y in zip(a.entries, b.entries))
-
-
-def minimal_rep(shape: GrassShape) -> CosetRep:
-    return CosetRep(shape, tuple(range(1, shape.d + 1)))
-
-
-def maximal_rep(shape: GrassShape) -> CosetRep:
-    return CosetRep(shape, tuple(range(shape.n - shape.d + 1, shape.n + 1)))
 
 
 def all_coset_reps(shape: GrassShape) -> list[CosetRep]:

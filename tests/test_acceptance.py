@@ -39,9 +39,9 @@ from richmult.localmult import (
 from richmult.quadric import (
     QuadricShape,
     mult_opposite_quadric,
-    mult_oracle,
     mult_schubert_quadric,
     q_eval,
+    quadric_report,
     sample_quadric_points,
     schubert_member,
     singular_locus_index,
@@ -291,11 +291,13 @@ class TestCriterion7:
             cap = 2000 if n <= 3 else 25
             for i in valid:
                 for x in sample_quadric_points(shape, i, 1, (-1, 0, 1), limit=cap):
-                    assert mult_schubert_quadric(shape, i, x) == mult_oracle(shape, x, i=i)
+                    report = quadric_report(shape, i, 1, x)
+                    assert mult_schubert_quadric(shape, i, x) == report.mu_wv_oracle
                     grid_checked += 1
             for j in valid:
                 for x in sample_quadric_points(shape, N, j, (-1, 0, 1), limit=cap):
-                    assert mult_opposite_quadric(shape, j, x) == mult_oracle(shape, x, j=j)
+                    report = quadric_report(shape, N, j, x)
+                    assert mult_opposite_quadric(shape, j, x) == report.mu_wv_oracle
                     grid_checked += 1
             # Singular locus against the Jacobian criterion on small grids.
             for i in valid:

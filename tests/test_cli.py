@@ -6,9 +6,11 @@ import json
 import pytest
 
 from richmult.cli import main
-from richmult.charts import build_chart, parse_ideal
+from richmult.charts import build_chart
 from richmult.localmult import OracleBudgetError
 from richmult.weyl import CosetRep, GrassShape
+
+from polytext import parse_ideal
 
 DEMO_GOLDEN = """chart tau=256
 indices: 1.2 1.5 1.6 3.2 3.5 3.6 4.2 4.5 4.6 7.2 7.5 7.6
@@ -121,6 +123,27 @@ class TestEquations:
         text = "\n".join(line for line in block if line and "=" not in line and ":" not in line)
         parsed = parse_ideal(chart.ring, text)
         assert [str(g) for g in parsed.gens] == ["x_1_4", "x_5_2"]
+
+    def test_out_file_holds_the_printed_bytes(self, capsys, tmp_path, demo_point_file):
+        args = ["equations", "--d", "3", "--n", "7", "--w", "356", "--v", "125",
+                "--point", demo_point_file]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "equations.txt"
+        assert main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
+    @pytest.mark.parametrize("args", [
+        ["equations", "--d", "2", "--n", "4", "--tau", "12", "--w", "34"],
+        ["mult", "--d", "2", "--n", "4", "--w", "34", "--v", "12", "--tau", "12"],
+    ], ids=["equations", "mult"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, args):
+        """Both writers share one path: a directory given as ``--out``
+        exits 2 with one error line."""
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_violated_inequality_reported(self, capsys):
         code = main(["equations", "--d", "2", "--n", "4", "--tau", "24", "--w", "13"])

@@ -6,15 +6,23 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from richmult.engine import StratumSide
 from richmult.groebner import PolyIdeal
 from richmult.hilbert import (
     hilbert_data,
     ideal_dimension,
     ideal_hilbert_data,
     minimalize_monomials,
-    projective_degree,
 )
-from richmult.poly import PolyRing, mono_divides, parse_polynomial
+from richmult.poly import PolyRing, mono_divides
+
+from polytext import parse_polynomial
+
+
+def projective_degree(ideal):
+    """The degree of the projective variety of a homogeneous ideal, as a
+    stratum side reads it: one Hilbert numerator, after the cone check."""
+    return StratumSide(ideal, "cone", {}).degree
 
 
 def monomials_of_degree(nvars, deg):

@@ -18,7 +18,9 @@ from richmult.localmult import (
     hilbert_samuel_series,
     multiplicity_at_origin,
 )
-from richmult.poly import PolyRing, mono_deg, mono_mul, parse_polynomial
+from richmult.poly import PolyRing, mono_deg, mono_mul
+
+from polytext import parse_polynomial
 
 
 def ideal(ring, *texts):

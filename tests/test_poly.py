@@ -11,8 +11,9 @@ from richmult.poly import (
     GREVLEX,
     Polynomial,
     PolyRing,
-    parse_polynomial,
 )
+
+from polytext import parse_polynomial
 
 
 @pytest.fixture

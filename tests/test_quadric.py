@@ -13,6 +13,7 @@ from richmult.charts import translate_to_origin
 from richmult.cli import main
 from richmult.engine import ChartContext, KernelInconsistencyError, StratumInstance
 from richmult.groebner import PolyIdeal, reduced_groebner_basis
+from richmult.localmult import multiplicity_at_origin
 from richmult.poly import PolyRing
 from richmult.quadric import (
     QuadricIndex,
@@ -22,13 +23,11 @@ from richmult.quadric import (
     check_index_pair,
     check_schubert_index,
     mult_opposite_quadric,
-    mult_oracle,
     mult_schubert_quadric,
     opposite_member,
     q_eval,
     quadric_report,
     quadric_sweep,
-    richardson_mult_quadric,
     sample_quadric_points,
     schubert_member,
     singular_locus_index,
@@ -121,7 +120,7 @@ class TestClosedForms:
         x = (Fraction(-1, 2), Fraction(-1, 2), Fraction(-1), Fraction(1), Fraction(0))
         assert q_eval(shape, x) == 0
         assert mult_schubert_quadric(shape, 4, x) == 1
-        assert mult_oracle(shape, x, i=4) == 1
+        assert quadric_report(shape, 4, 1, x).mu_wv_oracle == 1
 
     def test_membership_enforced(self):
         shape = QuadricShape(2)
@@ -140,10 +139,12 @@ class TestClosedForms:
         valid = [k for k in range(1, shape.ncoords + 1) if k != n + 1]
         for i in valid:
             for x in sample_quadric_points(shape, i, 1, (-1, 0, 1), limit=25):
-                assert mult_schubert_quadric(shape, i, x) == mult_oracle(shape, x, i=i)
+                report = quadric_report(shape, i, 1, x)
+                assert mult_schubert_quadric(shape, i, x) == report.mu_wv_oracle
         for j in valid:
             for x in sample_quadric_points(shape, shape.ncoords, j, (-1, 0, 1), limit=25):
-                assert mult_opposite_quadric(shape, j, x) == mult_oracle(shape, x, j=j)
+                top = quadric_report(shape, shape.ncoords, j, x)
+                assert mult_opposite_quadric(shape, j, x) == top.mu_wv_oracle
 
 
 class TestSingularLocus:
@@ -266,18 +267,17 @@ class TestIndexPair:
 
     @pytest.mark.parametrize("indices", [{"i": 3}, {"i": 9}, {"j": 0}, {"i": 2, "j": 3}])
     def test_oracle_rejects_indices_naming_no_stratum(self, indices):
+        """A missing i is the whole quadric's 2n+1, a missing j its 1."""
         shape = QuadricShape(2)
+        i, j = indices.get("i", shape.ncoords), indices.get("j", 1)
         with pytest.raises(ValueError, match="index must lie in"):
-            mult_oracle(shape, unit(shape, 1), **indices)
+            quadric_report(shape, i, j, unit(shape, 1))
 
     @pytest.mark.parametrize("call", [
-        lambda shape, x: mult_oracle(shape, x, i=1, j=5),
         lambda shape, x: quadric_report(shape, 1, 5, x),
-        lambda shape, x: richardson_mult_quadric(shape, 1, 5, x),
         lambda shape, x: verify_disjoint_sing(shape, 1, 5),
         lambda shape, x: sample_quadric_points(shape, 1, 5, (-1, 0, 1)),
-    ], ids=["mult_oracle", "quadric_report", "richardson_mult_quadric",
-            "verify_disjoint_sing", "sample_quadric_points"])
+    ], ids=["quadric_report", "verify_disjoint_sing", "sample_quadric_points"])
     def test_pair_out_of_order_rejected(self, call):
         shape = QuadricShape(2)
         with pytest.raises(ValueError, match="need j <= i"):
@@ -288,12 +288,15 @@ class TestRichardson:
     def test_smooth_times_smooth(self):
         shape = QuadricShape(2)
         x = (0, 1, 2, -2, 0)
-        assert richardson_mult_quadric(shape, 4, 2, x) == 1
+        report = quadric_report(shape, 4, 2, x)
+        assert report.mu_wv_fast == report.mu_wv_oracle == 1
 
     def test_singular_on_one_side(self):
         shape = QuadricShape(2)
         x = unit(shape, 1)
-        assert richardson_mult_quadric(shape, 4, 1, x) == 2
+        report = quadric_report(shape, 4, 1, x)
+        assert (report.mu_w, report.mu_v) == (2, 1)
+        assert report.mu_wv_fast == report.mu_wv_oracle == 2
 
     def test_never_four_across_sweep(self):
         shape = QuadricShape(2)
@@ -338,28 +341,17 @@ class TestRichardson:
             assert [g.terms for g in oracle.groebner()] == [g.terms for g in direct.groebner()]
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_oracle_takes_one_multiplicity(self, monkeypatch, n):
-        """At every report point ``mult_oracle`` reads one multiplicity, that
-        of the translated intersection, and it equals the engine's oracle
-        value there."""
-        shape, contexts, calls = QuadricShape(n), {}, []
-        reports = quadric_sweep(shape)
-        real = quadric.multiplicity_at_origin
-
-        def counted(ideal, *table):
-            calls.append(ideal)
-            return real(ideal, *table)
-
-        for module in (engine, quadric):
-            monkeypatch.setattr(module, "multiplicity_at_origin", counted)
-        for r in reports:
+    def test_oracle_takes_one_multiplicity(self, n):
+        """At every report point the engine's oracle value is one
+        multiplicity, that of the intersection translated to the point."""
+        shape, contexts = QuadricShape(n), {}
+        for r in quadric_sweep(shape):
             i, j = int(r.w), int(r.v)
             vec = tuple(Fraction(r.point[f"x{k}"]) for k in range(1, shape.ncoords + 1))
-            calls.clear()
-            value = mult_oracle(shape, vec, i=i, j=j)
-            assert len(calls) == 1
             m = quadric._point(shape, contexts, i, j, vec)[1]
-            assert value == quadric._instance(shape, contexts, i, j, m).at(m)[2]
+            inst = quadric._instance(shape, contexts, i, j, m)
+            value = multiplicity_at_origin(translate_to_origin(inst.iwv, m))
+            assert value == inst.at(m)[2] == r.mu_wv_oracle
 
     def test_no_basis_run_on_a_translated_ideal(self, monkeypatch):
         """In a sweep Buchberger runs for Schubert side builds, once per

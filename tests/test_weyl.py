@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from richmult.charts import AffinePoint, build_chart
 from richmult.weyl import (
     CosetRep,
     GrassShape,
@@ -13,10 +14,7 @@ from richmult.weyl import (
     bruhat_leq,
     chart_index_set,
     format_coset,
-    maximal_rep,
-    minimal_rep,
     parse_coset,
-    parse_root_index,
     positive_root_indices,
     w0_dual,
 )
@@ -24,6 +22,16 @@ from richmult.weyl import (
 
 def rep(d, n, *entries):
     return CosetRep(GrassShape(d, n), tuple(entries))
+
+
+def minimal_rep(shape):
+    """The lowest stratum label, the first of the lexicographic list."""
+    return all_coset_reps(shape)[0]
+
+
+def maximal_rep(shape):
+    """The highest stratum label, the last of the lexicographic list."""
+    return all_coset_reps(shape)[-1]
 
 
 class TestShapes:
@@ -47,7 +55,9 @@ class TestShapes:
 
     def test_length(self):
         assert rep(3, 7, 2, 5, 6).length() == 7
+        assert minimal_rep(GrassShape(3, 7)) == rep(3, 7, 1, 2, 3)
         assert minimal_rep(GrassShape(3, 7)).length() == 0
+        assert maximal_rep(GrassShape(3, 7)) == rep(3, 7, 5, 6, 7)
         assert maximal_rep(GrassShape(3, 7)).length() == 12
 
 
@@ -147,7 +157,10 @@ class TestSerialization:
 
     def test_root_index(self):
         assert str(RootIndex(7, 5)) == "7.5"
-        assert parse_root_index("7.5") == RootIndex(7, 5)
+        chart = build_chart(GrassShape(3, 7), rep(3, 7, 2, 5, 6))
+        point = AffinePoint.from_json_dict(chart, {"7.5": "3"})
+        assert point[RootIndex(7, 5)] == 3
+        assert point.to_json_dict()["7.5"] == "3"
 
 
 class TestLongestElement:

@@ -57,9 +57,6 @@ class Chart:
     ring: PolyRing = field(compare=False)
     yring: PolyRing = field(compare=False)
 
-    def index_position(self, ix: RootIndex) -> int:
-        return self.indices.index(ix)
-
     def origin(self) -> "AffinePoint":
         return AffinePoint(self, (Fraction(0),) * len(self.indices))
 
@@ -80,25 +77,14 @@ class Chart:
             rows.append(row)
         return rows
 
-    def point(self, coords) -> "AffinePoint":
-        """Build a point from a mapping RootIndex -> rational or a sequence
-        aligned with the chart's index order."""
-        if isinstance(coords, dict):
-            normalized = {}
-            for key, value in coords.items():
-                ix = key if isinstance(key, RootIndex) else RootIndex(*key)
-                normalized[ix] = Fraction(value)
-            unknown = set(normalized) - set(self.indices)
-            if unknown:
-                raise PointNotOnChartError(f"indices not on chart: {sorted(unknown)}")
-            vec = tuple(normalized.get(ix, Fraction(0)) for ix in self.indices)
-        else:
-            vec = tuple(Fraction(v) for v in coords)
-            if len(vec) != len(self.indices):
-                raise PointNotOnChartError(
-                    f"expected {len(self.indices)} coordinates, got {len(vec)}"
-                )
-        return AffinePoint(self, vec)
+    def point(self, coords: dict) -> "AffinePoint":
+        """The point whose coordinates are given by a mapping RootIndex ->
+        rational; an index the mapping leaves out reads 0.  A key that is
+        not an index of the chart raises ``PointNotOnChartError``."""
+        unknown = set(coords) - set(self.indices)
+        if unknown:
+            raise PointNotOnChartError(f"indices not on chart: {sorted(unknown)}")
+        return AffinePoint(self, tuple(Fraction(coords.get(ix, 0)) for ix in self.indices))
 
 
 @dataclass(frozen=True)
@@ -107,11 +93,6 @@ class AffinePoint:
 
     chart: Chart
     coords: tuple[Fraction, ...]
-
-    def __getitem__(self, ix) -> Fraction:
-        if not isinstance(ix, RootIndex):
-            ix = RootIndex(*ix)
-        return self.coords[self.chart.index_position(ix)]
 
     def is_origin(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -253,20 +234,19 @@ def richardson_ideal(chart: Chart, w: CosetRep, v: CosetRep) -> PolyIdeal:
     return schubert_ideal(chart, w) + opposite_ideal(chart, v)
 
 
-def translate_to_origin(ideal: PolyIdeal, m) -> PolyIdeal:
-    """Substitute x = y + m, mapping m to the origin: of the chart's
-    y-coordinates for a chart point, of the ideal's ring for a tuple.
+def translate_to_origin(ideal: PolyIdeal, m: AffinePoint) -> PolyIdeal:
+    """Substitute x = y + m, mapping the chart point m to the origin: an
+    ideal of the x-coordinates of m's chart becomes one of its
+    y-coordinates.  An ideal of any other ring, an already translated one
+    too, raises ``PointNotOnChartError``.
 
     The generators are the input's, shifted and made primitive.  The
     result keeps a reduced basis exactly when the input is built on one
     (stratum ideals and their sums are): the input's basis, translated
     without a Buchberger run.  Translation never starts one."""
-    ring, coords = ideal.ring, m
-    if isinstance(m, AffinePoint):
-        if ideal.ring not in (m.chart.ring, m.chart.yring):
-            raise PointNotOnChartError("ideal and point live on different charts")
-        ring, coords = m.chart.yring, m.coords
-    return ideal.translated(coords, ring)
+    if ideal.ring != m.chart.ring:
+        raise PointNotOnChartError("ideal and point live on different charts")
+    return ideal.translated(m.coords, m.chart.yring)
 
 
 def c_action(xi: Fraction, x: AffinePoint, m: AffinePoint) -> AffinePoint:

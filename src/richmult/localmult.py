@@ -30,7 +30,7 @@ from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .groebner import PolyIdeal, reduced_groebner_basis
+from .groebner import PolyIdeal, _support, reduced_groebner_basis
 from .hilbert import hilbert_data
 from .poly import PolyRing, mono_deg
 
@@ -95,10 +95,10 @@ def multiplicity_at_origin(ideal: PolyIdeal, table: Optional[dict] = None) -> in
 # ---------------------------------------------------------------------------
 
 
-def hilbert_samuel_series(
-    ideal: PolyIdeal, k_max: int, max_columns: int = _MAX_COLUMNS
-) -> list[int]:
+def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
     """[dim k[x]/(I + m^k) for k = 1..k_max], by exact linear algebra.
+    More columns than ``_MAX_COLUMNS``, the budget read at each call,
+    raise ``OracleBudgetError``.
 
     Columns are the monomials of degree < k_max graded by degree; rows are
     the truncations of monomial multiples of the generators.  One leftmost-
@@ -147,10 +147,8 @@ def hilbert_samuel_series(
         # No relations: the quotient dimension is the monomial count itself.
         return _series([0] * k_max, n)
     ncols = comb(k_max - 1 + n, n)
-    if ncols > max_columns:
-        raise OracleBudgetError(
-            f"{ncols} columns exceed the budget of {max_columns}"
-        )
+    if ncols > _MAX_COLUMNS:
+        raise OracleBudgetError(f"{ncols} columns exceed the budget of {_MAX_COLUMNS}")
     weights = [k_max**i for i in range(n)]
     # Each generator as integer terms (degree, code, coefficient) of degree
     # < k_max, lowest degree first; higher terms never reach a column.
@@ -276,9 +274,7 @@ def _restrict_to_used_variables(ideal: PolyIdeal, local_dim: int):
     free smooth factor of the local ring, which changes the dimension by
     their number and leaves the multiplicity alone."""
     ring = ideal.ring
-    used = sorted(
-        {i for g in ideal.gens for e in g.terms for i, k in enumerate(e) if k}
-    )
+    used = sorted(_support(ideal.gens))
     if len(used) == ring.nvars:
         return ideal, local_dim
     free = ring.nvars - len(used)

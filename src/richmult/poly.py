@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 GREVLEX = "grevlex"
 # Graded order on a homogenized ring: total degree first, then the
@@ -61,7 +61,7 @@ def minimalize_monomials(gens: Iterable[Exps]) -> list[Exps]:
 class PolyRing:
     """A polynomial ring: variable names plus a graded term order."""
 
-    __slots__ = ("names", "order", "nvars", "_index", "_zero_exps", "_key")
+    __slots__ = ("names", "order", "nvars", "_zero_exps", "_key")
 
     def __init__(self, names: Sequence[str], order: str = GREVLEX, _internal: bool = False):
         names = tuple(names)
@@ -76,7 +76,6 @@ class PolyRing:
         self.names = names
         self.order = order
         self.nvars = len(names)
-        self._index = {nm: i for i, nm in enumerate(names)}
         self._zero_exps = (0,) * self.nvars
         self._key = self._key_grevlex if order == GREVLEX else self._key_cone
 
@@ -201,9 +200,6 @@ class Polynomial:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -265,10 +261,9 @@ class Polynomial:
             total += v
         return total
 
-    def shift(self, offsets: Sequence[Fraction], target: Optional[PolyRing] = None) -> "Polynomial":
-        """Substitute x_i -> x_i + offsets[i], optionally landing in a ring
-        with different names (same order and arity)."""
-        ring = target if target is not None else self.ring
+    def shift(self, offsets: Sequence[Fraction], ring: PolyRing) -> "Polynomial":
+        """Substitute x_i -> x_i + offsets[i], landing in ``ring``: one of
+        the same order and arity, whose names may differ."""
         if not ring.nvars == self.ring.nvars == len(offsets):
             raise ValueError("ring or offset arity mismatch")
         moving = {i: Fraction(o) for i, o in enumerate(offsets) if o}

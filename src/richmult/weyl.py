@@ -77,9 +77,6 @@ class CosetRep:
     def __str__(self):
         return format_coset(self)
 
-    def __contains__(self, value: int) -> bool:
-        return value in self.entries
-
 
 class RootIndex(NamedTuple):
     """Chart coordinate label (q, p): q a non-pivot row, p a pivot row.

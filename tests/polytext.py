@@ -23,6 +23,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     powers ``name^k``.  Unary minus is allowed at the start and after
     '+'/'-'.
     """
+    index = {name: i for i, name in enumerate(ring.names)}
     tokens = []
     pos = 0
     while pos < len(text):
@@ -72,7 +73,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             continue
         if tok.group("name"):
             name = tok.group("name")
-            if name not in ring._index:
+            if name not in index:
                 raise ValueError(f"unknown variable {name!r}")
             power = 1
             if i + 2 < len(tokens) and tokens[i + 1].group("op") == "^":
@@ -81,7 +82,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                     raise ValueError("exponent must be a nonnegative integer")
                 power = int(num)
                 i += 2
-            factor_exps[ring._index[name]] += power
+            factor_exps[index[name]] += power
             i += 1
             continue
         raise ValueError(f"unexpected token {tok.group(0)!r}")

@@ -35,7 +35,7 @@ from richmult.charts import (
 from richmult.groebner import PolyIdeal, dedupe_normalized, normal_form, reduced_groebner_basis
 from richmult.hilbert import ideal_dimension
 from richmult.poly import Polynomial, PolyRing
-from richmult.weyl import CosetRep, GrassShape, all_coset_reps, bruhat_leq, w0_dual
+from richmult.weyl import CosetRep, GrassShape, RootIndex, all_coset_reps, bruhat_leq, w0_dual
 
 from polytext import parse_ideal, parse_polynomial
 
@@ -67,7 +67,7 @@ def in_cell(chart, x) -> bool:
     """Whether x, a point of the chart, lies in its cell: every
     positive-root coordinate is zero."""
     assert x.chart == chart
-    return all(x[ix] == 0 for ix in chart.positive)
+    return all(c == 0 for ix, c in zip(chart.indices, x.coords) if ix in chart.positive)
 
 
 def cell_of_point(shape, matrix) -> CosetRep:
@@ -351,7 +351,7 @@ class TestInCell:
     def test_positive_coordinate_breaks_cell(self):
         point = point_from_matrix(DEMO_SHAPE, DEMO_MATRIX)
         coords = dict(zip(point.chart.indices, point.coords))
-        coords[(7, 2)] = Fraction(1)
+        coords[RootIndex(7, 2)] = Fraction(1)
         moved = point.chart.point(coords)
         assert not in_cell(point.chart, moved)
 
@@ -725,6 +725,14 @@ class TestTranslation:
                 Polynomial(chart.yring, g.terms).primitive().terms for g in ideal.gens
             ]
 
+    def test_translated_ideal_is_refused(self):
+        """A translated ideal lives on the chart's y-coordinates, so
+        translating it again raises instead of moving it a second time."""
+        point = point_from_matrix(DEMO_SHAPE, DEMO_MATRIX)
+        moved = translate_to_origin(opposite_ideal(point.chart, DEMO_V), point)
+        with pytest.raises(PointNotOnChartError, match="different charts"):
+            translate_to_origin(moved, point)
+
     def test_substitution_identity(self):
         """g(z) equals the m-shifted generator evaluated at z - m."""
         chart = build_chart(DEMO_SHAPE, DEMO_TAU)
@@ -754,12 +762,12 @@ class TestActions:
         self.ideal = schubert_ideal(self.chart, self.w)
 
     def test_zero_coefficient_is_identity(self):
-        x = self.chart.point({(2, 1): 1, (4, 3): 2})
+        x = self.chart.point({RootIndex(2, 1): 1, RootIndex(4, 3): 2})
         m = self.chart.origin()
         assert c_action(0, x, m) == x
 
     def test_full_step_reaches_origin(self):
-        x = self.chart.point({(2, 1): 1, (4, 3): 2})
+        x = self.chart.point({RootIndex(2, 1): 1, RootIndex(4, 3): 2})
         assert c_action(1, x, x).is_origin()
 
     def test_group_law(self):
@@ -793,7 +801,7 @@ class TestActions:
             checked += 1
 
     def test_scale_identity_and_zero(self):
-        x = self.chart.point({(2, 1): 1, (4, 3): 2})
+        x = self.chart.point({RootIndex(2, 1): 1, RootIndex(4, 3): 2})
         assert scale_action(1, x) == x
         assert scale_action(0, x).is_origin()
 

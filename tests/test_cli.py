@@ -646,6 +646,18 @@ def test_coordinate_key_not_q_dot_p_exits_2(capsys, tmp_path, key):
     assert captured.err == f"error: coordinate key {key!r} is not of the form q.p\n"
 
 
+def test_coordinate_not_on_chart_exits_2(capsys, tmp_path):
+    """A key of the form q.p that names no coordinate of the chart (1.2 is
+    a pivot pair of tau = 12) is bad input, and the error names it."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"coords": {"3.1": "1", "1.2": "1"}}))
+    args = ["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "12"]
+    assert main(args + ["--point", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: indices not on chart: [RootIndex(q=1, p=2)]\n"
+
+
 @pytest.mark.parametrize("coords", [
     {"2.1": "1", "02.1": "0"},
     {"02.1": "0", "2.1": "1"},

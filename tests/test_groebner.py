@@ -19,7 +19,7 @@ from richmult.groebner import (
     s_polynomial,
 )
 from richmult import charts, groebner, localmult
-from richmult.charts import build_chart, opposite_ideal, schubert_ideal, translate_to_origin
+from richmult.charts import build_chart, opposite_ideal, schubert_ideal
 from richmult.hilbert import ideal_dimension, ideal_hilbert_data
 from richmult.localmult import multiplicity_at_origin
 from richmult.poly import (
@@ -525,7 +525,7 @@ class TestTranslatedBasis:
         basis = reduced_groebner_basis(gens)
         built = PolyIdeal.of_basis(ring, basis)
         for into, moved in (
-            (ring, translate_to_origin(built, tuple(offsets))),
+            (ring, built.translated(offsets, ring)),
             (target, built.translated(offsets, target)),
         ):
             expected = reduced_groebner_basis([g.shift(offsets, into) for g in gens])
@@ -539,11 +539,12 @@ class TestTranslatedBasis:
         # gives an ideal that keeps a basis.
         computed = PolyIdeal(ring, gens)
         computed.groebner()
-        expected = [str(g) for g in reduced_groebner_basis([g.shift(offsets) for g in gens])]
+        expected = [str(g) for g in reduced_groebner_basis([g.shift(offsets, ring) for g in gens])]
         for ideal in (built, computed, PolyIdeal(ring, gens)):
-            moved = translate_to_origin(ideal, tuple(offsets))
+            moved = ideal.translated(offsets, ring)
             assert [g.terms for g in moved.gens] == [
-                g.shift(offsets).primitive().terms for g in ideal.gens if not g.shift(offsets).is_zero()
+                g.shift(offsets, ring).primitive().terms
+                for g in ideal.gens if not g.shift(offsets, ring).is_zero()
             ]
             assert (moved._gb is None) == (ideal is not built)
             assert [str(g) for g in moved.groebner()] == expected
@@ -558,9 +559,9 @@ class TestTranslatedBasis:
         computed.groebner()
         fresh = PolyIdeal(xy, gens)
         calls = _count_basis_runs(monkeypatch)
-        assert len(translate_to_origin(built, (1, -2)).groebner()) == 3
+        assert len(built.translated((1, -2), xy).groebner()) == 3
         assert calls == []
-        moved = [translate_to_origin(ideal, (1, -2)) for ideal in (computed, fresh)]
+        moved = [ideal.translated((1, -2), xy) for ideal in (computed, fresh)]
         assert calls == []
         assert len(moved[0].groebner()) == 3
         assert len(calls) == 1
@@ -629,8 +630,8 @@ class TestSum:
         assert [str(g) for g in total.groebner()] == [str(g) for g in expected]
 
         # Translating the sum is summing the translations.
-        moved = translate_to_origin(total, offsets)
-        assembled = translate_to_origin(a, offsets) + translate_to_origin(b, offsets)
+        moved = total.translated(offsets, ring)
+        assembled = a.translated(offsets, ring) + b.translated(offsets, ring)
         assert [g.terms for g in moved.gens] == [g.terms for g in assembled.gens]
         assert [str(g) for g in moved.groebner()] == [str(g) for g in assembled.groebner()]
         assert [str(g) for g in moved.groebner()] == [

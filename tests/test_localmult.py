@@ -265,14 +265,20 @@ class TestHilbertSamuelSeries:
             permuted = PolyIdeal(target.ring, list(gens))
             assert hilbert_samuel_series(permuted, k_max) == _reference_series(permuted, k_max)
 
-    def test_column_budget_is_inclusive(self, xyz):
+    def test_column_budget_is_inclusive(self, xyz, monkeypatch):
+        """The budget is read at each call: a series of exactly the budget's
+        columns runs, and one column more raises."""
+        from richmult import localmult
+
         target = ideal(xyz, "x*y - z^3", "y^2 + x*z")
         k_max = 6
         ncols = comb(k_max - 1 + 3, 3)
-        series = hilbert_samuel_series(target, k_max, max_columns=ncols)
+        monkeypatch.setattr(localmult, "_MAX_COLUMNS", ncols)
+        series = hilbert_samuel_series(target, k_max)
         assert series == _reference_series(target, k_max)
+        monkeypatch.setattr(localmult, "_MAX_COLUMNS", ncols - 1)
         with pytest.raises(OracleBudgetError, match=f"{ncols} columns exceed the budget of {ncols - 1}"):
-            hilbert_samuel_series(target, k_max, max_columns=ncols - 1)
+            hilbert_samuel_series(target, k_max)
 
     def test_budget_checked_before_enumeration(self):
         """comb(41, 12), about 7.9e9 columns: enumerating them first would
@@ -329,7 +335,7 @@ class TestOracleAgainstTangentCone:
         # Multiplicity 2 at a singular point reached after translation.
         ring = PolyRing(("a", "b", "c", "d"))
         f = parse_polynomial(ring, "a*d - b*c")
-        shifted = f.shift([1, 0, 0, 0])  # smooth point of the same cone
+        shifted = f.shift([1, 0, 0, 0], ring)  # smooth point of the same cone
         target = PolyIdeal(ring, [shifted])
         assert multiplicity_at_origin(target) == 1
         assert hilbert_samuel_multiplicity(target, ideal_dimension(target)) == 1
@@ -340,9 +346,9 @@ class TestOracleAgainstTangentCone:
 
         windows = []
 
-        def series(target, k_max, **budget):
+        def series(target, k_max):
             windows.append(k_max)
-            return hilbert_samuel_series(target, k_max, **budget)
+            return hilbert_samuel_series(target, k_max)
 
         monkeypatch.setattr(localmult, "hilbert_samuel_series", series)
         monkeypatch.setattr(localmult, "fit_leading_coefficient", lambda values, dim: None)

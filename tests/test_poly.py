@@ -35,9 +35,9 @@ class TestArithmetic:
         f = poly(ring, "x + y")
         assert str(f * f) == "x^2 + 2*x*y + y^2"
 
-    def test_pow(self, ring):
+    def test_cube(self, ring):
         f = poly(ring, "x - 1")
-        assert f**3 == poly(ring, "x^3 - 3*x^2 + 3*x - 1")
+        assert f * f * f == poly(ring, "x^3 - 3*x^2 + 3*x - 1")
 
     def test_scalar(self, ring):
         f = poly(ring, "x")
@@ -105,7 +105,7 @@ class TestStructure:
             )
             m = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(3)]
             z = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(3)]
-            shifted = f.shift(m)
+            shifted = f.shift(m, ring)
             assert shifted.evaluate([a - b for a, b in zip(z, m)]) == f.evaluate(z)
 
 

@@ -159,7 +159,7 @@ class TestSerialization:
         assert str(RootIndex(7, 5)) == "7.5"
         chart = build_chart(GrassShape(3, 7), rep(3, 7, 2, 5, 6))
         point = AffinePoint.from_json_dict(chart, {"7.5": "3"})
-        assert point[RootIndex(7, 5)] == 3
+        assert dict(zip(chart.indices, point.coords))[RootIndex(7, 5)] == 3
         assert point.to_json_dict()["7.5"] == "3"
 
 

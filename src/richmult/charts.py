@@ -83,7 +83,8 @@ class Chart:
         not an index of the chart raises ``PointNotOnChartError``."""
         unknown = set(coords) - set(self.indices)
         if unknown:
-            raise PointNotOnChartError(f"indices not on chart: {sorted(unknown)}")
+            names = ", ".join(str(ix) for ix in sorted(unknown))
+            raise PointNotOnChartError(f"indices not on chart: {names}")
         return AffinePoint(self, tuple(Fraction(coords.get(ix, 0)) for ix in self.indices))
 
 

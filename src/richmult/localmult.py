@@ -18,10 +18,11 @@ the leading coefficient of the eventual polynomial in k by finite
 differences.  Its columns are monomials packed into integer codes, and
 its rows are eliminated fraction-free over the integers.  A row whose
 multiplier is a pivot column of the earlier generators' rows is skipped
-before it is built: it adds nothing to the row space.  An ideal of one
-generator needs no elimination: its pivots are counted in closed form.
-It shares no code path with the tangent-cone degree beyond polynomial
-arithmetic.
+before it is built: it adds nothing to the row space.  A new pivot row is
+kept as its multiplier and generator until a later row reads it.  An
+ideal of one generator needs no elimination: its pivots are counted in
+closed form.  It shares no code path with the tangent-cone degree beyond
+polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -110,17 +111,23 @@ def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
     the codes of two monomials whose product has degree < k_max never
     carries: it gives the product's code, and ``col_of`` maps it to a
     column.  Rows hold integers: each generator's terms of degree < k_max
-    are scaled to coprime integers, which leaves the row space unchanged
-    and makes a row that was neither truncated nor reduced primitive
-    already; each pivot row is stored primitive with a positive lead p, and
-    a row with lead f is reduced as row * (p/g) - (f/g) * pivot with
-    g = gcd(p, f).
+    are scaled to coprime integers, which leaves the row space unchanged;
+    each pivot row is stored primitive with a positive lead p, and a row
+    with lead f is reduced as row * (p/g) - (f/g) * pivot with g = gcd(p, f).
 
     Neither choice can change the result.  The set of leading positions of
     a row space does not depend on how the space is reduced, and the rank
     of the degree-< k truncation counts those positions in the degree-< k
     columns.  So the series depends only on the columns being graded by
     degree, not on their order within a degree or on the arithmetic used.
+
+    Nor can building a row only when it is read.  Columns within a degree
+    are in lex order, a monomial order with lowest degree first, so the
+    lead of x^a * g is x^a times g's least-column term (not its least-code
+    term), which truncation never drops.  A row whose lead column is taken
+    is built and reduced.  One whose lead column is free is recorded there
+    as (multiplier, generator), the pivot an eager elimination makes, and
+    is built, primitive with a positive lead, when a reduction reaches it.
 
     Nor can skipping rows that add nothing to the row space (the F5
     criterion, Faugere 2002).  Before the rows of generator g are
@@ -194,7 +201,19 @@ def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
         start = end
     col_of = {code: col for col, code in enumerate(codes)}
 
-    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    def row_of(j, terms):
+        a, room = codes[j], k_max - degs[j]
+        return {col_of[a + code]: c for deg, code, c in terms if deg < room}
+
+    def store(lead, row):
+        content = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+        if content != 1:
+            row = {col: v // content for col, v in row.items()}
+        pivots[lead] = pivot = (row.pop(lead), row)
+        return pivot
+
+    # Column -> (lead, rest of the row), or (multiplier index, terms) unread.
+    pivots: dict[int, tuple] = {}
     # marked[j]: column j is a pivot of the earlier generators' rows, so
     # the current generator's row with multiplier codes[j] is redundant.
     marked, fresh = bytearray(ncols), []
@@ -202,27 +221,28 @@ def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
         for col in fresh:
             marked[col] = 1
         fresh = []
+        lead_code = min(terms, key=lambda t: col_of[t[1]])[1]
         for j in range(comb(k_max - 1 - terms[0][0] + n, n)):
             if marked[j]:
                 continue
-            a, room = codes[j], k_max - degs[j]
-            row = {col_of[a + code]: c for deg, code, c in terms if deg < room}
-            primitive = len(row) == len(terms)
+            lead = col_of[codes[j] + lead_code]
+            if lead not in pivots:
+                pivots[lead] = (j, terms)
+                fresh.append(lead)
+                pivot_deg[degs[lead]] += 1
+                continue
+            row = row_of(j, terms)
             while row:
                 lead = min(row)
                 pivot = pivots.get(lead)
                 if pivot is None:
-                    content = 1 if primitive else gcd(*row.values())
-                    if row[lead] < 0:
-                        content = -content
-                    if content != 1:
-                        row = {col: v // content for col, v in row.items()}
-                    pivots[lead] = (row.pop(lead), row)
+                    store(lead, row)
                     fresh.append(lead)
                     pivot_deg[degs[lead]] += 1
                     break
                 p, rest = pivot
-                primitive = False
+                if type(rest) is list:
+                    p, rest = store(lead, row_of(p, rest))
                 f = row.pop(lead)
                 g = gcd(p, f)
                 if g != p:

@@ -655,7 +655,7 @@ def test_coordinate_not_on_chart_exits_2(capsys, tmp_path):
     assert main(args + ["--point", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: indices not on chart: [RootIndex(q=1, p=2)]\n"
+    assert captured.err == "error: indices not on chart: 1.2\n"
 
 
 @pytest.mark.parametrize("coords", [

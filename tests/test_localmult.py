@@ -1,5 +1,8 @@
 """Tangent cones, multiplicity at the origin, the Hilbert-Samuel oracle."""
 
+import os
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -8,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from richmult.charts import build_chart, opposite_ideal, richardson_ideal, schubert_ideal, translate_to_origin
+from richmult.engine import enumerate_instances
 from richmult.groebner import PolyIdeal
 from richmult.hilbert import ideal_dimension
 from richmult.localmult import (
@@ -19,12 +24,33 @@ from richmult.localmult import (
     multiplicity_at_origin,
 )
 from richmult.poly import PolyRing, mono_deg, mono_mul
+from richmult.weyl import GrassShape
 
 from polytext import parse_polynomial
 
 
 def ideal(ring, *texts):
     return PolyIdeal(ring, [parse_polynomial(ring, t) for t in texts])
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed (where
+    SIGALRM exists): an elimination that misreads a lead can cycle."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _reference_series(ideal, k_max):
@@ -149,6 +175,38 @@ def redundant_generators(draw):
     return PolyIdeal(ring, gens), draw(st.integers(4, 7))
 
 
+@st.composite
+def lazy_lead_inputs(draw):
+    """Generators whose lead is not their least-code term, with rows that
+    reduce against earlier pivots.  In 3-4 variables, g1's lowest terms
+    are x0*x1^2 (the least code) and x0^2*x2 (the least column, so the
+    lead).  g2 has the lead x0^2*x2 too, so whichever of g1, g2 comes
+    second has a first row that reduces against the other's.  g2's
+    x0*x1^2 term is absent, arbitrary, or proportional to g1's, so that
+    its lowest form cancels.  Both get higher terms, and a third generator
+    of degree 2-4 may join.  The order of the generators is drawn."""
+    n = draw(st.integers(3, 4))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    coeffs = st.builds(
+        Fraction, st.integers(-7, 7).filter(bool), st.sampled_from([1, 2, 3])
+    )
+
+    def poly(lowest, min_deg, max_deg, min_size=0):
+        terms = {}
+        for _ in range(draw(st.integers(min_size, 3))):
+            d = draw(st.integers(min_deg, max_deg))
+            parts = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+            terms[tuple(parts.count(i) for i in range(n))] = draw(coeffs)
+        terms.update({e + (0,) * (n - 3): c for e, c in lowest.items() if c})
+        return ring.from_terms(terms)
+
+    a, b, c = draw(coeffs), draw(coeffs), draw(coeffs)
+    d = draw(st.sampled_from([0, a * c / b, draw(coeffs)]))
+    gens = [poly({(1, 2, 0): a, (2, 0, 1): b}, 4, 5), poly({(1, 2, 0): d, (2, 0, 1): c}, 4, 5)]
+    gens += draw(st.sampled_from([[], [poly({}, 2, 4, 1)]]))
+    return PolyIdeal(ring, draw(st.permutations(gens))), draw(st.integers(4, 7))
+
+
 @pytest.fixture
 def xy():
     return PolyRing(("x", "y"))
@@ -265,6 +323,25 @@ class TestHilbertSamuelSeries:
             permuted = PolyIdeal(target.ring, list(gens))
             assert hilbert_samuel_series(permuted, k_max) == _reference_series(permuted, k_max)
 
+    @given(lazy_lead_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_lead_is_the_least_column_term(self, case):
+        """A row's lead is read off its generator's least-column term before
+        the row is built, and a pivot row is built only when a later row
+        reads it; the series must equal the eager reference's.  A wrong
+        lead can make the elimination cycle, so a call past 1 s fails."""
+        target, k_max = case
+        with time_limit(1):
+            series = hilbert_samuel_series(target, k_max)
+        assert series == _reference_series(target, k_max)
+
+    def test_heaviest_oracle_ideal(self):
+        """The slowest of the hs_oracle ideals: two 2x2 minors in 8
+        variables, one with linear terms, at k_max = 10."""
+        ring = PolyRing(("y_5_4", "y_7_2", "y_5_2", "y_7_4", "y_1_6", "y_3_4", "y_1_4", "y_3_6"))
+        target = ideal(ring, "y_5_4*y_7_2 - y_5_2*y_7_4", "y_1_6*y_3_4 - y_1_4*y_3_6 - y_3_4 + y_3_6")
+        assert hilbert_samuel_series(target, 10) == [1, 8, 35, 112, 294, 672, 1386, 2640, 4719, 8008]
+
     def test_column_budget_is_inclusive(self, xyz, monkeypatch):
         """The budget is read at each call: a series of exactly the budget's
         columns runs, and one column more raises."""
@@ -339,6 +416,28 @@ class TestOracleAgainstTangentCone:
         target = PolyIdeal(ring, [shifted])
         assert multiplicity_at_origin(target) == 1
         assert hilbert_samuel_multiplicity(target, ideal_dimension(target)) == 1
+
+    @pytest.mark.skipif(
+        not os.environ.get("RICHMULT_SLOW_TESTS"), reason="set RICHMULT_SLOW_TESTS=1 to run G(3,6)"
+    )
+    def test_g36_fixed_point_ideals(self):
+        """Every distinct nonzero Schubert, opposite and Richardson ideal at
+        the T-fixed points of G(3,6), translated to the origin: the series
+        and the tangent cone give the same multiplicity."""
+        shape = GrassShape(3, 6)
+        found = {}
+        for w, v, tau in enumerate_instances(shape):
+            chart = build_chart(shape, tau)
+            for side in (schubert_ideal(chart, w), opposite_ideal(chart, v), richardson_ideal(chart, w, v)):
+                moved = translate_to_origin(side, chart.origin())
+                if not moved.is_zero_ideal():
+                    found.setdefault(moved.canonical_key(), moved)
+        assert len(found) == 960
+        bad = [
+            key for key, target in found.items()
+            if hilbert_samuel_multiplicity(target, ideal_dimension(target)) != multiplicity_at_origin(target)
+        ]
+        assert bad == []
 
     def test_window_widens_then_raises(self, xy, monkeypatch):
         """The window runs to k = dim + 4, 6, 8, 10 and then gives up."""

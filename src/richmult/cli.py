@@ -38,7 +38,7 @@ from .engine import (
     verify_theorem,
 )
 from .quadric import QuadricShape, quadric_report, quadric_sweep
-from .report import MultiplicityReport
+from .report import MultiplicityReport, reports_json
 from .weyl import GrassShape, bruhat_leq, format_coset, parse_coset
 
 
@@ -94,6 +94,12 @@ def _load_point(path: str, shape: GrassShape, tau_text):
     return AffinePoint.from_json_dict(build_chart(shape, tau), coords)
 
 
+def _point_text(point: dict) -> str:
+    """A report's point as ``key=value`` pairs joined by ``;``, in the
+    point's own (chart) order, as the JSON writes it."""
+    return ";".join(f"{k}={v}" for k, v in point.items())
+
+
 def _reports_to_csv(reports) -> str:
     buf = io.StringIO()
     fieldnames = [f.name for f in fields(MultiplicityReport)]
@@ -101,20 +107,20 @@ def _reports_to_csv(reports) -> str:
     writer.writeheader()
     for r in reports:
         row = r.to_dict()
-        row["point"] = ";".join(f"{k}={v}" for k, v in sorted(row["point"].items()))
+        row["point"] = _point_text(r.point)
         writer.writerow(row)
     return buf.getvalue()
 
 
 def _emit(reports, fmt: str, out):
     if fmt == "json":
-        text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+        text = reports_json(reports)
     elif fmt == "csv":
         text = _reports_to_csv(reports)
     else:
         lines = []
         for r in reports:
-            point = ";".join(f"{k}={v}" for k, v in sorted(r.point.items())) or "origin"
+            point = _point_text(r.point) or "origin"
             lines.append(
                 f"w={r.w} v={r.v} tau={r.tau} point[{point}] "
                 f"mu_w={r.mu_w} mu_v={r.mu_v} fast={r.mu_wv_fast} "

@@ -1,6 +1,8 @@
 """Command-line interface: golden output, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -418,6 +420,63 @@ class TestQuadric:
             files("richmult.schemas").joinpath("report.schema.json").read_text()
         )
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+class TestReportBytes:
+    """Outputs no benchmark digest covers, pinned by the bytes written
+    while ``--format json`` still went through ``json.dumps(indent=2)``.
+    Every point key here has one digit, so string order is chart order."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "12"],
+         "99c57fd869df137cb30db8accb118524be85e28dcfc5cc1d8e10d1a31a903f56"),
+        (["sweep", "--d", "2", "--n", "4", "--grid=0", "--cap", "1", "--workers", "1",
+          "--format", "csv"],
+         "fdf7205e61dc77f1867dd9c99b48ec1a9845864bae2fc317d25a7542f1ab03af"),
+        (["sweep", "--d", "2", "--n", "4", "--grid=0", "--cap", "1", "--workers", "1",
+          "--format", "text"],
+         "c478d76f1d677e28371caed0f925c965aa7e0e6dbb9d545bff8bdc501a9ee46a"),
+        (["quadric", "--qn", "2", "--grid=-1,0,1", "--cap", "50", "--format", "csv"],
+         "066570423d8bdc3100b9a02bd9cb484fd9859bc855e0ad0bd6c7842011e394cd"),
+    ], ids=["mult json", "G(2,4) csv", "G(2,4) text", "quadric n=2 csv"])
+    def test_bytes_are_pinned(self, capsys, tmp_path, args, digest):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_no_reports_write_an_empty_array(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        assert main([
+            "sweep", "--d", "2", "--n", "4", "--grid=0", "--cap", "1", "--workers", "1",
+            "--max-instances", "0", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == b"[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("args, first_keys", [
+    (["quadric", "--qn", "5", "--grid=0", "--cap", "1"], [f"x{k}" for k in range(1, 12)]),
+    (["sweep", "--d", "1", "--n", "11", "--grid=0", "--cap", "1", "--workers", "1"],
+     [f"{q}.1" for q in range(2, 12)]),
+], ids=["quadric n=5", "G(1,11)"])
+def test_flat_points_keep_chart_order(capsys, tmp_path, fmt, args, first_keys):
+    """CSV and text write each point's coordinates in the order of its
+    JSON report, which is chart order: x1, x2, ..., x10, x11, not x1,
+    x10, x11, x2 as a string sort would."""
+    json_out, flat_out = tmp_path / "r.json", tmp_path / "r.flat"
+    assert main([*args, "--out", str(json_out)]) == 0
+    assert main([*args, "--format", fmt, "--out", str(flat_out)]) == 0
+    expected = [
+        ";".join(f"{k}={v}" for k, v in r["point"].items())
+        for r in json.loads(json_out.read_text())
+    ]
+    if fmt == "csv":
+        flat = [row["point"] for row in csv.DictReader(io.StringIO(flat_out.read_text()))]
+    else:
+        flat = [line.split("point[")[1].split("]")[0]
+                for line in flat_out.read_text().splitlines()]
+    assert flat == expected
+    assert [pair.split("=")[0] for pair in flat[0].split(";")] == first_keys
 
 
 def reaching_across(build, slice_side=False):

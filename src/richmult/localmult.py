@@ -15,11 +15,15 @@ of Hilbert data, so that each cone's numerator is computed once.
 The independent cross-check computes dim_Q k[x]/(I + m^k) by sparse exact
 Gaussian elimination on truncated multiples of the generators, and fits
 the leading coefficient of the eventual polynomial in k by finite
-differences.  Its columns are monomials packed into integer codes, and
-its rows are eliminated fraction-free over the integers.  A row whose
-multiplier is a pivot column of the earlier generators' rows is skipped
-before it is built: it adds nothing to the row space.  A new pivot row is
-kept as its multiplier and generator until a later row reads it.  An
+differences.  Each column is a monomial's integer code, whose top field is
+the degree, so integer order on codes is a graded monomial order and the
+code of a product is the sum of its factors' codes.  A row's lead is thus
+its multiplier's code plus its generator's least code, known before the
+row is built.  Rows are eliminated fraction-free over the integers.  A row
+whose multiplier is a pivot of the earlier generators' rows is skipped
+before it is built: it adds nothing to the row space.  The rows of one
+multiplier degree whose leads are free are recorded there at once, by set
+algebra, and a recorded row is built only when a later row reads it.  An
 ideal of one generator needs no elimination: its pivots are counted in
 closed form.  It shares no code path with the tangent-cone degree beyond
 polynomial arithmetic.
@@ -27,7 +31,7 @@ polynomial arithmetic.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
@@ -106,28 +110,41 @@ def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
     pivot elimination yields every k at once: the rank of the degree-< k
     truncation equals the number of pivots in columns of degree < k.
 
-    A monomial x^e is packed into the integer code sum(e_i * k_max**i).  A
-    monomial of degree < k_max has every exponent below k_max, so adding
-    the codes of two monomials whose product has degree < k_max never
-    carries: it gives the product's code, and ``col_of`` maps it to a
-    column.  Rows hold integers: each generator's terms of degree < k_max
-    are scaled to coprime integers, which leaves the row space unchanged;
-    each pivot row is stored primitive with a positive lead p, and a row
-    with lead f is reduced as row * (p/g) - (f/g) * pivot with g = gcd(p, f).
+    A monomial's column is its code: x^e is packed into the integer
+    sum(e_i * (k_max**i + k_max**n)), which is deg(e) * k_max**n plus the
+    base-k_max number whose digits are the exponents.  Below degree k_max
+    no exponent reaches k_max, so the digits are exact and their number is
+    below k_max**n: codes compare by degree, then by the exponents of
+    x_{n-1}, x_{n-2}, ... (lex).  When a product has degree < k_max, adding
+    its factors' codes adds exponents that stay below k_max, so the sum
+    never carries and is the product's code; when it has degree >= k_max,
+    the sum is at least k_max**(n + 1), so one comparison truncates.  Since
+    multiplying by x^a adds one code to both sides of a comparison, integer
+    order on codes is a monomial order, graded by degree.
+
+    Rows hold integers: each generator's terms of degree < k_max are scaled
+    to coprime integers, which leaves the row space unchanged; each pivot
+    row is stored primitive with a positive lead p, and a row with lead f
+    is reduced as row * (p/g) - (f/g) * pivot with g = gcd(p, f).
 
     Neither choice can change the result.  The set of leading positions of
-    a row space does not depend on how the space is reduced, and the rank
-    of the degree-< k truncation counts those positions in the degree-< k
-    columns.  So the series depends only on the columns being graded by
-    degree, not on their order within a degree or on the arithmetic used.
+    a row space does not depend on how the space is reduced, nor on the
+    order in which the rows are eliminated, and the rank of the degree-< k
+    truncation counts those positions in the degree-< k columns.  So the
+    series depends only on the columns being graded by degree, not on
+    their order within a degree or on the arithmetic used.
 
-    Nor can building a row only when it is read.  Columns within a degree
-    are in lex order, a monomial order with lowest degree first, so the
-    lead of x^a * g is x^a times g's least-column term (not its least-code
-    term), which truncation never drops.  A row whose lead column is taken
-    is built and reduced.  One whose lead column is free is recorded there
-    as (multiplier, generator), the pivot an eager elimination makes, and
-    is built, primitive with a positive lead, when a reduction reaches it.
+    Nor can recording rows before they are built.  In a monomial order
+    with lowest degree first, the lead of x^a * g is x^a times g's least
+    term, which truncation never drops; so its column is the code of x^a
+    plus g's least code, the first of g's sorted terms.  The rows of g are
+    taken one degree of x^a at a time.  Those whose lead column is free are
+    recorded there at once as (g's least code, g), the pivots an eager
+    elimination makes of them; a record's multiplier is its column minus
+    that code.  Then the rows whose lead column was taken are built and
+    reduced in ascending order.  Taking the free rows first is only another
+    order of elimination, so the pivot set is unchanged.  A record is
+    built, primitive with a positive lead, when a reduction reaches it.
 
     Nor can skipping rows that add nothing to the row space (the F5
     criterion, Faugere 2002).  Before the rows of generator g are
@@ -140,8 +157,9 @@ def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
     rows, and x^a - h is a combination of monomials x^c whose columns come
     after that of x^a.  By downward induction on the column, the rows kept
     span the same space, so the pivot set is unchanged.  Only the earlier
-    generators' pivots may be marked: for a pivot of g's own rows, h * g is
-    not known to lie in the span of the other rows.
+    generators' pivots may be marked, so the marks are a copy taken before
+    g's first row: for a pivot of g's own rows, h * g is not known to lie
+    in the span of the other rows.
 
     An ideal of one generator is counted without elimination: its rows
     are independent (comment below).
@@ -156,54 +174,52 @@ def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
     ncols = comb(k_max - 1 + n, n)
     if ncols > _MAX_COLUMNS:
         raise OracleBudgetError(f"{ncols} columns exceed the budget of {_MAX_COLUMNS}")
-    weights = [k_max**i for i in range(n)]
-    # Each generator as integer terms (degree, code, coefficient) of degree
-    # < k_max, lowest degree first; higher terms never reach a column.
+    top = k_max**n
+    weights = [k_max**i + top for i in range(n)]
+    limit = k_max * top
+    # Each generator as integer terms (code, coefficient) of degree < k_max,
+    # least code first; higher terms never reach a column.
     gens = []
     for g in ideal.gens:
         scale = lcm(*(c.denominator for c in g.terms.values()))
         terms = sorted(
-            (mono_deg(e), sum(x * w for x, w in zip(e, weights)),
-             c.numerator * (scale // c.denominator))
+            (sum(x * w for x, w in zip(e, weights)), c.numerator * (scale // c.denominator))
             for e, c in g.terms.items()
             if c and mono_deg(e) < k_max
         )
-        content = gcd(*(c for _, _, c in terms))
-        gens.append([(deg, code, c // content) for deg, code, c in terms])
-    gens = [terms for terms in gens if terms]
+        if terms:
+            content = gcd(*(c for _, c in terms))
+            gens.append([(code, c // content) for code, c in terms])
     pivot_deg = [0] * k_max
 
-    if len(gens) == 1:
+    if len(gens) < 2:
         # One generator g of lowest degree d: k[x] is a domain, so a
         # nonzero h * g has lowest form h_low * g_d of degree deg(h_low) + d.
         # The rows x^a * g with deg(a) < k - d are thus independent mod
         # m^k, and the rank in degree < k is the number of such x^a: the
         # pivots of degree d + e are the comb(e + n - 1, n - 1) monomials of
-        # degree e, and no row needs building.
-        d = gens[0][0][0]
-        for e in range(k_max - d):
-            pivot_deg[d + e] = comb(e + n - 1, n - 1)
+        # degree e, and no row needs building.  With no generator left
+        # below degree k_max there are no pivots at all.
+        for terms in gens:
+            d = terms[0][0] // top
+            for e in range(k_max - d):
+                pivot_deg[d + e] = comb(e + n - 1, n - 1)
         return _series(pivot_deg, n)
 
-    # Codes of the monomials of degree < k_max, degree by degree, so those
-    # of degree <= D are the first comb(D + n, n).  A monomial is extended
-    # only by variables from its highest one on, which reaches each once.
-    codes, degs, tops = [0], [0], [0]
-    start = 0
-    for d in range(1, k_max):
-        end = len(codes)
-        for j in range(start, end):
-            code = codes[j]
-            for i in range(tops[j], n):
-                codes.append(code + weights[i])
-                tops.append(i)
-        degs += [d] * (len(codes) - end)
-        start = end
-    col_of = {code: col for col, code in enumerate(codes)}
+    # mults[e]: the codes of the monomials of degree e, as far as the
+    # generator of least lowest degree multiplies.  Level e + 1 takes x_i
+    # times the level-e monomials whose highest variable is at most i, so
+    # it reaches each monomial once; 1 counts as having highest variable 0.
+    level = [[0]] + [[]] * (n - 1)
+    mults = [[0]]
+    for _ in range(1, k_max - min(terms[0][0] for terms in gens) // top):
+        level = [list(map(w.__add__, chain.from_iterable(level[: i + 1])))
+                 for i, w in enumerate(weights)]
+        mults.append(list(chain.from_iterable(level)))
 
-    def row_of(j, terms):
-        a, room = codes[j], k_max - degs[j]
-        return {col_of[a + code]: c for deg, code, c in terms if deg < room}
+    def row_of(a, terms):
+        room = limit - a
+        return {a + code: c for code, c in terms if code < room}
 
     def store(lead, row):
         content = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
@@ -212,49 +228,50 @@ def hilbert_samuel_series(ideal: PolyIdeal, k_max: int) -> list[int]:
         pivots[lead] = pivot = (row.pop(lead), row)
         return pivot
 
-    # Column -> (lead, rest of the row), or (multiplier index, terms) unread.
+    # Column -> (lead, rest of the row), or, while unread, the record
+    # (generator's least code, terms) of the row with that lead.
     pivots: dict[int, tuple] = {}
-    # marked[j]: column j is a pivot of the earlier generators' rows, so
-    # the current generator's row with multiplier codes[j] is redundant.
-    marked, fresh = bytearray(ncols), []
     for terms in gens:
-        for col in fresh:
-            marked[col] = 1
-        fresh = []
-        lead_code = min(terms, key=lambda t: col_of[t[1]])[1]
-        for j in range(comb(k_max - 1 - terms[0][0] + n, n)):
-            if marked[j]:
-                continue
-            lead = col_of[codes[j] + lead_code]
-            if lead not in pivots:
-                pivots[lead] = (j, terms)
-                fresh.append(lead)
-                pivot_deg[degs[lead]] += 1
-                continue
-            row = row_of(j, terms)
-            while row:
-                lead = min(row)
-                pivot = pivots.get(lead)
-                if pivot is None:
-                    store(lead, row)
-                    fresh.append(lead)
-                    pivot_deg[degs[lead]] += 1
-                    break
-                p, rest = pivot
-                if type(rest) is list:
-                    p, rest = store(lead, row_of(p, rest))
-                f = row.pop(lead)
-                g = gcd(p, f)
-                if g != p:
-                    scale = p // g
-                    row = {col: v * scale for col, v in row.items()}
-                q = f // g
-                for col, v in rest.items():
-                    s = row.get(col, 0) - q * v
-                    if s:
-                        row[col] = s
-                    else:
-                        del row[col]
+        # The earlier generators' pivots, copied: the current generator's
+        # row with a multiplier among them is redundant.
+        marked = pivots.copy()
+        low = terms[0][0]
+        record = (low, terms)
+        d = low // top
+        for e in range(k_max - d):
+            # The leads of the degree-e rows kept, each with the record of
+            # its row; those whose column is taken are reduced below, and the
+            # free ones are recorded at once.
+            free = {a + low: record for a in mults[e] if a not in marked}
+            taken = sorted(free.keys() & pivots.keys())
+            for lead in taken:
+                del free[lead]
+            pivots.update(free)
+            pivot_deg[d + e] += len(free)
+            for start in taken:
+                row = row_of(start - low, terms)
+                while row:
+                    lead = min(row)
+                    pivot = pivots.get(lead)
+                    if pivot is None:
+                        store(lead, row)
+                        pivot_deg[lead // top] += 1
+                        break
+                    p, rest = pivot
+                    if type(rest) is list:
+                        p, rest = store(lead, row_of(lead - p, rest))
+                    f = row.pop(lead)
+                    g = gcd(p, f)
+                    if g != p:
+                        scale = p // g
+                        row = {col: v * scale for col, v in row.items()}
+                    q = f // g
+                    for col, v in rest.items():
+                        s = row.get(col, 0) - q * v
+                        if s:
+                            row[col] = s
+                        else:
+                            del row[col]
     return _series(pivot_deg, n)
 
 

@@ -177,14 +177,16 @@ def redundant_generators(draw):
 
 @st.composite
 def lazy_lead_inputs(draw):
-    """Generators whose lead is not their least-code term, with rows that
-    reduce against earlier pivots.  In 3-4 variables, g1's lowest terms
-    are x0*x1^2 (the least code) and x0^2*x2 (the least column, so the
-    lead).  g2 has the lead x0^2*x2 too, so whichever of g1, g2 comes
-    second has a first row that reduces against the other's.  g2's
-    x0*x1^2 term is absent, arbitrary, or proportional to g1's, so that
-    its lowest form cancels.  Both get higher terms, and a third generator
-    of degree 2-4 may join.  The order of the generators is drawn."""
+    """Generators whose lowest-degree terms compete for the lead, with rows
+    that reduce against earlier pivots.  In 3-4 variables, g1's lowest
+    terms are x0*x1^2 (the least code, so the lead: codes order a degree
+    by the exponents of the last variables first) and x0^2*x2 (the
+    largest code of that degree).  g2 has the lead x0*x1^2 too, so
+    whichever of g1, g2 comes second has a first row that reduces against
+    the other's.  g2's x0^2*x2 term is absent, arbitrary, or proportional
+    to g1's, so that its lowest form cancels.  Both get higher terms, and
+    a third generator of degree 2-4 may join.  The order of the generators
+    is drawn."""
     n = draw(st.integers(3, 4))
     ring = PolyRing(tuple(f"x{i}" for i in range(n)))
     coeffs = st.builds(
@@ -201,8 +203,8 @@ def lazy_lead_inputs(draw):
         return ring.from_terms(terms)
 
     a, b, c = draw(coeffs), draw(coeffs), draw(coeffs)
-    d = draw(st.sampled_from([0, a * c / b, draw(coeffs)]))
-    gens = [poly({(1, 2, 0): a, (2, 0, 1): b}, 4, 5), poly({(1, 2, 0): d, (2, 0, 1): c}, 4, 5)]
+    d = draw(st.sampled_from([0, b * c / a, draw(coeffs)]))
+    gens = [poly({(1, 2, 0): a, (2, 0, 1): b}, 4, 5), poly({(1, 2, 0): c, (2, 0, 1): d}, 4, 5)]
     gens += draw(st.sampled_from([[], [poly({}, 2, 4, 1)]]))
     return PolyIdeal(ring, draw(st.permutations(gens))), draw(st.integers(4, 7))
 
@@ -326,14 +328,35 @@ class TestHilbertSamuelSeries:
     @given(lazy_lead_inputs())
     @settings(max_examples=100, deadline=None)
     def test_lead_is_the_least_column_term(self, case):
-        """A row's lead is read off its generator's least-column term before
-        the row is built, and a pivot row is built only when a later row
-        reads it; the series must equal the eager reference's.  A wrong
+        """A row's lead is read off its generator's least code (its column)
+        before the row is built, and a pivot row is built only when a later
+        row reads it; the series must equal the eager reference's.  A wrong
         lead can make the elimination cycle, so a call past 1 s fails."""
         target, k_max = case
         with time_limit(1):
             series = hilbert_samuel_series(target, k_max)
         assert series == _reference_series(target, k_max)
+
+    def test_all_generators_truncated(self, xy, xyz):
+        """Generators with no term below degree k_max leave no row: the
+        series is the zero ideal's, for one generator and for several."""
+        for ring, texts, k_max in [
+            (xy, ["x"], 1),
+            (xy, ["x", "y"], 1),
+            (xy, ["x^3", "x*y^2 + y^5"], 3),
+            (xyz, ["x*y*z", "z^4 - x^3", "y^3"], 3),
+        ]:
+            series = hilbert_samuel_series(ideal(ring, *texts), k_max)
+            assert series == hilbert_samuel_series(PolyIdeal(ring, []), k_max)
+
+    def test_truncated_generator_beside_kept(self, xyz):
+        """A generator truncated away beside one kept: the series is the
+        kept generator's alone, in either order."""
+        kept = "x*y - z^2 + x^3"
+        for texts in (["x^4 + y^5", kept], [kept, "x^4 + y^5"]):
+            target = ideal(xyz, *texts)
+            assert hilbert_samuel_series(target, 4) == hilbert_samuel_series(ideal(xyz, kept), 4)
+            assert hilbert_samuel_series(target, 4) == _reference_series(target, 4)
 
     def test_heaviest_oracle_ideal(self):
         """The slowest of the hs_oracle ideals: two 2x2 minors in 8

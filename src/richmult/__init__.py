@@ -21,12 +21,10 @@ from .charts import (
     AffinePoint,
     Chart,
     build_chart,
-    c_action,
     is_cone_over_origin,
     opposite_ideal,
     point_from_matrix,
     richardson_ideal,
-    scale_action,
     schubert_ideal,
     translate_to_origin,
 )
@@ -42,14 +40,8 @@ from .engine import (
 from .quadric import (
     QuadricIndex,
     QuadricShape,
-    b_matrix,
-    mult_opposite_quadric,
-    mult_schubert_quadric,
-    q_eval,
     quadric_report,
     quadric_sweep,
-    singular_locus_index,
-    verify_disjoint_sing,
 )
 from .report import MultiplicityReport
 

@@ -250,21 +250,6 @@ def translate_to_origin(ideal: PolyIdeal, m: AffinePoint) -> PolyIdeal:
     return ideal.translated(m.coords, m.chart.yring)
 
 
-def c_action(xi: Fraction, x: AffinePoint, m: AffinePoint) -> AffinePoint:
-    """The additive-group action moving x by -xi times m, coordinatewise."""
-    if x.chart != m.chart:
-        raise PointNotOnChartError("points on different charts")
-    xi = Fraction(xi)
-    return AffinePoint(
-        x.chart, tuple(a - xi * b for a, b in zip(x.coords, m.coords))
-    )
-
-
-def scale_action(xi: Fraction, x: AffinePoint) -> AffinePoint:
-    xi = Fraction(xi)
-    return AffinePoint(x.chart, tuple(xi * a for a in x.coords))
-
-
 def is_cone_over_origin(ideal: PolyIdeal) -> bool:
     """Whether the ideal is homogeneous as an ideal, which holds exactly
     when its reduced Groebner basis is."""

@@ -80,7 +80,7 @@ from .charts import (
     w0_relabel,
 )
 from .groebner import PolyIdeal, _support
-from .hilbert import HilbertData, ideal_hilbert_data, require_cone
+from .hilbert import HilbertData, ideal_hilbert_data
 from .localmult import multiplicity_at_origin
 from .report import MultiplicityReport
 from .weyl import (
@@ -250,7 +250,10 @@ class StratumSide:
 
     @cached_property
     def degree(self) -> int:
-        require_cone(self.ideal)
+        """The projective degree.  On a T-fixed chart every side is a cone
+        over the origin; one that is not is a kernel fault."""
+        if not is_cone_over_origin(self.ideal):
+            raise KernelInconsistencyError(f"the {self.variety} side is not a cone over the origin")
         return self.hilbert.degree
 
     def at(self, m: AffinePoint) -> SidePoint:
@@ -432,9 +435,11 @@ class StratumInstance:
     @cached_property
     def degrees(self) -> tuple[int, int, int, bool]:
         """Projective degrees of the three cone ideals and whether
-        deg(intersection) = deg * deg."""
+        deg(intersection) = deg * deg.  Each must be a cone over the origin
+        (else ``KernelInconsistencyError``)."""
         deg_w, deg_v = self.side_w.degree, self.side_v.degree
-        require_cone(self.iwv)
+        if not self.cone_richardson_over_origin:
+            raise KernelInconsistencyError("the intersection is not a cone over the origin")
         deg_wv = self.hilbert.degree
         return deg_w, deg_v, deg_wv, deg_wv == deg_w * deg_v
 

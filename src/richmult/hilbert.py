@@ -141,13 +141,3 @@ def ideal_dimension(ideal: PolyIdeal) -> int:
     """Affine Krull dimension of ring/I (for graded orders this equals the
     dimension of the leading-term quotient)."""
     return ideal_hilbert_data(ideal).dimension
-
-
-def require_cone(ideal: PolyIdeal) -> None:
-    """Raise ``ValueError`` unless the ideal has a projective degree: its
-    generators are homogeneous and it is not the unit ideal."""
-    for g in ideal.gens:
-        if not g.is_homogeneous():
-            raise ValueError(f"non-homogeneous generator: {g}")
-    if ideal.is_unit():
-        raise ValueError("unit ideal has no degree")

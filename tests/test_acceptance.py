@@ -36,19 +36,18 @@ from richmult.localmult import (
     hilbert_samuel_multiplicity,
     multiplicity_at_origin,
 )
-from richmult.quadric import (
-    QuadricShape,
+from richmult.quadric import QuadricShape, quadric_report, sample_quadric_points
+from richmult.weyl import CosetRep, GrassShape, parse_coset
+
+from paper_statements import (
     mult_opposite_quadric,
     mult_schubert_quadric,
     q_eval,
-    quadric_report,
-    sample_quadric_points,
     schubert_member,
     singular_locus_index,
     verify_b_matrix,
     verify_disjoint_sing,
 )
-from richmult.weyl import CosetRep, GrassShape, parse_coset
 
 GRID5 = tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))
 ORIGIN_ONLY = (Fraction(0),)

@@ -21,13 +21,11 @@ from richmult.charts import (
     _echelon,
     _minor_generators,
     build_chart,
-    c_action,
     format_ideal,
     is_cone_over_origin,
     opposite_ideal,
     point_from_matrix,
     richardson_ideal,
-    scale_action,
     schubert_ideal,
     translate_to_origin,
     w0_relabel,
@@ -37,6 +35,7 @@ from richmult.hilbert import ideal_dimension
 from richmult.poly import Polynomial, PolyRing
 from richmult.weyl import CosetRep, GrassShape, RootIndex, all_coset_reps, bruhat_leq, w0_dual
 
+from paper_statements import c_action, scale_action
 from polytext import parse_ideal, parse_polynomial
 
 DEMO_SHAPE = GrassShape(3, 7)

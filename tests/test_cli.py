@@ -628,6 +628,58 @@ class TestComputationFailures:
             "error: KernelInconsistencyError: empty intersection although v <= tau <= w\n"
         )
 
+    def test_side_that_is_not_a_cone_exits_3(self, capsys, monkeypatch):
+        """On a T-fixed chart every side is a cone over the origin.  The
+        patched builder adds x^3 to the first basis element g of each
+        Schubert side, x a variable of g, so the side's degree is a kernel
+        fault, not bad input."""
+        from richmult import engine
+        from richmult.groebner import PolyIdeal
+
+        real = engine.schubert_ideal
+
+        def uncone(chart, w):
+            ideal = real(chart, w)
+            basis = list(ideal.groebner())
+            if ideal.is_unit() or not basis:
+                return ideal
+            g = basis[0]
+            x = chart.ring.var(next(i for e in g.terms for i, k in enumerate(e) if k))
+            basis[0] = g + x * x * x
+            return PolyIdeal.of_basis(chart.ring, basis)
+
+        monkeypatch.setattr(engine, "schubert_ideal", uncone)
+        args = ["mult", "--d", "2", "--n", "4", "--w", "24", "--v", "12", "--tau", "13"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: KernelInconsistencyError: the Schubert side is not a cone over the origin\n"
+        )
+
+    def test_oracle_is_not_the_product_of_the_sides(self, capsys, monkeypatch):
+        """Each nonzero Schubert side's stored point is replaced by one whose
+        multiplicity is one too high, kept under its key so the pair memo's
+        ids hold.  Where both sides are nonzero the fast product is then
+        wrong, and an oracle computed from the translated ideals disagrees
+        with it: the sweep exits 1.  An oracle that copied the product of
+        the sides' multiplicities would agree everywhere."""
+        from richmult import engine
+
+        real, planted = engine.StratumSide.at, {}
+
+        def at(side, m):
+            point = real(side, m)
+            if side.variety == "Schubert" and not side.ideal.is_zero_ideal() and id(point) not in planted:
+                key = next(k for k, p in side._points.items() if p is point)
+                point = side._points[key] = point._replace(mult=point.mult + 1)
+                planted[id(point)] = point  # kept alive, so no new point reuses the id
+            return point
+
+        monkeypatch.setattr(engine.StratumSide, "at", at)
+        assert main(["sweep", "--d", "2", "--n", "4", "--grid=0", "--cap", "1", "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "checked=50 agreed=34 failed=16"
+
     @pytest.mark.parametrize("exc", [
         OracleBudgetError("401 columns exceed the budget of 400"),
         RuntimeError("Hilbert-Samuel function not stabilized"),

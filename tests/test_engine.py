@@ -510,7 +510,7 @@ class TestScalingInvariance:
     def test_multiplicity_constant_along_scaling_orbit(self):
         """Nonzero scalings of a cell point stay on every stratum trace and
         carry the same multiplicities (the chart's torus action)."""
-        from richmult.charts import scale_action
+        from paper_statements import scale_action
 
         shape = GrassShape(3, 6)
         w = rep(shape, 1, 4, 6)

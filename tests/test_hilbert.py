@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from richmult.engine import StratumSide
+from richmult.engine import KernelInconsistencyError, StratumSide
 from richmult.groebner import PolyIdeal
 from richmult.hilbert import (
     hilbert_data,
@@ -165,7 +165,7 @@ class TestProjectiveDegree:
 
     def test_rejects_inhomogeneous(self):
         ring = PolyRing(("x", "y"))
-        with pytest.raises(ValueError):
+        with pytest.raises(KernelInconsistencyError, match="not a cone over the origin"):
             projective_degree(PolyIdeal(ring, [parse_polynomial(ring, "x^2 - y")]))
 
     def test_bezout_product_on_disjoint_variables(self):

@@ -53,6 +53,24 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# Every series call below runs under ``time_limit``, so that a wrong lead
+# that makes the elimination cycle fails the test instead of hanging it.
+# The limit is the one of test_lead_is_the_least_column_term; the slowest
+# call measured took 0.1 s (an opt-in G(3,6) ideal; 0.04 s in the
+# hypothesis tests) under CPython 3.11 on a 2-core x86-64 host.
+SERIES_SECONDS = 1
+
+
+def limited_series(target, k_max):
+    with time_limit(SERIES_SECONDS):
+        return hilbert_samuel_series(target, k_max)
+
+
+def limited_multiplicity(target, dim):
+    with time_limit(SERIES_SECONDS):
+        return hilbert_samuel_multiplicity(target, dim)
+
+
 def _reference_series(ideal, k_max):
     """The Hilbert-Samuel series by the earlier kernel: leftmost-pivot
     elimination over Fraction on exponent tuples, every ideal through the
@@ -276,11 +294,11 @@ class TestMultiplicity:
 
 class TestHilbertSamuelSeries:
     def test_zero_ideal_binomials(self, xy):
-        series = hilbert_samuel_series(PolyIdeal(xy, []), 5)
+        series = limited_series(PolyIdeal(xy, []), 5)
         assert series == [1, 3, 6, 10, 15]
 
     def test_smooth_curve_series(self, xy):
-        series = hilbert_samuel_series(ideal(xy, "y - x^2"), 4)
+        series = limited_series(ideal(xy, "y - x^2"), 4)
         assert series == [1, 2, 3, 4]
 
     def test_monomial_fast_path_matches_generic(self, xyz):
@@ -289,21 +307,21 @@ class TestHilbertSamuelSeries:
         # elimination, the monomial one as unit-vector rows; the dimensions
         # must agree.
         generic = ideal(xyz, "x*y + z^2", "z^2")
-        assert hilbert_samuel_series(mono, 6) == hilbert_samuel_series(generic, 6)
+        assert limited_series(mono, 6) == limited_series(generic, 6)
 
     def test_rejects_constant_term(self, xy):
         with pytest.raises(OriginNotOnVarietyError):
-            hilbert_samuel_series(ideal(xy, "x - 1"), 3)
+            limited_series(ideal(xy, "x - 1"), 3)
 
     def test_rejects_bad_k(self, xy):
         with pytest.raises(ValueError):
-            hilbert_samuel_series(PolyIdeal(xy, []), 0)
+            limited_series(PolyIdeal(xy, []), 0)
 
     @given(oracle_inputs())
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_reference(self, case):
         target, k_max = case
-        assert hilbert_samuel_series(target, k_max) == _reference_series(target, k_max)
+        assert limited_series(target, k_max) == _reference_series(target, k_max)
 
     @given(oracle_inputs())
     @settings(max_examples=150, deadline=None)
@@ -312,7 +330,7 @@ class TestHilbertSamuelSeries:
         must equal the eliminated reference's."""
         target, k_max = case
         single = PolyIdeal(target.ring, target.gens[:1])
-        assert hilbert_samuel_series(single, k_max) == _reference_series(single, k_max)
+        assert limited_series(single, k_max) == _reference_series(single, k_max)
 
     @given(redundant_generators())
     @settings(max_examples=100, deadline=None)
@@ -323,7 +341,7 @@ class TestHilbertSamuelSeries:
         target, k_max = case
         for gens in permutations(target.gens):
             permuted = PolyIdeal(target.ring, list(gens))
-            assert hilbert_samuel_series(permuted, k_max) == _reference_series(permuted, k_max)
+            assert limited_series(permuted, k_max) == _reference_series(permuted, k_max)
 
     @given(lazy_lead_inputs())
     @settings(max_examples=100, deadline=None)
@@ -346,8 +364,8 @@ class TestHilbertSamuelSeries:
             (xy, ["x^3", "x*y^2 + y^5"], 3),
             (xyz, ["x*y*z", "z^4 - x^3", "y^3"], 3),
         ]:
-            series = hilbert_samuel_series(ideal(ring, *texts), k_max)
-            assert series == hilbert_samuel_series(PolyIdeal(ring, []), k_max)
+            series = limited_series(ideal(ring, *texts), k_max)
+            assert series == limited_series(PolyIdeal(ring, []), k_max)
 
     def test_truncated_generator_beside_kept(self, xyz):
         """A generator truncated away beside one kept: the series is the
@@ -355,15 +373,15 @@ class TestHilbertSamuelSeries:
         kept = "x*y - z^2 + x^3"
         for texts in (["x^4 + y^5", kept], [kept, "x^4 + y^5"]):
             target = ideal(xyz, *texts)
-            assert hilbert_samuel_series(target, 4) == hilbert_samuel_series(ideal(xyz, kept), 4)
-            assert hilbert_samuel_series(target, 4) == _reference_series(target, 4)
+            assert limited_series(target, 4) == limited_series(ideal(xyz, kept), 4)
+            assert limited_series(target, 4) == _reference_series(target, 4)
 
     def test_heaviest_oracle_ideal(self):
         """The slowest of the hs_oracle ideals: two 2x2 minors in 8
         variables, one with linear terms, at k_max = 10."""
         ring = PolyRing(("y_5_4", "y_7_2", "y_5_2", "y_7_4", "y_1_6", "y_3_4", "y_1_4", "y_3_6"))
         target = ideal(ring, "y_5_4*y_7_2 - y_5_2*y_7_4", "y_1_6*y_3_4 - y_1_4*y_3_6 - y_3_4 + y_3_6")
-        assert hilbert_samuel_series(target, 10) == [1, 8, 35, 112, 294, 672, 1386, 2640, 4719, 8008]
+        assert limited_series(target, 10) == [1, 8, 35, 112, 294, 672, 1386, 2640, 4719, 8008]
 
     def test_column_budget_is_inclusive(self, xyz, monkeypatch):
         """The budget is read at each call: a series of exactly the budget's
@@ -374,11 +392,11 @@ class TestHilbertSamuelSeries:
         k_max = 6
         ncols = comb(k_max - 1 + 3, 3)
         monkeypatch.setattr(localmult, "_MAX_COLUMNS", ncols)
-        series = hilbert_samuel_series(target, k_max)
+        series = limited_series(target, k_max)
         assert series == _reference_series(target, k_max)
         monkeypatch.setattr(localmult, "_MAX_COLUMNS", ncols - 1)
         with pytest.raises(OracleBudgetError, match=f"{ncols} columns exceed the budget of {ncols - 1}"):
-            hilbert_samuel_series(target, k_max)
+            limited_series(target, k_max)
 
     def test_budget_checked_before_enumeration(self):
         """comb(41, 12), about 7.9e9 columns: enumerating them first would
@@ -386,7 +404,7 @@ class TestHilbertSamuelSeries:
         ring = PolyRing(tuple(f"x{i}" for i in range(12)))
         target = ideal(ring, "x0 - x1^2")
         with pytest.raises(OracleBudgetError, match=f"{comb(41, 12)} columns"):
-            hilbert_samuel_series(target, 30)
+            limited_series(target, 30)
 
 
 class TestFit:
@@ -421,14 +439,14 @@ class TestOracleAgainstTangentCone:
     def test_plane_examples(self, xy, texts):
         target = ideal(xy, *texts)
         dim = ideal_dimension(target)
-        assert hilbert_samuel_multiplicity(target, dim) == multiplicity_at_origin(target)
+        assert limited_multiplicity(target, dim) == multiplicity_at_origin(target)
 
     def test_quadric_cone_in_four_variables(self):
         ring = PolyRing(("a", "b", "c", "d"))
         target = ideal(ring, "a*d - b*c")
         dim = ideal_dimension(target)
         assert dim == 3
-        assert hilbert_samuel_multiplicity(target, dim) == 2
+        assert limited_multiplicity(target, dim) == 2
         assert multiplicity_at_origin(target) == 2
 
     def test_translated_cone(self):
@@ -438,7 +456,7 @@ class TestOracleAgainstTangentCone:
         shifted = f.shift([1, 0, 0, 0], ring)  # smooth point of the same cone
         target = PolyIdeal(ring, [shifted])
         assert multiplicity_at_origin(target) == 1
-        assert hilbert_samuel_multiplicity(target, ideal_dimension(target)) == 1
+        assert limited_multiplicity(target, ideal_dimension(target)) == 1
 
     @pytest.mark.skipif(
         not os.environ.get("RICHMULT_SLOW_TESTS"), reason="set RICHMULT_SLOW_TESTS=1 to run G(3,6)"
@@ -458,7 +476,7 @@ class TestOracleAgainstTangentCone:
         assert len(found) == 960
         bad = [
             key for key, target in found.items()
-            if hilbert_samuel_multiplicity(target, ideal_dimension(target)) != multiplicity_at_origin(target)
+            if limited_multiplicity(target, ideal_dimension(target)) != multiplicity_at_origin(target)
         ]
         assert bad == []
 
@@ -475,5 +493,5 @@ class TestOracleAgainstTangentCone:
         monkeypatch.setattr(localmult, "hilbert_samuel_series", series)
         monkeypatch.setattr(localmult, "fit_leading_coefficient", lambda values, dim: None)
         with pytest.raises(RuntimeError, match="not stabilized by k=11: "):
-            hilbert_samuel_multiplicity(ideal(xy, "y^2 - x^3"), 1)
+            limited_multiplicity(ideal(xy, "y^2 - x^3"), 1)
         assert windows == [5, 7, 9, 11]

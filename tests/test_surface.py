@@ -4,8 +4,7 @@ Every function and class defined in ``src/richmult`` must be named by the
 program itself: by a package module other than ``__init__`` (whose
 exports call nothing) or by a ``perfbench`` file.  A definition that
 only the tests call belongs in the tests, as a reference beside the test
-that uses it.  The paper's checkable statements that nothing calls are
-kept on purpose and listed in ``UNCALLED_STATEMENTS``.
+that uses it.
 
 Likewise every attribute that the package stores (``obj.name = ...``)
 must be read by the program: loaded as an attribute, or named in a
@@ -17,10 +16,6 @@ import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# Statements of the paper kept as checkable functions: the acceptance
-# tests call them, the program does not.
-UNCALLED_STATEMENTS = {"c_action", "scale_action", "verify_b_matrix", "verify_disjoint_sing"}
 
 
 def _program(root: Path):
@@ -81,15 +76,8 @@ def unread_attributes(root: Path) -> dict[str, list[str]]:
 
 def test_every_definition_has_a_caller():
     uncalled = uncalled_definitions(ROOT)
-    stray = [f"{name} ({', '.join(uncalled[name])})"
-             for name in sorted(set(uncalled) - UNCALLED_STATEMENTS)]
+    stray = [f"{name} ({', '.join(sites)})" for name, sites in sorted(uncalled.items())]
     assert not stray, "defined in src/richmult but called only by tests: " + "; ".join(stray)
-
-
-def test_kept_statements_are_still_uncalled():
-    """An allowed name that gains a caller, or is deleted, must leave the
-    allow-list, so the list holds only names it excuses."""
-    assert set(uncalled_definitions(ROOT)) >= UNCALLED_STATEMENTS
 
 
 def test_every_stored_attribute_is_read():
